@@ -22,8 +22,10 @@
 // so the bench suite doubles as a reproduction regression test.
 #pragma once
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.h"
@@ -59,6 +61,15 @@ struct BenchOptions {
     o.trace_path = flags.get("trace", "");
     o.json_path = flags.get("json", "");
     flags.check_unused();
+    // Out-of-range flags (--scale=0, --clients=0) are usage errors: exit 2
+    // like an unknown flag instead of aborting inside the first scenario.
+    try {
+      sim::validate_scenario_config(
+          o.config(sim::WorkloadKind::kZipf, sim::BalancerKind::kLunule));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+      std::exit(2);
+    }
     return o;
   }
 

@@ -1,9 +1,12 @@
 // Hot-path microbenchmark: authority resolution, epoch close, and
-// candidate collection with the hot-path optimisations on vs off, at
+// candidate collection, each against its naive counterpart, at
 // 10k / 100k / 500k / 2M directories with a 1% hot set, plus the
 // worker-pool scaling of the epoch-close fold at 1 / 2 / 4 shards
 // (shards = 1 + pool workers, mirroring the sharded tick engine's
-// sharded_ticks knob).
+// sharded_ticks knob).  The naive counterparts: the cached auth_of vs
+// the pin-chain walk (resolve_auth_uncached), and candidate collection
+// over the recorder's live set vs the whole-namespace scan (the scan
+// Dir-Hash placement uses), both after the same dirty-set epoch close.
 //
 // Hand-rolled chrono timing (not google-benchmark): each phase is a paired
 // A/B measurement of the same work both ways, and the [SHAPE-CHECK] gates
@@ -80,7 +83,8 @@ struct SizeResult {
   std::vector<ShardRow> shard_rows;
 };
 
-/// Random authority lookups over the fan-out, cache on vs off.
+/// Random authority lookups over the fan-out: the flat cache (auth_of) vs
+/// the pin-chain walk (resolve_auth_uncached).
 void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
   fs::NamespaceTree tree;
   const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
@@ -91,18 +95,20 @@ void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
   constexpr std::size_t kLookups = 200'000;
   std::int64_t sink = 0;
   for (const bool cached : {true, false}) {
-    tree.set_auth_cache_enabled(cached);
+    const auto lookup = [&](DirId d) {
+      return cached ? tree.auth_of(d) : tree.resolve_auth_uncached(d);
+    };
     // Warm-up pass: the cached row measures steady-state hits, not the
     // one-time fill cost of a cold cache (and the uncached row gets the
     // same page/TLB warming so the comparison stays paired).
     Rng warm(11);
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += tree.auth_of(leaves[warm.next_below(leaves.size())]);
+      sink += lookup(leaves[warm.next_below(leaves.size())]);
     }
     Rng rng(11);
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += tree.auth_of(leaves[rng.next_below(leaves.size())]);
+      sink += lookup(leaves[rng.next_below(leaves.size())]);
     }
     const double ns = seconds_since(t0) * 1e9 / kLookups;
     (cached ? r.auth_cached_ns : r.auth_uncached_ns) = ns;
@@ -112,18 +118,19 @@ void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
 }
 
 /// One epoch of synthetic load on the hot set + close + candidate
-/// collection, with the optimisations on (lazy stats + live-set filter) vs
-/// off (eager close + whole-namespace scan).
+/// collection, collecting over the recorder's live set ("on") vs over the
+/// whole namespace ("off").
 void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
   constexpr int kWarmEpochs = 6;
   const std::size_t stride = n_dirs / r.hot_dirs;
-  for (const bool opts : {true, false}) {
+  for (const bool live_set : {true, false}) {
     fs::NamespaceTree tree;
     const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
     mds::RecorderParams params;
     params.sibling_credit_prob = 0.0;  // isolate the close/scan cost
-    mds::AccessRecorder recorder(tree, params, Rng(23), /*lazy=*/opts);
-    const std::vector<DirId>* live = opts ? &recorder.active_dirs() : nullptr;
+    mds::AccessRecorder recorder(tree, params, Rng(23));
+    const std::vector<DirId>* live =
+        live_set ? &recorder.active_dirs() : nullptr;
     std::vector<balancer::Candidate> cands;
     double elapsed = 0.0;
     EpochId epoch = 0;
@@ -140,8 +147,8 @@ void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
       if (e >= kWarmEpochs) elapsed += seconds_since(t0);
     }
     const double us = elapsed * 1e6 / timed_epochs;
-    (opts ? r.epoch_close_on_us : r.epoch_close_off_us) = us;
-    if (opts) r.live_candidates = cands.size();
+    (live_set ? r.epoch_close_on_us : r.epoch_close_off_us) = us;
+    if (live_set) r.live_candidates = cands.size();
   }
   r.timed_epochs = timed_epochs;
   r.epoch_close_speedup = r.epoch_close_off_us / r.epoch_close_on_us;
@@ -160,7 +167,7 @@ void bench_shard_scaling(SizeResult& r, std::size_t n_dirs,
   const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
   mds::RecorderParams params;
   params.sibling_credit_prob = 0.0;
-  mds::AccessRecorder recorder(tree, params, Rng(23), /*lazy=*/true);
+  mds::AccessRecorder recorder(tree, params, Rng(23));
   const std::vector<DirId>& live = recorder.active_dirs();
   std::vector<balancer::Candidate> cands;
   EpochId epoch = 0;
@@ -282,7 +289,7 @@ int main(int argc, char** argv) {
 
   sim::ShapeChecker checks;
   checks.expect(results[0].epoch_close_speedup >= 1.5,
-                "10k dirs: dirty-set close beats the whole-tree scan");
+                "10k dirs: live-set collection beats the whole-tree scan");
   checks.expect(results[1].epoch_close_speedup >= 5.0,
                 "100k dirs / 1% hot: epoch close at least 5x faster");
   checks.expect(results[2].epoch_close_speedup >= 5.0,

@@ -268,7 +268,6 @@ MdsId NamespaceTree::resolve_auth_uncached(DirId d) const {
 }
 
 MdsId NamespaceTree::auth_of(DirId d) const {
-  if (!auth_cache_enabled_) return resolve_auth_uncached(d);
   const std::uint64_t gen = dir_auth_gen_;
   std::uint64_t packed = auth_cache_.load(d);
   if ((packed >> 16) == gen) return unpack_auth(packed);

@@ -103,16 +103,11 @@ class NamespaceTree {
   /// Resolved authority of a migratable unit.
   [[nodiscard]] MdsId auth_of_subtree(const SubtreeRef& ref) const;
   /// Cache-free resolution by walking the pin chain (the invariant
-  /// checker's oracle, and the resolution path when the cache is off).
+  /// checker's oracle for the cache).
   [[nodiscard]] MdsId resolve_auth_uncached(DirId d) const;
   /// Bumped whenever any pin changes; clients use it to invalidate their
   /// location caches.
   [[nodiscard]] std::uint64_t auth_generation() const { return auth_gen_; }
-
-  /// Toggles the flat resolved-authority cache (on by default).  Off, every
-  /// auth_of() walks the pin chain — the equivalence suite runs both ways.
-  void set_auth_cache_enabled(bool enabled) { auth_cache_enabled_ = enabled; }
-  [[nodiscard]] bool auth_cache_enabled() const { return auth_cache_enabled_; }
 
   /// Moves the authority of a migratable unit to `to`, returning the number
   /// of inodes transferred (the unit's exclusive inode count).  This is the
@@ -248,7 +243,6 @@ class NamespaceTree {
   /// Invalidation clock of the flat cache; bumped only by directory-level
   /// pin changes (frag pins never alter what a directory inherits).
   std::uint64_t dir_auth_gen_ = 1;
-  bool auth_cache_enabled_ = true;
   /// Flat resolution cache, one packed entry per directory:
   /// (generation << 16) | uint16(resolved auth + 1); valid while the
   /// generation field equals dir_auth_gen_.  Zero (generation 0) is never

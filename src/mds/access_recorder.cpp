@@ -33,11 +33,8 @@ void parallel_chunks(WorkerPool* pool, std::size_t n,
 }  // namespace
 
 AccessRecorder::AccessRecorder(fs::NamespaceTree& tree, RecorderParams params,
-                               Rng rng, bool lazy)
-    : tree_(tree),
-      params_(params),
-      credit_seed_(rng.next_u64()),
-      lazy_(lazy) {
+                               Rng rng)
+    : tree_(tree), params_(params), credit_seed_(rng.next_u64()) {
   LUNULE_CHECK(params_.heat_decay > 0.0 && params_.heat_decay < 1.0);
   LUNULE_CHECK(params_.sibling_credit_prob >= 0.0 &&
                params_.sibling_credit_prob <= 1.0);
@@ -228,61 +225,27 @@ void AccessRecorder::fold_dir(DirId d, EpochId closing) {
   dir.set_stats_dead_epoch(dead);
 }
 
-bool AccessRecorder::advance_dir_eager(DirId d, EpochId closing) {
-  bool live = false;
-  for (fs::FragStats& frag : tree_.frags(d)) {
-    frag.advance_to(closing + 1, params_.heat_decay);
-    if (frag.heat > 0.0 || frag.visits_window.window_sum() > 0 ||
-        frag.first_visits_window.window_sum() > 0 ||
-        frag.sibling_credit_window.window_sum() > 0.0) {
-      live = true;
-    }
-  }
-  return live;
-}
-
 void AccessRecorder::close_epoch(WorkerPool* pool) {
   const EpochId closing = tree_.stats_clock();
   keep_scratch_.clear();
   keep_scratch_.reserve(active_.size());
 
-  if (lazy_) {
-    // Fold only the directories touched this epoch.  Any fragment at the
-    // clock carries this epoch's accumulators (writers always advance
-    // before accumulating); lagging fragments stay lagging and catch up by
-    // delta on first read.  dirty_ entries are unique (touched-epoch
-    // stamp), so the parallel folds touch disjoint state.
-    parallel_chunks(pool, dirty_.size(),
-                    [&](std::size_t k) { fold_dir(dirty_[k], closing); });
-    dirty_.clear();
-    tree_.tick_stats_clock();
-    const EpochId clock = tree_.stats_clock();
-    for (const DirId d : active_) {
-      if (tree_.dir(d).stats_dead_epoch() > clock) {
-        keep_scratch_.push_back(d);
-      } else {
-        is_active_[d] = 0;
-      }
+  // Fold only the directories touched this epoch.  Any fragment at the
+  // clock carries this epoch's accumulators (writers always advance before
+  // accumulating); lagging fragments stay lagging and catch up by delta on
+  // first read.  dirty_ entries are unique (touched-epoch stamp), so the
+  // parallel folds touch disjoint state.
+  parallel_chunks(pool, dirty_.size(),
+                  [&](std::size_t k) { fold_dir(dirty_[k], closing); });
+  dirty_.clear();
+  tree_.tick_stats_clock();
+  const EpochId clock = tree_.stats_clock();
+  for (const DirId d : active_) {
+    if (tree_.dir(d).stats_dead_epoch() > clock) {
+      keep_scratch_.push_back(d);
+    } else {
+      is_active_[d] = 0;
     }
-  } else {
-    // Eager mode: roll every fragment of every active directory and keep
-    // the directory iff any fragment still carries signal — the original
-    // scan-the-active-set behaviour, kept as the equivalence oracle.
-    // Survival is recorded in flags and compacted serially in index order,
-    // so the surviving set is identical for any worker count.
-    dirty_.clear();
-    keep_flags_.assign(active_.size(), 0);
-    parallel_chunks(pool, active_.size(), [&](std::size_t k) {
-      keep_flags_[k] = advance_dir_eager(active_[k], closing) ? 1 : 0;
-    });
-    for (std::size_t k = 0; k < active_.size(); ++k) {
-      if (keep_flags_[k]) {
-        keep_scratch_.push_back(active_[k]);
-      } else {
-        is_active_[active_[k]] = 0;
-      }
-    }
-    tree_.tick_stats_clock();
   }
 
   active_.swap(keep_scratch_);

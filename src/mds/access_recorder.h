@@ -26,17 +26,15 @@
 //
 // At each epoch boundary close_epoch() folds the open-epoch accumulators
 // into the cutting-window rings and applies the exponential heat decay that
-// the CephFS-Vanilla balancer relies on.  In the (default) lazy mode only
-// the directories actually touched during the epoch are folded; everything
-// else catches up by delta on first read (FragStats::advance_to), and warm
-// directories expire from the active set via the per-directory dead-epoch
-// prediction instead of being rescanned every close.  The eager mode rolls
-// every fragment of every active directory at each close — the two modes
-// are observationally identical (the equivalence suite asserts it).
-// Both folds can run on a WorkerPool: directories are chunked and folded
-// in parallel (per-directory state is disjoint), with the surviving set
-// compacted serially in index order, so the result is identical for any
-// worker count.
+// the CephFS-Vanilla balancer relies on.  Only the directories actually
+// touched during the epoch are folded; everything else catches up by delta
+// on first read (FragStats::advance_to replays the eager per-close sequence
+// bit-identically), and warm directories expire from the active set via the
+// per-directory dead-epoch prediction instead of being rescanned every
+// close.  The invariant checker audits the clock and the expiry at every
+// epoch under LUNULE_VALIDATE.  The fold can run on a WorkerPool:
+// directories are chunked and folded in parallel (per-directory state is
+// disjoint), so the result is identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +90,7 @@ struct RecorderLane {
 
 class AccessRecorder {
  public:
-  AccessRecorder(fs::NamespaceTree& tree, RecorderParams params, Rng rng,
-                 bool lazy = true);
+  AccessRecorder(fs::NamespaceTree& tree, RecorderParams params, Rng rng);
 
   /// Records a read/lookup access to file `i` of directory `d`.  With a
   /// lane, shared-state effects are escrowed instead of applied.
@@ -107,6 +104,11 @@ class AccessRecorder {
   /// Applies one rank's escrowed effects; call once per lane, in ascending
   /// rank order, from the serial merge.
   void merge_lane(RecorderLane& lane);
+
+  /// Marks `d` touched in the open epoch without recording an access, for
+  /// callers that write its FragStats directly: the next close folds it
+  /// and it joins the active set (appended; sorted at the next close).
+  void touch(DirId d) { mark_touched(d, nullptr); }
 
   /// Folds open-epoch accumulators into the windows, decays heat, and ticks
   /// the tree's statistics clock.  With a pool, the per-directory folds run
@@ -138,30 +140,24 @@ class AccessRecorder {
   [[nodiscard]] std::vector<HotDir> top_hot_dirs(std::size_t k,
                                                  double epoch_seconds);
 
-  [[nodiscard]] bool lazy() const { return lazy_; }
   [[nodiscard]] const RecorderParams& params() const { return params_; }
 
  private:
   void mark_touched(DirId d, RecorderLane* lane);
   void credit_sibling(DirId d, FileIndex i, RecorderLane* lane);
-  /// Folds one directory's fragments for the closing epoch (lazy mode).
+  /// Folds one directory's fragments for the closing epoch.
   void fold_dir(DirId d, EpochId closing);
-  /// Eager-mode advance of one active directory; returns whether it still
-  /// carries signal.
-  bool advance_dir_eager(DirId d, EpochId closing);
 
   fs::NamespaceTree& tree_;
   RecorderParams params_;
   /// Key base of the stateless sibling-credit streams.
   std::uint64_t credit_seed_;
-  bool lazy_;
   std::vector<DirId> active_;
   std::vector<std::uint8_t> is_active_;  // indexed by DirId, lazily grown
   /// Directories touched during the open epoch (deduplicated via
-  /// Directory::touched_epoch); the lazy close folds exactly these.
+  /// Directory::touched_epoch); the close folds exactly these.
   std::vector<DirId> dirty_;
-  std::vector<DirId> keep_scratch_;       // reused across closes
-  std::vector<std::uint8_t> keep_flags_;  // parallel-fold survival marks
+  std::vector<DirId> keep_scratch_;  // reused across closes
 };
 
 }  // namespace lunule::mds

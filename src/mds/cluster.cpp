@@ -49,10 +49,8 @@ MdsCluster::MdsCluster(fs::NamespaceTree& tree, ClusterParams params)
     }
   }
   draining_.assign(params_.n_mds, 0);
-  tree_.set_auth_cache_enabled(params_.hot_path.auth_cache);
   recorder_ = std::make_unique<AccessRecorder>(
-      tree_, params_.recorder, Rng(params_.seed).fork(/*stream=*/1),
-      params_.hot_path.lazy_stats);
+      tree_, params_.recorder, Rng(params_.seed).fork(/*stream=*/1));
   MigrationParams mig = params_.migration;
   mig.epoch_seconds = epoch_seconds();
   migration_ = std::make_unique<MigrationEngine>(tree_, mig);

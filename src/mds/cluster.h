@@ -27,19 +27,6 @@
 
 namespace lunule::mds {
 
-/// Hot-path optimisation switches.  All default on; the equivalence suite
-/// flips them off and asserts byte-identical traces (they are mechanical
-/// optimisations, never behavioural ones).
-struct HotPathOpts {
-  /// Flat resolved-authority cache in the namespace tree.
-  bool auth_cache = true;
-  /// Dirty-set epoch close + lazy cutting-window advancement.
-  bool lazy_stats = true;
-  /// Candidate collection iterates the recorder's active set instead of the
-  /// whole namespace.
-  bool candidate_filter = true;
-};
-
 struct ClusterParams {
   std::size_t n_mds = 5;
   /// Ranks serving at construction; the rest start as cold standbys (down,
@@ -74,7 +61,6 @@ struct ClusterParams {
   /// false no journal exists, no journal counters are created, and every
   /// trace is byte-identical to the journal-free behavior).
   journal::JournalParams journal;
-  HotPathOpts hot_path;
   std::uint64_t seed = 42;
 };
 
@@ -326,12 +312,11 @@ class MdsCluster {
     return cache_tier_ != nullptr && cache_tier_->tracks(d);
   }
 
-  /// Directories worth considering for candidate collection: the recorder's
-  /// active set (sorted ascending) when the candidate filter is on, or
-  /// nullptr meaning "scan the whole namespace".
+  /// Directories worth considering for candidate collection: the
+  /// recorder's active set (sorted ascending after every close).  Never
+  /// null; every directory outside it is drained and would score zero.
   [[nodiscard]] const std::vector<DirId>* candidate_dirs() const {
-    return params_.hot_path.candidate_filter ? &recorder_->active_dirs()
-                                             : nullptr;
+    return &recorder_->active_dirs();
   }
 
  private:

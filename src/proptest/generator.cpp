@@ -117,7 +117,9 @@ sim::ScenarioConfig generate_config(std::uint64_t seed, std::uint64_t index) {
   cfg.migration_max_retries = static_cast<int>(1 + rng.next_below(5));
   cfg.migration_retry_backoff_ticks =
       static_cast<Tick>(2 + rng.next_below(7));
-  cfg.hot_path_opts = !rng.next_bool(0.25);
+  // Retired knob draw (the hot-path on/off switch).  Kept so every
+  // (seed, index) still names the same config as before the switch went.
+  (void)rng.next_bool(0.25);
   // Half the cases run the sharded tick engine (1..4 shards) so every
   // oracle — not just shard_equivalence — fuzzes both engines.
   cfg.sharded_ticks =

@@ -163,26 +163,6 @@ OracleResult check_rank_relabel_invariance(const sim::ScenarioConfig& cfg) {
   return OracleResult::ok();
 }
 
-OracleResult check_hot_path_equivalence(const sim::ScenarioConfig& cfg) {
-  sim::ScenarioConfig on = cfg;
-  on.hot_path_opts = true;
-  sim::ScenarioConfig off = cfg;
-  off.hot_path_opts = false;
-  const RunFingerprint a = fingerprint(on);
-  const RunFingerprint b = fingerprint(off);
-  if (a.result.trace_json != b.result.trace_json) {
-    return OracleResult::fail("hot-path on/off diverged: trace " +
-                              hex(a.trace_digest) + " vs " +
-                              hex(b.trace_digest));
-  }
-  if (a.result_json != b.result_json) {
-    return OracleResult::fail("hot-path on/off diverged: result " +
-                              hex(a.result_digest) + " vs " +
-                              hex(b.result_digest));
-  }
-  return OracleResult::ok();
-}
-
 OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
   // The sharded tick engine's canonical schedule is fixed at S = 1;
   // higher shard counts only change how many workers execute it, so the
@@ -561,9 +541,6 @@ constexpr Oracle kOracles[] = {
     {"rank_relabel_invariance",
      "IF and policy-env statistics are invariant under load permutations",
      &check_rank_relabel_invariance},
-    {"hot_path_equivalence",
-     "hot-path optimisations on vs off trace byte-identically",
-     &check_hot_path_equivalence},
     {"shard_equivalence",
      "sharded tick engine traces byte-identically for any shard count",
      &check_shard_equivalence},

@@ -14,8 +14,8 @@
 //   rank_relabel_invariance    the decision substrate (imbalance factor,
 //                              policy-env statistics) is invariant under
 //                              permuting the per-rank load vector
-//   hot_path_equivalence       hot-path optimisations on vs off trace
-//                              byte-identically
+//   shard_equivalence          the sharded tick engine traces
+//                              byte-identically for any shard count
 //   journal_overhead_bounded   a crash-free journaled run serves the same
 //                              completed workload at bounded overhead
 //   capacity_monotonicity      doubling per-MDS capacity never loses

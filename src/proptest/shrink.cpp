@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/scenario_json.h"
+
 namespace lunule::proptest {
 
 namespace {
@@ -127,11 +129,6 @@ std::vector<sim::ScenarioConfig> candidates(const sim::ScenarioConfig& cur) {
     c.data_capacity = def.data_capacity;
     push(std::move(c));
   }
-  if (!cur.hot_path_opts) {
-    sim::ScenarioConfig c = cur;
-    c.hot_path_opts = true;
-    push(std::move(c));
-  }
   if (cur.sibling_credit_prob != def.sibling_credit_prob) {
     sim::ScenarioConfig c = cur;
     c.sibling_credit_prob = def.sibling_credit_prob;
@@ -175,24 +172,9 @@ std::vector<sim::ScenarioConfig> candidates(const sim::ScenarioConfig& cur) {
 }
 
 bool same_config(const sim::ScenarioConfig& a, const sim::ScenarioConfig& b) {
-  // Good enough for progress detection: compare the canonical serialized
-  // forms of the fields the shrinker mutates.
-  return a.workload == b.workload && a.balancer == b.balancer &&
-         a.n_mds == b.n_mds && a.n_clients == b.n_clients &&
-         a.mds_capacity_iops == b.mds_capacity_iops &&
-         a.client_rate == b.client_rate &&
-         a.client_rate_jitter == b.client_rate_jitter &&
-         a.client_start_spread == b.client_start_spread &&
-         a.scale == b.scale && a.max_ticks == b.max_ticks &&
-         a.epoch_ticks == b.epoch_ticks &&
-         a.stop_when_done == b.stop_when_done &&
-         a.data_enabled == b.data_enabled &&
-         a.sibling_credit_prob == b.sibling_credit_prob &&
-         a.replicate_threshold_iops == b.replicate_threshold_iops &&
-         a.faults == b.faults && a.journal.enabled == b.journal.enabled &&
-         a.migration_max_retries == b.migration_max_retries &&
-         a.migration_retry_backoff_ticks == b.migration_retry_backoff_ticks &&
-         a.hot_path_opts == b.hot_path_opts;
+  // Progress detection compares the canonical serialized forms, so every
+  // knob counts, including ones the shrinker never mutates.
+  return sim::scenario_config_to_json(a) == sim::scenario_config_to_json(b);
 }
 
 }  // namespace

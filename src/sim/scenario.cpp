@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 #include "balancer/dir_hash.h"
 #include "balancer/mantle.h"
@@ -10,6 +12,7 @@
 #include "core/hash_rebalancer.h"
 #include "core/lunule_balancer.h"
 #include "fs/builder.h"
+#include "fs/dirfrag.h"
 #include "proxy/proxy_cache.h"
 #include "sim/json_export.h"
 #include "workloads/flash_crowd.h"
@@ -93,6 +96,14 @@ std::uint64_t scaled64(std::uint64_t v, double scale) {
   if (v == 0) return 0;  // 0 means open-ended; scaling does not apply
   return std::max<std::uint64_t>(
       16, static_cast<std::uint64_t>(std::llround(static_cast<double>(v) * scale)));
+}
+
+/// Throws the std::invalid_argument validate_scenario_config reports.
+template <typename T>
+[[noreturn]] void reject_knob(const char* knob, T value, const char* want) {
+  std::ostringstream os;
+  os << "ScenarioConfig: " << knob << " = " << value << ", expected " << want;
+  throw std::invalid_argument(os.str());
 }
 
 workloads::ClientParams client_params(const ScenarioConfig& cfg, Rng& rng) {
@@ -287,6 +298,39 @@ std::unique_ptr<balancer::Balancer> make_balancer(
   return nullptr;
 }
 
+void validate_scenario_config(const ScenarioConfig& cfg) {
+  const auto positive = [](const char* knob, double v) {
+    if (!(v > 0.0 && std::isfinite(v))) reject_knob(knob, v, "> 0");
+  };
+  if (cfg.n_mds < 1) reject_knob("n_mds", cfg.n_mds, ">= 1");
+  if (cfg.replicate_threshold_iops > 0.0 &&
+      cfg.n_mds > fs::kMaxReplicaRanks) {
+    reject_knob("n_mds", cfg.n_mds, "<= 64 with read replication on");
+  }
+  if (cfg.n_clients < 1) reject_knob("n_clients", cfg.n_clients, ">= 1");
+  positive("mds_capacity_iops", cfg.mds_capacity_iops);
+  positive("scale", cfg.scale);
+  if (cfg.data_enabled) positive("data_capacity", cfg.data_capacity);
+  if (cfg.epoch_ticks < 1) reject_knob("epoch_ticks", cfg.epoch_ticks, ">= 1");
+  if (cfg.client_start_spread < 0) {
+    reject_knob("client_start_spread", cfg.client_start_spread, ">= 0");
+  }
+  if (!(cfg.sibling_credit_prob >= 0.0 && cfg.sibling_credit_prob <= 1.0)) {
+    reject_knob("sibling_credit_prob", cfg.sibling_credit_prob, "in [0, 1]");
+  }
+  if (cfg.migration_max_retries < 0) {
+    reject_knob("migration_max_retries", cfg.migration_max_retries, ">= 0");
+  }
+  if (cfg.migration_retry_backoff_ticks < 0) {
+    reject_knob("migration_retry_backoff_ticks",
+                cfg.migration_retry_backoff_ticks, ">= 0");
+  }
+  if (cfg.sharded_ticks < 0) {
+    reject_knob("sharded_ticks", cfg.sharded_ticks, ">= 0");
+  }
+  cfg.faults.validate(cfg.n_mds, cfg.max_ticks);
+}
+
 mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
   mds::ClusterParams cp;
   cp.n_mds = cfg.n_mds;
@@ -302,9 +346,6 @@ mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
   cp.recorder.sibling_credit_prob = cfg.sibling_credit_prob;
   cp.replicate_threshold_iops = cfg.replicate_threshold_iops;
   cp.unreplicate_threshold_iops = cfg.replicate_threshold_iops / 8.0;
-  cp.hot_path.auth_cache = cfg.hot_path_opts;
-  cp.hot_path.lazy_stats = cfg.hot_path_opts;
-  cp.hot_path.candidate_filter = cfg.hot_path_opts;
   if (cfg.autoscaler.enabled) {
     // Elastic pool: start with the configured active set (default: the
     // floor), clamped into [min_ranks, n_mds]; the rest are cold standbys.
@@ -325,11 +366,10 @@ std::unique_ptr<Simulation> make_scenario(const ScenarioConfig& cfg) {
 std::unique_ptr<Simulation> make_scenario_with_balancer(
     const ScenarioConfig& cfg,
     std::unique_ptr<balancer::Balancer> balancer) {
-  LUNULE_CHECK(cfg.n_clients >= 1);
   LUNULE_CHECK(balancer != nullptr);
-  // Throws std::invalid_argument on a malformed plan, before any state is
-  // built — callers (the parallel runner in particular) can catch it.
-  cfg.faults.validate(cfg.n_mds, cfg.max_ticks);
+  // Throws before any state is built — callers (the parallel runner in
+  // particular) can catch it.
+  validate_scenario_config(cfg);
   Rng rng(cfg.seed);
 
   auto tree = std::make_unique<fs::NamespaceTree>();

@@ -122,11 +122,6 @@ struct ScenarioConfig {
   /// a trace was asked for (--trace, or tests that inspect the dump).
   bool capture_trace = false;
 
-  /// Hot-path optimisations (authority cache, lazy stats advancement,
-  /// live-set candidate filtering).  On by default; the equivalence suite
-  /// flips this off and asserts byte-identical traces either way.
-  bool hot_path_opts = true;
-
   /// Sharded tick engine: 0 (default) keeps the legacy serial client loop;
   /// S >= 1 partitions each tick's clients by the rank their next op binds
   /// to and runs the rank streams on up to S threads with deterministic
@@ -150,6 +145,14 @@ struct ScenarioConfig {
 
   std::uint64_t seed = 42;
 };
+
+/// Rejects a config the simulator cannot run with std::invalid_argument
+/// naming the first out-of-range knob (n_mds, n_clients, capacities,
+/// scale, epoch length, probabilities, retry budgets, shard count) or the
+/// fault plan's defect.  Configs come from repro files, hand-written JSON
+/// and bench flags, so a bad value is an input error, not an invariant
+/// violation.  make_scenario calls it before building anything.
+void validate_scenario_config(const ScenarioConfig& cfg);
 
 /// The cluster parameters a scenario config resolves to (capacity,
 /// epoch length, migration calibration).  Exposed so callers can derive

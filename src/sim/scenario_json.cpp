@@ -248,7 +248,6 @@ void write_scenario_config(std::ostream& os, const ScenarioConfig& cfg) {
   w.field("migration_retry_backoff_ticks",
           static_cast<std::int64_t>(cfg.migration_retry_backoff_ticks));
   w.field("capture_trace", cfg.capture_trace);
-  w.field("hot_path_opts", cfg.hot_path_opts);
   w.field("sharded_ticks", static_cast<std::int64_t>(cfg.sharded_ticks));
   // Seeds use the full 64-bit space; JSON numbers are doubles (exact only up
   // to 2^53), so the seed travels as a decimal string.  The loader accepts
@@ -271,8 +270,8 @@ ScenarioConfig scenario_config_from_value(const JsonValue& v) {
        "max_ticks", "epoch_ticks", "stop_when_done", "data_enabled",
        "data_capacity", "sibling_credit_prob", "replicate_threshold_iops",
        "faults", "journal", "autoscaler", "proxy", "migration_max_retries",
-       "migration_retry_backoff_ticks", "capture_trace", "hot_path_opts",
-       "sharded_ticks", "seed"});
+       "migration_retry_backoff_ticks", "capture_trace", "sharded_ticks",
+       "seed"});
   ScenarioConfig cfg;
   if (const JsonValue* x = v.find("workload")) {
     const auto k = workload_kind_from_name(x->as_string());
@@ -340,9 +339,6 @@ ScenarioConfig scenario_config_from_value(const JsonValue& v) {
   }
   if (const JsonValue* x = v.find("capture_trace")) {
     cfg.capture_trace = x->as_bool();
-  }
-  if (const JsonValue* x = v.find("hot_path_opts")) {
-    cfg.hot_path_opts = x->as_bool();
   }
   if (const JsonValue* x = v.find("sharded_ticks")) {
     cfg.sharded_ticks = static_cast<int>(x->as_int());

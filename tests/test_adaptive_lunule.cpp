@@ -32,14 +32,13 @@ TEST(AdaptiveLunule, DelegatesBalancingToTheInnerLunule) {
   mds::ClusterParams cp;
   cp.n_mds = 5;
   cp.mds_capacity_iops = 1000.0;
-  // Window stats are poked directly below (bypassing the recorder), so the
-  // recorder-driven live-set filter must be off.
-  cp.hot_path.candidate_filter = false;
   mds::MdsCluster cluster(tree, cp);
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
 
   AdaptiveLunuleBalancer balancer(params_for(cp));
   // A harmful one-hot load must trigger migrations via the wrapped Lunule.
+  // The window pokes bypass the recorder, so each directory is marked
+  // touched: only the recorder's active set reaches candidate collection.
   for (const DirId d : dirs) {
     fs::FragStats& f = tree.frag(d, 0);
     tree.advance_frag_stats(f);  // keep the poked samples newest on read
@@ -48,6 +47,7 @@ TEST(AdaptiveLunule, DelegatesBalancingToTheInnerLunule) {
       f.file_visits_window.push(900);
       f.recurrent_window.push(900);
     }
+    cluster.recorder().touch(d);
   }
   balancer.on_epoch(cluster, std::vector<Load>{900, 10, 10, 10, 10});
   EXPECT_GT(cluster.migration().migrations_submitted(), 0u);

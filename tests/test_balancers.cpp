@@ -20,13 +20,15 @@ class BalancerTest : public ::testing::Test {
     params.n_mds = 5;
     params.mds_capacity_iops = 100.0;
     params.epoch_ticks = 1;
-    // These tests poke frag stats directly instead of going through the
-    // access recorder, so the recorder-driven live-set filter must be off.
-    params.hot_path.candidate_filter = false;
   }
 
-  /// Gives a directory some heat (vanilla's selection signal).
-  void set_heat(DirId d, double heat) { tree.frag(d, 0).heat = heat; }
+  /// Gives a directory some heat (vanilla's selection signal).  The poke
+  /// bypasses the access recorder, so mark the directory touched: only
+  /// the recorder's active set reaches candidate collection.
+  void set_heat(mds::MdsCluster& cluster, DirId d, double heat) {
+    tree.frag(d, 0).heat = heat;
+    cluster.recorder().touch(d);
+  }
 
   fs::NamespaceTree tree;
   mds::ClusterParams params;
@@ -69,7 +71,7 @@ TEST_F(BalancerTest, VanillaNoActionBelowRelativeTrigger) {
   VanillaBalancer vanilla;
   // Max load is 1.3x the average: below the 1.5x trigger.
   const std::vector<Load> loads{130, 90, 95, 90, 95};
-  set_heat(dirs[0], 100.0);
+  set_heat(cluster, dirs[0], 100.0);
   vanilla.on_epoch(cluster, loads);
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);
 }
@@ -77,7 +79,7 @@ TEST_F(BalancerTest, VanillaNoActionBelowRelativeTrigger) {
 TEST_F(BalancerTest, VanillaExportsHotSubtreesWhenTriggered) {
   mds::MdsCluster cluster(tree, params);
   VanillaBalancer vanilla;
-  for (const DirId d : dirs) set_heat(d, 10.0);
+  for (const DirId d : dirs) set_heat(cluster, d, 10.0);
   const std::vector<Load> loads{500, 0, 0, 0, 0};
   vanilla.on_epoch(cluster, loads);
   EXPECT_GT(cluster.migration().migrations_submitted(), 0u);
@@ -94,8 +96,8 @@ TEST_F(BalancerTest, VanillaSelectsByHeatDescending) {
   vp.max_exports_per_epoch = 1;
   VanillaBalancer vanilla(vp);
   // All candidates fit into an importer's room; the hottest goes first.
-  for (const DirId d : dirs) set_heat(d, 10.0);
-  set_heat(dirs[5], 11.0);
+  for (const DirId d : dirs) set_heat(cluster, d, 10.0);
+  set_heat(cluster, dirs[5], 11.0);
   const std::vector<Load> loads{300, 0, 0, 0, 0};
   vanilla.on_epoch(cluster, loads);
   ASSERT_EQ(cluster.migration().tasks().size(), 1u);
@@ -108,7 +110,8 @@ TEST_F(BalancerTest, VanillaCannotExportSubtreeHotterThanImporterRoom) {
   // the scan-front pathology of Section 2.2.
   mds::MdsCluster cluster(tree, params);
   VanillaBalancer vanilla;
-  set_heat(dirs[0], 1000.0);  // one dir carries essentially all the load
+  // One dir carries essentially all the load.
+  set_heat(cluster, dirs[0], 1000.0);
   const std::vector<Load> loads{500, 0, 0, 0, 0};
   vanilla.on_epoch(cluster, loads);
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);
@@ -119,7 +122,7 @@ TEST_F(BalancerTest, VanillaTriggersAtModerateAbsoluteLoad) {
   // load still triggers vanilla migration.
   mds::MdsCluster cluster(tree, params);
   VanillaBalancer vanilla;
-  for (const DirId d : dirs) set_heat(d, 0.5);
+  for (const DirId d : dirs) set_heat(cluster, d, 0.5);
   const std::vector<Load> loads{10, 2, 2, 2, 2};
   vanilla.on_epoch(cluster, loads);
   EXPECT_GT(cluster.migration().migrations_submitted(), 0u);
@@ -128,7 +131,7 @@ TEST_F(BalancerTest, VanillaTriggersAtModerateAbsoluteLoad) {
 TEST_F(BalancerTest, GreedySpillFiresOnlyWithIdleNeighbour) {
   mds::MdsCluster cluster(tree, params);
   auto greedy = make_greedy_spill();
-  for (const DirId d : dirs) set_heat(d, 10.0);
+  for (const DirId d : dirs) set_heat(cluster, d, 10.0);
   // Neighbour (rank 1) busy: no spill.
   greedy->on_epoch(cluster, std::vector<Load>{200, 150, 150, 150, 150});
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);

@@ -1,4 +1,5 @@
-// Tests for dirfrag splitting and fragment statistics redistribution.
+// Tests for dirfrag splitting, fragment statistics redistribution, and
+// lazy cutting-window advancement.
 #include <gtest/gtest.h>
 
 #include "fs/namespace_tree.h"
@@ -18,7 +19,6 @@ class DirfragTest : public ::testing::Test {
 };
 
 TEST_F(DirfragTest, UnfragmentedHasOneFrag) {
-  const Directory& d = tree.dir(dir_id);
   EXPECT_FALSE(tree.fragmented(dir_id));
   EXPECT_EQ(tree.frag_count(dir_id), 1u);
   EXPECT_EQ(tree.frag(dir_id, 0).file_count, 64u);
@@ -27,7 +27,6 @@ TEST_F(DirfragTest, UnfragmentedHasOneFrag) {
 
 TEST_F(DirfragTest, SplitDistributesFilesEvenly) {
   tree.fragment_dir(dir_id, 3);  // 8 frags
-  const Directory& d = tree.dir(dir_id);
   EXPECT_EQ(tree.frag_count(dir_id), 8u);
   for (FragId f = 0; f < 8; ++f) {
     EXPECT_EQ(tree.frag(dir_id, f).file_count, 8u);
@@ -90,6 +89,93 @@ TEST_F(DirfragTest, CreateIntoFragmentedDirLandsInRightFrag) {
   const FileIndex idx = tree.create_file(dir_id);
   EXPECT_EQ(idx, 64u);
   EXPECT_EQ(tree.frag(dir_id, 64 & 3).file_count, 17u);
+}
+
+// -- Lazy cutting-window advancement --------------------------------------
+// advance_to must replay the eager per-close sequence bit-identically: the
+// recorder only folds touched directories and every reader catches a
+// lagging fragment up on first read.
+
+/// Applies one eager epoch close to `f` (the historical per-close body).
+void eager_close(FragStats& f, double decay) {
+  f.visits_window.push(f.visits_epoch);
+  f.file_visits_window.push(f.file_visits_epoch);
+  f.first_visits_window.push(f.first_visits_epoch);
+  f.recurrent_window.push(f.recurrent_epoch);
+  f.creates_window.push(f.creates_epoch);
+  f.sibling_credit_window.push(f.sibling_credit_epoch);
+  f.visits_epoch = 0;
+  f.file_visits_epoch = 0;
+  f.first_visits_epoch = 0;
+  f.recurrent_epoch = 0;
+  f.creates_epoch = 0;
+  f.sibling_credit_epoch = 0.0;
+  f.heat *= decay;
+  if (f.heat < 0.01) f.heat = 0.0;
+  ++f.stats_epoch;
+}
+
+void expect_same_observables(const FragStats& a, const FragStats& b) {
+  EXPECT_DOUBLE_EQ(a.heat, b.heat);
+  EXPECT_EQ(a.visits_window.window_sum(), b.visits_window.window_sum());
+  EXPECT_EQ(a.file_visits_window.window_sum(),
+            b.file_visits_window.window_sum());
+  EXPECT_EQ(a.first_visits_window.window_sum(),
+            b.first_visits_window.window_sum());
+  EXPECT_EQ(a.recurrent_window.window_sum(), b.recurrent_window.window_sum());
+  EXPECT_EQ(a.creates_window.window_sum(), b.creates_window.window_sum());
+  EXPECT_DOUBLE_EQ(a.sibling_credit_window.window_sum(),
+                   b.sibling_credit_window.window_sum());
+  for (std::size_t i = 0; i < a.visits_window.size() && i < b.visits_window.size();
+       ++i) {
+    EXPECT_EQ(a.visits_window.at(i), b.visits_window.at(i)) << "entry " << i;
+  }
+}
+
+TEST(LazyAdvancement, MatchesEagerCloseSequence) {
+  constexpr double kDecay = 0.8;
+  for (EpochId gap = 1; gap <= 12; ++gap) {
+    FragStats lazy;
+    lazy.visits_epoch = 7;
+    lazy.file_visits_epoch = 5;
+    lazy.first_visits_epoch = 3;
+    lazy.recurrent_epoch = 2;
+    lazy.creates_epoch = 1;
+    lazy.sibling_credit_epoch = 1.5;
+    lazy.heat = 40.0;
+    lazy.visits_window.push(11);  // pre-existing history
+    FragStats eager = lazy;
+
+    lazy.advance_to(gap, kDecay);
+    for (EpochId e = 0; e < gap; ++e) eager_close(eager, kDecay);
+
+    expect_same_observables(lazy, eager);
+    EXPECT_EQ(lazy.stats_epoch, eager.stats_epoch);
+  }
+}
+
+TEST(LazyAdvancement, DeadEpochPredictionIsExact) {
+  constexpr double kDecay = 0.8;
+  FragStats f;
+  f.visits_epoch = 9;
+  f.heat = 2.0;
+  f.advance_to(1, kDecay);  // fold; prediction is valid after a fold
+  const EpochId dead = f.compute_dead_epoch(kDecay);
+  ASSERT_GT(dead, f.stats_epoch);
+
+  // One close before the predicted epoch the frag must still be live...
+  FragStats probe = f;
+  probe.advance_to(dead - 1, kDecay);
+  EXPECT_TRUE(probe.heat > 0.0 || probe.visits_window.window_sum() > 0 ||
+              probe.first_visits_window.window_sum() > 0 ||
+              probe.sibling_credit_window.window_sum() > 0.0);
+  // ... and exactly at it, fully drained.
+  probe = f;
+  probe.advance_to(dead, kDecay);
+  EXPECT_EQ(probe.heat, 0.0);
+  EXPECT_EQ(probe.visits_window.window_sum(), 0u);
+  EXPECT_EQ(probe.first_visits_window.window_sum(), 0u);
+  EXPECT_EQ(probe.sibling_credit_window.window_sum(), 0.0);
 }
 
 }  // namespace

@@ -16,18 +16,17 @@ class HashRebalancerTest : public ::testing::Test {
     cp.n_mds = 4;
     cp.mds_capacity_iops = 1000.0;
     cp.epoch_ticks = 10;
-    // set_observed_load writes window stats directly (bypassing the
-    // recorder), so the recorder-driven live-set filter must be off.
-    cp.hot_path.candidate_filter = false;
   }
 
   /// Marks a directory's frag as having served `iops` in the last epoch.
   /// Catches the frag up to the stats clock first so the hand-poked sample
-  /// stays the newest window entry when a reader advances the frag.
-  void set_observed_load(DirId d, double iops) {
+  /// stays the newest window entry when a reader advances the frag, and
+  /// marks the directory touched, since the poke bypasses the recorder.
+  void set_observed_load(mds::MdsCluster& cluster, DirId d, double iops) {
     fs::FragStats& f = tree.frag(d, 0);
     tree.advance_frag_stats(f);
     f.visits_window.push(static_cast<std::uint32_t>(iops * 10.0));
+    cluster.recorder().touch(d);
   }
 
   fs::NamespaceTree tree;
@@ -63,7 +62,7 @@ TEST_F(HashRebalancerTest, RepinsHotShardsWhenSkewed) {
   // Give every dir owned by the hot MDS a moderate observed load.
   const std::vector<Load> loads{900, 50, 50, 50};
   for (const DirId d : dirs) {
-    if (tree.auth_of(d) == 0) set_observed_load(d, 80.0);
+    if (tree.auth_of(d) == 0) set_observed_load(cluster, d, 80.0);
   }
   hash.on_epoch(cluster, loads);
   EXPECT_GT(hash.last_if(), 0.05);
@@ -89,7 +88,7 @@ TEST_F(HashRebalancerTest, SkipsShardsTooHotToFreeze) {
   }
   ASSERT_NE(hot, kNoDir);
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
-  set_observed_load(hot, p.hot_skip_iops * 4.0);
+  set_observed_load(cluster, hot, p.hot_skip_iops * 4.0);
   hash.on_epoch(cluster, std::vector<Load>{900, 50, 50, 50});
   for (const mds::ExportTask& t : cluster.migration().tasks()) {
     EXPECT_NE(t.subtree.dir, hot);
@@ -103,7 +102,7 @@ TEST_F(HashRebalancerTest, RespectsPipelineBudget) {
   HashRebalancer hash(p);
   hash.setup(cluster);
   for (const DirId d : dirs) {
-    if (tree.auth_of(d) == 0) set_observed_load(d, 80.0);
+    if (tree.auth_of(d) == 0) set_observed_load(cluster, d, 80.0);
   }
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
   hash.on_epoch(cluster, std::vector<Load>{900, 50, 50, 50});

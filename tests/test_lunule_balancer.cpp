@@ -15,9 +15,6 @@ class LunuleBalancerTest : public ::testing::Test {
     cp.n_mds = 5;
     cp.mds_capacity_iops = 1000.0;
     cp.epoch_ticks = 10;
-    // set_temporal_load writes window stats directly (bypassing the
-    // recorder), so the recorder-driven live-set filter must be off.
-    cp.hot_path.candidate_filter = false;
   }
 
   /// Warms up a cluster with load history so fld forecasts exist.
@@ -26,8 +23,11 @@ class LunuleBalancerTest : public ::testing::Test {
   }
 
   /// Gives a directory a steady temporal load signal, spread over the full
-  /// cutting window so the observed per-epoch rate equals `iops`.
-  void set_temporal_load(DirId d, double iops, double window_seconds) {
+  /// cutting window so the observed per-epoch rate equals `iops`.  The
+  /// poke bypasses the access recorder, so mark the directory touched:
+  /// only the recorder's active set reaches candidate collection.
+  void set_temporal_load(mds::MdsCluster& cluster, DirId d, double iops,
+                         double window_seconds) {
     fs::FragStats& f = tree.frag(d, 0);
     tree.advance_frag_stats(f);  // keep the poked samples newest on read
     const double epoch_seconds =
@@ -39,6 +39,7 @@ class LunuleBalancerTest : public ::testing::Test {
       f.recurrent_window.push(per_epoch);
     }
     f.heat = iops * window_seconds;
+    cluster.recorder().touch(d);
   }
 
   fs::NamespaceTree tree;
@@ -64,7 +65,7 @@ TEST_F(LunuleBalancerTest, BenignImbalanceTriggersNothing) {
   // Strong relative skew, tiny absolute load: urgency suppresses it
   // (Fig. 12b phase 1).
   const double ws = lunule.params().selector.window_seconds;
-  set_temporal_load(dirs[0], 90.0, ws);
+  set_temporal_load(cluster, dirs[0], 90.0, ws);
   lunule.on_epoch(cluster, std::vector<Load>{90, 10, 10, 10, 10});
   EXPECT_LT(lunule.last_if(), lunule.params().if_threshold);
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);
@@ -75,7 +76,7 @@ TEST_F(LunuleBalancerTest, HarmfulImbalanceTriggersMigration) {
   warm_history(cluster);
   LunuleBalancer lunule(LunuleParams::for_cluster(cp));
   const double ws = lunule.params().selector.window_seconds;
-  for (const DirId d : dirs) set_temporal_load(d, 90.0, ws);
+  for (const DirId d : dirs) set_temporal_load(cluster, d, 90.0, ws);
   lunule.on_epoch(cluster, std::vector<Load>{900, 10, 10, 10, 10});
   EXPECT_GT(lunule.last_if(), lunule.params().if_threshold);
   EXPECT_GT(cluster.migration().migrations_submitted(), 0u);
@@ -95,7 +96,7 @@ TEST_F(LunuleBalancerTest, LagAwarenessDefersWhileBacklogLarge) {
   // Pre-load the migration engine with a big pending export.
   ASSERT_TRUE(cluster.migration().submit({.dir = dirs[9]}, 3));
   const double ws = p.selector.window_seconds;
-  for (const DirId d : dirs) set_temporal_load(d, 90.0, ws);
+  for (const DirId d : dirs) set_temporal_load(cluster, d, 90.0, ws);
   const auto before = cluster.migration().migrations_submitted();
   lunule.on_epoch(cluster, std::vector<Load>{900, 10, 10, 10, 10});
   EXPECT_EQ(cluster.migration().migrations_submitted(), before);
@@ -115,6 +116,7 @@ TEST_F(LunuleBalancerTest, LightVariantUsesHeatSelection) {
   for (const DirId dd : dirs) {
     tree.frag(dd, 0).heat = dd == dirs[0] ? 150.0 : 100.0;
     tree.frag(dd, 0).visited_files = tree.frag(dd, 0).file_count;
+    cluster.recorder().touch(dd);
   }
   light.on_epoch(cluster, std::vector<Load>{900, 10, 10, 10, 10});
   EXPECT_GT(cluster.migration().migrations_submitted(), 0u);
@@ -129,6 +131,7 @@ TEST_F(LunuleBalancerTest, FullVariantSkipsExhaustedSubtrees) {
   fs::Directory& d = tree.dir(dirs[0]);
   tree.frag(dirs[0], 0).heat = 1000.0;
   tree.frag(dirs[0], 0).visited_files = tree.frag(dirs[0], 0).file_count;
+  cluster.recorder().touch(dirs[0]);
   for (FileIndex i = 0; i < d.file_count(); ++i) {
     d.file(i).last_access_epoch = 0;
   }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace lunule::fs {
 namespace {
 
@@ -157,6 +160,48 @@ TEST_F(NamespaceTreeTest, SubtreeRootsListsPins) {
   ASSERT_EQ(roots.size(), 2u);  // "/" and "a"
   EXPECT_EQ(roots[0], tree.root());
   EXPECT_EQ(roots[1], a);
+}
+
+// -- Deep-chain authority resolution --------------------------------------
+// Resolution and subtree traversals are iterative: a recursive resolver
+// would walk (and allocate stack for) every level of this chain.
+
+TEST(DeepChain, IterativeAuthorityResolutionHandlesDeepTrees) {
+  constexpr int kDepth = 20000;
+  NamespaceTree tree;
+  std::vector<DirId> chain;
+  chain.reserve(kDepth);
+  DirId parent = tree.root();
+  for (int i = 0; i < kDepth; ++i) {
+    parent = tree.add_dir(parent, "d");
+    chain.push_back(parent);
+  }
+  tree.add_files(chain.back(), 10);
+
+  // Root-only pins: the leaf inherits across the whole chain.
+  const DirId leaf = chain.back();
+  EXPECT_EQ(tree.auth_of(leaf), 0);
+  // A pin half-way down shadows the root for everything beneath it.
+  const DirId mid = chain[kDepth / 2];
+  tree.set_auth(mid, 3);
+  EXPECT_EQ(tree.auth_of(leaf), 3);
+  EXPECT_EQ(tree.auth_of(chain[kDepth / 2 - 1]), 0);
+  // Cache and the pin-chain walk agree at every probe depth.
+  for (const DirId probe : {chain.front(), mid, leaf}) {
+    EXPECT_EQ(tree.auth_of(probe), tree.resolve_auth_uncached(probe));
+  }
+  EXPECT_EQ(tree.resolve_auth_uncached(leaf), 3);
+
+  // Subtree traversals (also iterative) survive the same depth.
+  EXPECT_EQ(tree.exclusive_inodes({.dir = mid}),
+            static_cast<std::uint64_t>(kDepth / 2) + 10);
+  EXPECT_EQ(tree.migrate_subtree({.dir = chain.back()}, 1), 10u + 1u);
+  EXPECT_EQ(tree.auth_of(leaf), 1);
+  // Re-pinning the leaf to what it would inherit anyway must simplify away.
+  tree.migrate_subtree({.dir = leaf}, 3);
+  tree.simplify_auth();
+  EXPECT_EQ(tree.explicit_auth(leaf), kNoMds);
+  EXPECT_EQ(tree.auth_of(leaf), 3);
 }
 
 }  // namespace

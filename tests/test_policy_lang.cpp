@@ -188,11 +188,16 @@ class PolicyBalancerTest : public ::testing::Test {
     cp.n_mds = 4;
     cp.mds_capacity_iops = 1000.0;
     cp.epoch_ticks = 1;
-    // Heat is poked directly below (bypassing the recorder), so the
-    // recorder-driven live-set filter must be off.
-    cp.hot_path.candidate_filter = false;
-    // Spread heat so estimates fit the policy amounts.
-    for (const DirId d : dirs) tree.frag(d, 0).heat = 10.0;
+  }
+
+  /// Spreads heat so estimates fit the policy amounts.  The poke bypasses
+  /// the access recorder, so mark each directory touched: only the
+  /// recorder's active set reaches candidate collection.
+  void heat_dirs(mds::MdsCluster& cluster) {
+    for (const DirId d : dirs) {
+      tree.frag(d, 0).heat = 10.0;
+      cluster.recorder().touch(d);
+    }
   }
 
   fs::NamespaceTree tree;
@@ -202,6 +207,7 @@ class PolicyBalancerTest : public ::testing::Test {
 
 TEST_F(PolicyBalancerTest, GreedySpillAsAPolicyString) {
   mds::MdsCluster cluster(tree, cp);
+  heat_dirs(cluster);
   PolicyBalancerParams p;
   p.name = "greedy-spill-lang";
   p.when = "min < 1 && max > 1";
@@ -222,6 +228,7 @@ TEST_F(PolicyBalancerTest, GreedySpillAsAPolicyString) {
 
 TEST_F(PolicyBalancerTest, NonPositiveAmountsMeanNoExport) {
   mds::MdsCluster cluster(tree, cp);
+  heat_dirs(cluster);
   PolicyBalancerParams p;
   p.when = "1";          // always willing
   p.howmuch = "my - my"; // ...but never shipping anything

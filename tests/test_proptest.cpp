@@ -68,7 +68,7 @@ TEST(ProptestGenerator, CoversEveryWorkloadAndBalancer) {
 
 TEST(ProptestOracles, RegistryIsConsistent) {
   const auto oracles = all_oracles();
-  EXPECT_EQ(oracles.size(), 13u);
+  EXPECT_EQ(oracles.size(), 12u);
   for (const Oracle& o : oracles) {
     EXPECT_EQ(find_oracle(o.name), &o);
     EXPECT_FALSE(o.description.empty());

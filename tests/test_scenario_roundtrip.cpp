@@ -1,11 +1,14 @@
 // ScenarioConfig <-> JSON round-trip coverage (sim/scenario_json.h).
 //
-// Every knob — including fault plans, journal parameters and hot-path
-// opts — must survive save -> load exactly, and save -> load -> save must
-// be byte-identical (repro files in tests/corpus/ rely on this).
+// Every knob — including fault plans and journal parameters — must
+// survive save -> load exactly, and save -> load -> save must be
+// byte-identical (repro files in tests/corpus/ rely on this).  Values that
+// load but cannot run are refused at scenario construction.
 #include "sim/scenario_json.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "common/json.h"
 
@@ -51,7 +54,6 @@ ScenarioConfig full_config() {
   cfg.migration_max_retries = 9;
   cfg.migration_retry_backoff_ticks = 11;
   cfg.capture_trace = true;
-  cfg.hot_path_opts = false;
   cfg.sharded_ticks = 3;
   cfg.seed = 0xdeadbeefcafef00dULL;  // exercises the > 2^53 seed path
   return cfg;
@@ -102,7 +104,6 @@ TEST(ScenarioRoundtrip, EveryKnobSurvivesSaveLoad) {
   EXPECT_EQ(back.migration_retry_backoff_ticks,
             cfg.migration_retry_backoff_ticks);
   EXPECT_EQ(back.capture_trace, cfg.capture_trace);
-  EXPECT_EQ(back.hot_path_opts, cfg.hot_path_opts);
   EXPECT_EQ(back.sharded_ticks, cfg.sharded_ticks);
   EXPECT_EQ(back.seed, cfg.seed);
 }
@@ -157,6 +158,38 @@ TEST(ScenarioRoundtrip, MalformedValuesAreRejected) {
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": -2})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": 2.5})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"seed": "12x"})"), JsonError);
+
+  // Well-formed documents whose values cannot run load fine, then every
+  // balancer's scenario construction refuses them with an exception
+  // instead of aborting or allocating without bound.
+  for (const char* doc : {
+           R"({"epoch_ticks": 0})",
+           R"({"epoch_ticks": -1})",
+           R"({"n_mds": 0})",
+           R"({"n_clients": 0})",
+           R"({"mds_capacity_iops": 0})",
+           R"({"scale": 0})",
+           R"({"scale": -1})",
+           R"({"data_enabled": true, "data_capacity": 0})",
+           R"({"sibling_credit_prob": 1.5})",
+           R"({"migration_max_retries": -1})",
+           R"({"migration_retry_backoff_ticks": -2})",
+           R"({"sharded_ticks": -3})",
+           R"({"client_start_spread": -4})",
+           R"({"n_mds": 65, "replicate_threshold_iops": 10})",
+       }) {
+    SCOPED_TRACE(doc);
+    ScenarioConfig cfg = scenario_config_from_json(doc);
+    for (const BalancerKind b :
+         {BalancerKind::kVanilla, BalancerKind::kGreedySpill,
+          BalancerKind::kLunule, BalancerKind::kLunuleLight,
+          BalancerKind::kDirHash, BalancerKind::kLunuleHash,
+          BalancerKind::kNone}) {
+      cfg.balancer = b;
+      EXPECT_THROW(static_cast<void>(make_scenario(cfg)),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(ScenarioRoundtrip, LoadedFaultPlanStillValidates) {

@@ -7,10 +7,12 @@
 // scenario, sharded_ticks = 1, 2 and 4 must produce a byte-identical
 // flight-recorder trace and identical headline results.  (S = 1 is the
 // canonical schedule; S >= 2 only changes how many workers execute it.)
-// The matrix mirrors test_hotpath_equivalence.cpp — workloads x balancers
-// x faults x journal x replication — and a sweep over the committed
-// proptest repro corpus replays every shrunk once-suspect scenario
-// through the same assertion.
+// The matrix covers workloads x balancers x faults x journal x
+// replication, and a sweep over the committed proptest repro corpus
+// replays every shrunk once-suspect scenario through the same assertion.
+// Under LUNULE_VALIDATE=1 (scripts/check.sh) the invariant checker also
+// audits the hot-path caches — authority, statistics clock, active-set
+// expiry — at every epoch of every run here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
