@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/assert.h"
 
@@ -9,17 +10,17 @@ namespace lunule {
 
 int Histogram::bucket_of(double value) {
   if (value < 1.0) return 0;
-  // ilogb yields the exact floored binary exponent.  Truncating log2()
-  // instead is wrong at power-of-two boundaries: a correctly-rounded
-  // log2(2^k - ulp) can round *up* to exactly k, which put the value in
-  // bucket k*16 with a negative fractional offset — off by a whole
-  // power-of-two band and non-monotonic with its neighbours.
-  const int exponent = std::min(62, std::ilogb(value));
-  const double lower = std::exp2(exponent);
-  const double frac = (value - lower) / lower;  // [0, 1)
-  const int sub = std::min(kSubBuckets - 1,
-                           static_cast<int>(frac * kSubBuckets));
-  return std::min(kBuckets - 1, exponent * kSubBuckets + sub);
+  // For 2^e <= v < 2^(e+1) the sub-bucket is the top four bits of the
+  // exact fraction (v - 2^e) / 2^e, i.e. of the mantissa.  Bits 63..48 of
+  // the double hold (biased exponent << 4) | those bits, so subtracting
+  // the bias leaves e * 16 + sub.  Reading the bits also avoids log2(),
+  // whose correctly rounded log2(2^k - ulp) can round up to k and put the
+  // value a whole band too high.  From 2^63 up (and inf) the value clamps
+  // into the last sub-bucket of the 2^62 band.
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return std::min(63 * kSubBuckets - 1,
+                  static_cast<int>((bits >> 48) - (1023U << 4)));
 }
 
 double Histogram::bucket_value(int bucket) {

@@ -50,6 +50,9 @@ class SeriesBundle {
   explicit SeriesBundle(double seconds_per_sample)
       : seconds_per_sample_(seconds_per_sample) {}
 
+  /// Appends an empty series.  The returned reference is valid only until
+  /// the next add (the series are stored by value and may reallocate);
+  /// reach earlier series through at().
   TimeSeries& add(std::string name);
   [[nodiscard]] const TimeSeries& at(std::size_t i) const;
   [[nodiscard]] TimeSeries& at(std::size_t i);

@@ -13,15 +13,28 @@
 
 namespace lunule {
 
-/// Precomputed-CDF Zipf sampler.  O(n) memory, O(log n) per sample,
+/// Precomputed-CDF Zipf sampler.  O(n) memory, O(1) expected per sample,
 /// exact and deterministic.  Ranks are 0-based: rank 0 is the most popular.
+///
+/// A Chen–Asau guide table (guide_[j] = the smallest k with
+/// cdf_[k] >= j/n) gives each draw a starting rank next to its answer, and
+/// a short walk from there lands on exactly the index std::lower_bound
+/// would return over the CDF (an alias table would draw a different rank
+/// for the same uniform).
 class ZipfSampler {
  public:
-  /// n: universe size (> 0); exponent: Zipf skew `s` (>= 0; 0 == uniform).
+  /// n: universe size (> 0, < 2^32); exponent: Zipf skew `s` (>= 0;
+  /// 0 == uniform).
   ZipfSampler(std::uint64_t n, double exponent);
 
   /// Draws one item id in [0, n), where smaller ids are more popular.
-  [[nodiscard]] std::uint64_t sample(Rng& rng) const;
+  [[nodiscard]] std::uint64_t sample(Rng& rng) const {
+    return rank_of(rng.next_double());
+  }
+
+  /// The smallest rank k with cdf(k) >= u, for u in [0, 1] (checked) —
+  /// the inverse CDF `sample` applies to its uniform draw.
+  [[nodiscard]] std::uint64_t rank_of(double u) const;
 
   [[nodiscard]] std::uint64_t universe() const { return cdf_.size(); }
   [[nodiscard]] double exponent() const { return exponent_; }
@@ -33,7 +46,8 @@ class ZipfSampler {
   [[nodiscard]] double top_mass(std::uint64_t k) const;
 
  private:
-  std::vector<double> cdf_;  // cdf_[k] = P(rank <= k)
+  std::vector<double> cdf_;           // cdf_[k] = P(rank <= k)
+  std::vector<std::uint32_t> guide_;  // guide_[j] = min k: cdf_[k] >= j/n
   double exponent_ = 0.0;
 };
 

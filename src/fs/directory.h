@@ -35,6 +35,10 @@ class Directory {
   [[nodiscard]] const std::vector<DirId>& children() const {
     return children_;
   }
+  /// Position of this directory in its parent's children() (set by
+  /// NamespaceTree::add_dir; children are only ever appended).  0 for the
+  /// root.
+  [[nodiscard]] std::uint32_t sibling_index() const { return sibling_index_; }
 
   [[nodiscard]] std::uint32_t file_count() const {
     return static_cast<std::uint32_t>(files_.size());
@@ -70,6 +74,7 @@ class Directory {
   EpochId touched_epoch_ = -1;
   EpochId stats_dead_epoch_ = 0;
   std::uint32_t frag_pin_count_ = 0;
+  std::uint32_t sibling_index_ = 0;
 };
 
 }  // namespace lunule::fs

@@ -41,6 +41,8 @@ DirId NamespaceTree::add_dir(DirId parent, std::string name) {
   LUNULE_CHECK(parent < dirs_.size());
   const auto id = static_cast<DirId>(dirs_.size());
   dirs_.emplace_back(id, parent, std::move(name));
+  dirs_.back().sibling_index_ =
+      static_cast<std::uint32_t>(dirs_[parent].children_.size());
   dirs_[parent].children_.push_back(id);
   parent_.push_back(parent);
   explicit_auth_.push_back(kNoMds);

@@ -109,8 +109,7 @@ void AccessRecorder::credit_sibling(DirId d, FileIndex i,
   if (draws.next_bool(params_.sibling_adjacent_fraction)) {
     // Namespace-order adjacency: credit the next sibling, the most likely
     // continuation of a directory-order scan.
-    const auto it = std::find(siblings.begin(), siblings.end(), d);
-    const auto idx = static_cast<std::size_t>(it - siblings.begin());
+    const std::size_t idx = tree_.dir(d).sibling_index();
     sibling = siblings[(idx + 1) % siblings.size()];
     if (sibling == d) return;
   } else {

@@ -117,6 +117,7 @@ std::size_t MigrationEngine::abort_involving(MdsId m) {
     ++dropped;
     return true;
   });
+  refresh_frozen();
   return dropped;
 }
 
@@ -152,6 +153,7 @@ std::size_t MigrationEngine::force_abort_active(MdsId exporter) {
     }
     return false;
   });
+  refresh_frozen();
   return hit;
 }
 
@@ -230,16 +232,21 @@ void MigrationEngine::tick() {
     tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(*it));
   }
   if (!done.empty()) tree_.simplify_auth();
+  refresh_frozen();
+}
+
+void MigrationEngine::refresh_frozen() {
+  frozen_.clear();
+  for (const ExportTask& t : tasks_) {
+    if (t.frozen(params_.freeze_fraction)) frozen_.push_back(t.subtree);
+  }
 }
 
 bool MigrationEngine::is_frozen(DirId d, FileIndex i) const {
-  for (const ExportTask& t : tasks_) {
-    if (!t.frozen(params_.freeze_fraction)) continue;
-    if (t.subtree.is_frag()) {
-      if (t.subtree.dir == d && tree_.frag_of(d, i) == t.subtree.frag) {
-        return true;
-      }
-    } else if (tree_.is_ancestor(t.subtree.dir, d)) {
+  for (const fs::SubtreeRef& ref : frozen_) {
+    if (ref.is_frag()) {
+      if (ref.dir == d && tree_.frag_of(d, i) == ref.frag) return true;
+    } else if (tree_.is_ancestor(ref.dir, d)) {
       return true;
     }
   }

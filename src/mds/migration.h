@@ -92,7 +92,8 @@ class MigrationEngine {
   void tick();
 
   /// True when serving (d, i) must stall because a covering subtree is in
-  /// its frozen commit window.
+  /// its frozen commit window.  Reads only the frozen set, which the
+  /// serial mutators re-derive (safe to call from concurrent rank streams).
   [[nodiscard]] bool is_frozen(DirId d, FileIndex i) const;
 
   /// True when `m` is exporter or importer of any active transfer.
@@ -202,9 +203,18 @@ class MigrationEngine {
   /// task dropped for good (retry budget spent, or its endpoint is gone).
   void record_terminal_drop(const ExportTask& t);
 
+  /// Re-derives frozen_ from tasks_.  A task enters or leaves its commit
+  /// window only in tick(), abort_involving and force_abort_active (the
+  /// other mutators drop queued tasks, which are never frozen), so each of
+  /// those calls this before returning.
+  void refresh_frozen();
+
   fs::NamespaceTree& tree_;
   MigrationParams params_;
   std::deque<ExportTask> tasks_;
+  /// Units of the tasks in their frozen commit window (nearly always
+  /// empty), so is_frozen does not walk every queued and active task.
+  std::vector<fs::SubtreeRef> frozen_;
   Tick now_ = 0;  // engine-local clock: ticks seen so far
   std::uint64_t total_migrated_ = 0;
   std::uint64_t completed_ = 0;

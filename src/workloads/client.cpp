@@ -42,27 +42,19 @@ MdsId Client::shard_rank(const mds::MdsCluster& cluster, Tick now) const {
   return op_rank(cluster, op_);
 }
 
-MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
-                                    Tick now, mds::TickLane* lane) {
+void Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
+                                   Tick now, mds::TickLane* lane) {
   const fs::NamespaceTree& tree = cluster.tree();
   if (auth_cache_.size() < tree.dir_count()) {
     auth_cache_.resize(tree.dir_count(), kNoMds);
     lease_until_.resize(tree.dir_count(), -1);
-  }
-  MdsId target;
-  if (op.kind == OpKind::kCreate) {
-    const FileIndex idx = tree.dir(op.dir).file_count();
-    const MdsId pin = tree.frag(op.dir, tree.frag_of(op.dir, idx)).auth_pin;
-    target = pin != kNoMds ? pin : tree.auth_of(op.dir);
-  } else {
-    target = tree.auth_of_file(op.dir, op.file);
   }
   // The cache is validated at directory level: after one traversal the
   // client knows the directory's dirfrag->MDS map (like a CephFS client
   // holding the dirfrag tree), so per-frag routing does not re-traverse.
   const MdsId dir_auth = tree.auth_of(op.dir);
   if (auth_cache_[op.dir] == dir_auth && now < lease_until_[op.dir]) {
-    return target;
+    return;
   }
   const std::uint64_t before = forwards_;
 
@@ -84,6 +76,14 @@ MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
       prev = a;
     }
   }
+  MdsId target;
+  if (op.kind == OpKind::kCreate) {
+    const FileIndex idx = tree.dir(op.dir).file_count();
+    const MdsId pin = tree.frag(op.dir, tree.frag_of(op.dir, idx)).auth_pin;
+    target = pin != kNoMds ? pin : dir_auth;
+  } else {
+    target = tree.auth_of_file(op.dir, op.file);
+  }
   if (target != prev) {
     // One extra hop when the file's dirfrag is pinned away from its dir.
     ++forwards_;
@@ -96,7 +96,6 @@ MdsId Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
   // down, which is how Dir-Hash's locality destruction hurts end-to-end
   // throughput in the paper).
   budget_ -= static_cast<double>(forwards_ - before);
-  return target;
 }
 
 std::uint32_t Client::run_tick(mds::MdsCluster& cluster, mds::DataPath* data,

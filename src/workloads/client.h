@@ -97,10 +97,10 @@ class Client {
   [[nodiscard]] const ClientParams& params() const { return params_; }
 
  private:
-  /// Resolves the op's authoritative MDS, counting and charging forwards
-  /// when this client's location cache is stale along the path.
-  MdsId resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
-                              Tick now, mds::TickLane* lane);
+  /// Walks the op's path when this client's location cache is stale or
+  /// unknown, counting and charging one forward per authority boundary.
+  void resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
+                             Tick now, mds::TickLane* lane);
 
   /// Rank that would serve `op` right now, or kNoMds when serving it needs
   /// shared state a shard phase must not touch.

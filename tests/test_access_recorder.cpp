@@ -95,6 +95,29 @@ TEST_F(AccessRecorderTest, SiblingCreditFlowsToSiblings) {
   EXPECT_DOUBLE_EQ(credits, 10.0);
 }
 
+TEST_F(AccessRecorderTest, AdjacentCreditGoesToNextSiblingAndWraps) {
+  // A CFS-style wide parent: the adjacent sibling is read from the dir's
+  // stored position, which must agree with children() order at any width.
+  fs::NamespaceTree wide;
+  const std::vector<DirId> siblings =
+      fs::build_private_dirs(wide, "t", 1000, 1);
+  RecorderParams p = params_with(1.0);
+  p.sibling_adjacent_fraction = 1.0;
+  AccessRecorder rec(wide, p, Rng(5));
+  auto credit = [&](std::size_t i) {
+    return wide.frag(siblings[i], 0).sibling_credit_epoch;
+  };
+  for (const std::size_t i : {0, 1, 537, 998, 999}) {
+    const std::size_t next = (i + 1) % siblings.size();  // 999 wraps to 0
+    const double before = credit(next);
+    rec.record(siblings[i], 0, 0);
+    EXPECT_DOUBLE_EQ(credit(next), before + 1.0) << "sibling " << i;
+  }
+  double total = 0.0;
+  for (std::size_t i = 0; i < siblings.size(); ++i) total += credit(i);
+  EXPECT_DOUBLE_EQ(total, 5.0);
+}
+
 TEST_F(AccessRecorderTest, SiblingCreditRespectsProbability) {
   AccessRecorder rec(tree, params_with(0.25), Rng(3));
   for (FileIndex i = 0; i < 32; ++i) rec.record(dirs[1], i, 0);

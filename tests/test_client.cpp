@@ -94,6 +94,22 @@ TEST_F(ClientTest, CountsForwardsAcrossAuthorityBoundaries) {
   EXPECT_EQ(client.forwards(), 1u);
 }
 
+TEST_F(ClientTest, FragPinnedAwayCostsOneHopOnMissOnly) {
+  tree.fragment_dir(dirs[0], 1);      // files alternate between two frags
+  tree.set_frag_auth(dirs[0], 0, 2);  // even files live on MDS 2
+  mds::MdsCluster cluster(tree, cp);
+  Client client(0, {.max_ops_per_tick = 10.0}, scan_of(dirs[0], 100));
+  cluster.begin_tick(0);
+  client.run_tick(cluster, nullptr, 0);
+  // The miss on file 0 walks / -> /w -> /w/client0 without crossing a
+  // boundary, then takes one extra hop to its frag's MDS; later files hit
+  // the directory-level location cache, whichever frag they are in.
+  EXPECT_EQ(client.forwards(), 1u);
+  cluster.begin_tick(1);
+  client.run_tick(cluster, nullptr, 1);
+  EXPECT_EQ(client.forwards(), 1u);
+}
+
 TEST_F(ClientTest, StaleCacheReforwardsAfterMigration) {
   mds::MdsCluster cluster(tree, cp);
   Client client(0, {.max_ops_per_tick = 5.0}, scan_of(dirs[0], 100));

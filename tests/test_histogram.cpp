@@ -1,7 +1,9 @@
 // Tests for the log-bucketed latency histogram.
 #include "common/histogram.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -70,9 +72,9 @@ TEST(Histogram, HandlesSkewedTail) {
 
 // Regression: bucket_of used a truncated log2(), and a correctly-rounded
 // log2(2^k - ulp) rounds *up* to exactly k — the largest value below a
-// power of two landed one whole band too high.  ilogb() gives the exact
-// floored exponent, so the three neighbours 2^k - ulp, 2^k, 2^k + ulp
-// straddle the boundary correctly.
+// power of two landed one whole band too high.  The exact floored exponent
+// puts the three neighbours 2^k - ulp, 2^k, 2^k + ulp on the right sides
+// of the boundary.
 TEST(Histogram, BucketBoundariesAtPowersOfTwo) {
   for (const int k : {1, 4, 10, 20, 40}) {
     const double pow2 = std::exp2(k);
@@ -92,6 +94,57 @@ TEST(Histogram, BucketBoundariesAtPowersOfTwo) {
   // bucket 159, not 160.
   EXPECT_EQ(Histogram::bucket_of(std::nextafter(1024.0, 0.0)), 159);
   EXPECT_EQ(Histogram::bucket_of(1024.0), 160);
+}
+
+// The ilogb/exp2 formula bucket_of used before it read the IEEE-754 bits;
+// the bit path must give exactly this value wherever the formula is
+// defined (up to where frac * 16 still fits an int).
+int reference_bucket_of(double value) {
+  if (value < 1.0) return 0;
+  const int exponent = std::min(62, std::ilogb(value));
+  const double lower = std::exp2(exponent);
+  const double frac = (value - lower) / lower;
+  const int sub = std::min(Histogram::kSubBuckets - 1,
+                           static_cast<int>(frac * Histogram::kSubBuckets));
+  return std::min(Histogram::kBuckets - 1,
+                  exponent * Histogram::kSubBuckets + sub);
+}
+
+TEST(Histogram, BucketOfMatchesIlogbReference) {
+  int mismatches = 0;
+  double first_mismatch = 0.0;
+  auto check = [&](double v) {
+    if (Histogram::bucket_of(v) != reference_bucket_of(v) &&
+        mismatches++ == 0) {
+      first_mismatch = v;
+    }
+  };
+  for (int i = 0; i <= 1 << 20; ++i) check(static_cast<double>(i));
+  for (int k = 0; k <= 62; ++k) {
+    const double pow2 = std::exp2(k);
+    check(std::nextafter(pow2, 0.0));
+    check(pow2);
+    check(std::nextafter(pow2, 2.0 * pow2));
+  }
+  // Random doubles below 2^62: a uniform binary exponent, random mantissa.
+  Rng rng(62);
+  for (int i = 0; i < 1000000; ++i) {
+    check(std::ldexp(1.0 + rng.next_double(),
+                     static_cast<int>(rng.next_below(62))));
+  }
+  // At and above 2^62 both clamp into the last sub-bucket of the 2^62 band.
+  for (const double v : {0x1p62, std::nextafter(0x1p62, 0x1p63), 0x1.8p62,
+                         std::nextafter(0x1p63, 0.0), 0x1p63, 0x1p70,
+                         0x1.fffp87}) {
+    check(v);
+  }
+  EXPECT_EQ(mismatches, 0) << "first at v = " << first_mismatch;
+  // Where the formula overflows its int cast the bit path still clamps.
+  for (const double v : {0x1p89, 0x1p1000, std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(Histogram::bucket_of(v), 63 * Histogram::kSubBuckets - 1)
+        << "v = " << v;
+  }
 }
 
 TEST(Histogram, BucketOfIsMonotone) {

@@ -22,6 +22,13 @@ class MigrationTest : public ::testing::Test {
     return p;
   }
 
+  /// Runs `eng` until dirs[0]'s export (submitted first, slow_params) sits
+  /// in its commit window: 9 ticks x 10 inodes >= 80% of 101.
+  void run_into_commit_window(MigrationEngine& eng) {
+    for (int t = 0; t < 9; ++t) eng.tick();
+    ASSERT_TRUE(eng.is_frozen(dirs[0], 0));
+  }
+
   fs::NamespaceTree tree;
   std::vector<DirId> dirs;
 };
@@ -56,6 +63,76 @@ TEST_F(MigrationTest, FreezeWindowBlocksTargetOnly) {
   for (int t = 0; t < 8; ++t) eng.tick();
   EXPECT_TRUE(eng.is_frozen(dirs[0], 0));
   EXPECT_FALSE(eng.is_frozen(dirs[1], 0));  // other subtrees unaffected
+}
+
+// The frozen set is re-derived by the calls that move a task into or out
+// of its commit window; a unit must thaw in the very call that removes or
+// rolls back its task, not at the next tick.
+TEST_F(MigrationTest, FreezeEndsInForceAbortRequeue) {
+  MigrationEngine eng(tree, slow_params());
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
+  ASSERT_EQ(eng.force_abort_active(), 1u);
+  EXPECT_FALSE(eng.is_frozen(dirs[0], 0));
+  ASSERT_EQ(eng.tasks().size(), 1u);  // rolled back and requeued
+}
+
+TEST_F(MigrationTest, FreezeEndsInForceAbortDrop) {
+  MigrationParams p = slow_params();
+  p.max_retries = 0;
+  MigrationEngine eng(tree, p);
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
+  ASSERT_EQ(eng.force_abort_active(), 1u);
+  EXPECT_FALSE(eng.is_frozen(dirs[0], 0));
+  EXPECT_TRUE(eng.tasks().empty());
+}
+
+TEST_F(MigrationTest, FreezeEndsInCrashAbort) {
+  MigrationEngine eng(tree, slow_params());
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
+  ASSERT_EQ(eng.abort_involving(1), 1u);  // the importer crashed
+  EXPECT_FALSE(eng.is_frozen(dirs[0], 0));
+}
+
+TEST_F(MigrationTest, FreezeEndsInHotAbortTick) {
+  MigrationEngine eng(tree, slow_params());
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
+  // 10000 visits over a 10 s epoch: 1000 IOPS, over hot_abort_iops.
+  tree.frag(dirs[0], 0).visits_epoch = 10000;
+  eng.tick();
+  EXPECT_EQ(eng.migrations_aborted(), 1u);
+  EXPECT_FALSE(eng.is_frozen(dirs[0], 0));
+}
+
+TEST_F(MigrationTest, FreezeEndsInCommitTick) {
+  MigrationEngine eng(tree, slow_params());
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
+  eng.tick();  // 100 of 101 inodes: still in the window
+  EXPECT_TRUE(eng.is_frozen(dirs[0], 0));
+  eng.tick();
+  ASSERT_EQ(eng.migrations_completed(), 1u);
+  EXPECT_FALSE(eng.is_frozen(dirs[0], 0));
+}
+
+TEST_F(MigrationTest, QueuedTaskNeverFreezes) {
+  // One slot per exporter and a 99% window: the active export freezes on
+  // its first tick while the one queued behind it never does.
+  MigrationParams p = slow_params();
+  p.max_inflight_per_exporter = 1;
+  p.freeze_fraction = 0.99;
+  MigrationEngine eng(tree, p);
+  ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
+  ASSERT_TRUE(eng.submit({.dir = dirs[1]}, 1));
+  for (int t = 0; t < 10; ++t) {
+    eng.tick();
+    ASSERT_TRUE(eng.is_frozen(dirs[0], 0)) << "t=" << t;
+    ASSERT_FALSE(eng.tasks().back().active);
+    ASSERT_FALSE(eng.is_frozen(dirs[1], 0)) << "t=" << t;
+  }
 }
 
 TEST_F(MigrationTest, InflightLimitQueuesExcessTasks) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "fs/builder.h"
+
 namespace lunule::fs {
 namespace {
 
@@ -160,6 +162,19 @@ TEST_F(NamespaceTreeTest, SubtreeRootsListsPins) {
   ASSERT_EQ(roots.size(), 2u);  // "/" and "a"
   EXPECT_EQ(roots[0], tree.root());
   EXPECT_EQ(roots[1], a);
+}
+
+TEST_F(NamespaceTreeTest, SiblingIndexIsPositionInParentChildren) {
+  build_web_tree(tree, "web", 3, 40, 2);
+  build_imagenet_like(tree, "cnn", 50, 1);
+  build_private_dirs(tree, "zipf", 20, 0);
+  EXPECT_EQ(tree.dir(tree.root()).sibling_index(), 0u);
+  for (DirId d = 1; d < tree.dir_count(); ++d) {
+    const auto& siblings = tree.dir(tree.parent(d)).children();
+    const std::uint32_t idx = tree.dir(d).sibling_index();
+    ASSERT_LT(idx, siblings.size()) << "dir " << d;
+    EXPECT_EQ(siblings[idx], d) << "dir " << d;
+  }
 }
 
 // -- Deep-chain authority resolution --------------------------------------

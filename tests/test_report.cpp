@@ -9,11 +9,11 @@ namespace {
 
 SeriesBundle sample_bundle() {
   SeriesBundle bundle(10.0);
-  TimeSeries& a = bundle.add("MDS-1");
-  TimeSeries& b = bundle.add("MDS-2");
+  bundle.add("MDS-1");
+  bundle.add("MDS-2");
   for (int i = 0; i < 24; ++i) {
-    a.push(100.0 + i);
-    b.push(50.0);
+    bundle.at(0).push(100.0 + i);
+    bundle.at(1).push(50.0);
   }
   return bundle;
 }

@@ -2,6 +2,11 @@
 #include "common/zipf.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace lunule {
@@ -54,6 +59,9 @@ TEST(Zipf, EightyTwentyExponentSolve) {
   EXPECT_NEAR(z.top_mass(2000), 0.8, 0.01);
   EXPECT_GT(s, 0.5);
   EXPECT_LT(s, 1.5);
+  // Pinned bit for bit: the Filebench-Zipf workload draws with it, so a
+  // change to the solver's sums shows up here before it moves a trace.
+  EXPECT_EQ(s, 0x1.e63060b84dp-1);
 }
 
 TEST(Zipf, TopMassEdgeCases) {
@@ -61,6 +69,66 @@ TEST(Zipf, TopMassEdgeCases) {
   EXPECT_DOUBLE_EQ(z.top_mass(0), 0.0);
   EXPECT_DOUBLE_EQ(z.top_mass(10), 1.0);
   EXPECT_DOUBLE_EQ(z.top_mass(100), 1.0);  // clamped
+}
+
+// The CDF the sampler is specified by, built independently of it, and the
+// rank std::lower_bound picks from it: the guide-table walk must return
+// exactly this rank for every uniform, or traces would change.
+std::vector<double> reference_cdf(std::uint64_t n, double s) {
+  std::vector<double> cdf(n);
+  double acc = 0.0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
+    cdf[k] = acc;
+  }
+  for (double& c : cdf) c /= acc;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::uint64_t reference_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::uint64_t>(
+      std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  for (const std::uint64_t n : {1, 2, 3, 10, 10000, 100000}) {
+    for (const double s : {0.0, 0.83, 1.0, 2.5}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", s = " + std::to_string(s));
+      const ZipfSampler z(n, s);
+      const std::vector<double> cdf = reference_cdf(n, s);
+      for (std::uint64_t k = 0; k < n; ++k) {
+        ASSERT_EQ(z.top_mass(k + 1), cdf[k]) << "CDF differs at rank " << k;
+      }
+      Rng rng(0x5a1f + n);
+      Rng ref_rng = rng;
+      for (int i = 0; i < 100000; ++i) {
+        const double u = ref_rng.next_double();
+        ASSERT_EQ(z.sample(rng), reference_rank(cdf, u)) << "u = " << u;
+      }
+      // Exact probes where rounding could push the walk off by a rank.
+      // Probing every cdf[k] is quadratic in the last guide slot, which
+      // holds most ranks of a steep CDF; at n = 1e5 every 97th rank does.
+      std::vector<double> probes = {0.0, 1.0 - 0x1p-53};  // next_double range
+      const std::uint64_t stride = n <= 10000 ? 1 : 97;
+      for (std::uint64_t k = 0; k < n; k += stride) {
+        probes.push_back(cdf[k]);
+        probes.push_back(std::nextafter(cdf[k], 0.0));
+        probes.push_back(static_cast<double>(k) / static_cast<double>(n));
+      }
+      for (const double u : probes) {
+        ASSERT_EQ(z.rank_of(u), reference_rank(cdf, u)) << "u = " << u;
+      }
+    }
+  }
+}
+
+TEST(Zipf, RankOfRefusesUniformsOutsideUnitInterval) {
+  const ZipfSampler z(10, 1.0);
+  EXPECT_EQ(z.rank_of(1.0), 9u);
+  EXPECT_DEATH((void)z.rank_of(std::nextafter(1.0, 2.0)), "LUNULE_CHECK");
+  EXPECT_DEATH((void)z.rank_of(-0x1p-1074), "LUNULE_CHECK");
+  EXPECT_DEATH((void)z.rank_of(std::nan("")), "LUNULE_CHECK");
 }
 
 // Pearson chi-squared goodness-of-fit of the sampler's empirical histogram
