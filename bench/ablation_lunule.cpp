@@ -92,11 +92,8 @@ int run(int argc, char** argv) {
        {sim::WorkloadKind::kCnn, sim::WorkloadKind::kZipf}) {
     for (const Variant& v : variants) {
       const sim::ScenarioResult r = run_variant(opts, w, v);
-      const double sustained =
-          static_cast<double>(r.total_served) /
-          std::max<double>(1.0, static_cast<double>(r.end_tick));
       table.add_row({r.workload, r.balancer, TablePrinter::fmt(r.mean_if, 3),
-                     TablePrinter::fmt(sustained, 0),
+                     TablePrinter::fmt(r.sustained_iops(), 0),
                      TablePrinter::fmt(r.migrated_total)});
       if (w == sim::WorkloadKind::kCnn) {
         if (std::string(v.name) == "full") cnn_full_if = r.mean_if;

@@ -57,18 +57,14 @@ int run(int argc, char** argv) {
         sim::run_scenario(opts.config(w, sim::BalancerKind::kLunule));
     const Cell adaptive = run_adaptive(opts, w);
 
-    auto sustained = [](const sim::ScenarioResult& r) {
-      return static_cast<double>(r.total_served) /
-             std::max<double>(1.0, static_cast<double>(r.end_tick));
-    };
     table.add_row({fixed.workload, fixed.balancer,
                    TablePrinter::fmt(fixed.mean_if, 3),
-                   TablePrinter::fmt(sustained(fixed), 0),
+                   TablePrinter::fmt(fixed.sustained_iops(), 0),
                    TablePrinter::fmt(fixed.valid_migration_fraction, 2),
                    "-"});
     table.add_row({adaptive.result.workload, adaptive.result.balancer,
                    TablePrinter::fmt(adaptive.result.mean_if, 3),
-                   TablePrinter::fmt(sustained(adaptive.result), 0),
+                   TablePrinter::fmt(adaptive.result.sustained_iops(), 0),
                    TablePrinter::fmt(
                        adaptive.result.valid_migration_fraction, 2),
                    TablePrinter::fmt(

@@ -42,9 +42,7 @@ int run(int argc, char** argv) {
         sim::BalancerKind::kLunule}) {
     const sim::ScenarioResult r =
         sim::run_scenario(opts.config(sim::WorkloadKind::kWeb, b));
-    const double sustained =
-        static_cast<double>(r.total_served) /
-        std::max<double>(1.0, static_cast<double>(r.end_tick));
+    const double sustained = r.sustained_iops();
     table.add_row({std::string(sim::balancer_name(b)),
                    TablePrinter::fmt(r.mean_if, 3),
                    TablePrinter::fmt(sustained, 0),

@@ -56,8 +56,7 @@ int run(int argc, char** argv) {
   double sustained[4];
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sim::ScenarioResult& r = results[i];
-    sustained[i] = static_cast<double>(r.total_served) /
-                   std::max<double>(1.0, static_cast<double>(r.end_tick));
+    sustained[i] = r.sustained_iops();
     table.add_row({variants[i].label, TablePrinter::fmt(r.mean_if, 3),
                    TablePrinter::fmt(sustained[i], 0),
                    TablePrinter::fmt(r.migrated_total),

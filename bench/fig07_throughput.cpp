@@ -58,18 +58,13 @@ int run(int argc, char** argv) {
         "Figure 7: aggregate IOPS, " + std::string(sim::workload_name(w)),
         series, names, /*seconds_per_sample=*/10.0, opts.report);
 
-    // Sustained throughput: ops served per second of run (robust against
-    // different run lengths: faster balancers finish the fixed job sooner).
-    auto sustained = [](const sim::ScenarioResult& r) {
-      return static_cast<double>(r.total_served) /
-             std::max<double>(1.0, static_cast<double>(r.end_tick));
+    const auto sustained = [&](sim::BalancerKind b) {
+      return results.at(b).sustained_iops();
     };
-    const double vanilla = sustained(results.at(sim::BalancerKind::kVanilla));
-    const double greedy =
-        sustained(results.at(sim::BalancerKind::kGreedySpill));
-    const double light =
-        sustained(results.at(sim::BalancerKind::kLunuleLight));
-    const double lunule = sustained(results.at(sim::BalancerKind::kLunule));
+    const double vanilla = sustained(sim::BalancerKind::kVanilla);
+    const double greedy = sustained(sim::BalancerKind::kGreedySpill);
+    const double light = sustained(sim::BalancerKind::kLunuleLight);
+    const double lunule = sustained(sim::BalancerKind::kLunule);
     summary.add_row(
         {std::string(sim::workload_name(w)), TablePrinter::fmt(vanilla, 0),
          TablePrinter::fmt(greedy, 0), TablePrinter::fmt(light, 0),

@@ -76,9 +76,7 @@ int run(int argc, char** argv) {
         sim::BalancerKind::kLunule}) {
     const sim::ScenarioResult r =
         sim::run_scenario(opts.config(sim::WorkloadKind::kWeb, b));
-    const double sustained =
-        static_cast<double>(r.total_served) /
-        std::max<double>(1.0, static_cast<double>(r.end_tick));
+    const double sustained = r.sustained_iops();
     if (b == sim::BalancerKind::kLunule) lunule_iops = sustained;
     if (b == sim::BalancerKind::kDirHash) hash_iops = sustained;
     if (b == sim::BalancerKind::kVanilla) vanilla_iops = sustained;

@@ -24,7 +24,6 @@ namespace {
 struct Cell {
   std::string label;
   sim::ScenarioResult result;
-  double rate = 0.0;  // served metadata ops per simulated second
 };
 
 int run(int argc, char** argv) {
@@ -58,21 +57,21 @@ int run(int argc, char** argv) {
     cell.label = v.label;
     cell.result = sim::run_scenario(cfg);
     opts.dump_trace(cell.result);
-    cell.rate = static_cast<double>(cell.result.total_served) /
-                static_cast<double>(std::max<Tick>(1, cell.result.end_tick));
     cells.push_back(std::move(cell));
   }
-  const double base_rate = cells[0].rate;
+  const double base_rate = cells[0].result.sustained_iops();
+  const auto overhead_of = [&](const Cell& c) {
+    return base_rate > 0.0 ? 1.0 - c.result.sustained_iops() / base_rate
+                           : 0.0;
+  };
 
   TablePrinter table({"journal", "served ops", "ops/s", "overhead",
                       "entries", "journal MB", "trimmed segs"});
   for (const Cell& c : cells) {
-    const double overhead =
-        base_rate > 0.0 ? 100.0 * (1.0 - c.rate / base_rate) : 0.0;
     table.add_row(
         {c.label, TablePrinter::fmt(c.result.total_served),
-         TablePrinter::fmt(c.rate, 0),
-         TablePrinter::fmt(overhead, 2) + "%",
+         TablePrinter::fmt(c.result.sustained_iops(), 0),
+         TablePrinter::fmt(100.0 * overhead_of(c), 2) + "%",
          TablePrinter::fmt(c.result.journal_entries_appended),
          TablePrinter::fmt(
              static_cast<double>(c.result.journal_bytes_written) / (1024.0 *
@@ -88,9 +87,6 @@ int run(int argc, char** argv) {
                 "faults)");
   }
 
-  const auto overhead_of = [&](const Cell& c) {
-    return base_rate > 0.0 ? 1.0 - c.rate / base_rate : 0.0;
-  };
   checks.expect(cells[0].result.journal_entries_appended == 0 &&
                     cells[0].result.journal_bytes_written == 0,
                 "with the journal off, no journal traffic exists at all");

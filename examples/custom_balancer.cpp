@@ -47,11 +47,8 @@ int main(int argc, char** argv) {
        {sim::BalancerKind::kGreedySpill, sim::BalancerKind::kLunule}) {
     cfg.balancer = kind;
     const sim::ScenarioResult r = sim::run_scenario(cfg);
-    const double sustained =
-        static_cast<double>(r.total_served) /
-        std::max<double>(1.0, static_cast<double>(r.end_tick));
     table.add_row({r.balancer, TablePrinter::fmt(r.mean_if, 3),
-                   TablePrinter::fmt(sustained, 0),
+                   TablePrinter::fmt(r.sustained_iops(), 0),
                    TablePrinter::fmt(static_cast<std::int64_t>(r.end_tick))});
   }
   {

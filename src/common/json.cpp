@@ -1,6 +1,8 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -257,6 +259,10 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int() const {
   const double d = as_double();
+  // Range first: converting a double outside int64 is undefined.
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    throw JsonError("json number is out of integer range");
+  }
   const auto i = static_cast<std::int64_t>(d);
   if (static_cast<double>(i) != d) {
     throw JsonError("json number is not an integer");
@@ -295,6 +301,27 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 const JsonValue& JsonValue::at(std::string_view key) const {
   if (const JsonValue* v = find(key)) return *v;
   throw JsonError("missing json key '" + std::string(key) + "'");
+}
+
+void check_known_keys(const JsonValue& obj, std::string_view section,
+                      std::span<const std::string_view> known) {
+  for (const auto& [key, value] : obj.as_object()) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw JsonError("unknown key '" + key + "' in " + std::string(section));
+    }
+  }
+}
+
+std::uint64_t parse_decimal_u64(std::string_view text, std::string_view what) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw JsonError(std::string(what) + " '" + std::string(text) +
+                    "' is not a decimal uint64");
+  }
+  return v;
 }
 
 }  // namespace lunule

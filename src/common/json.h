@@ -9,10 +9,12 @@
 //
 // Numbers are stored as doubles — every numeric knob in the simulator fits
 // a double exactly (integers up to 2^53), and the writers already print
-// through double formatting.
+// through double formatting.  64-bit seeds travel as decimal strings
+// (parse_decimal_u64).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -56,7 +58,8 @@ class JsonValue {
   /// Typed accessors; throw JsonError when the kind does not match.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
-  [[nodiscard]] std::int64_t as_int() const;  // rejects non-integral numbers
+  /// Rejects non-integral numbers and numbers outside int64.
+  [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] std::uint64_t as_uint() const;  // additionally rejects < 0
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
@@ -74,5 +77,17 @@ class JsonValue {
   Array array_;
   Object object_;
 };
+
+/// Throws JsonError naming the first key of object `obj` that `known` does
+/// not list, and its enclosing `section`: a typo'd key in a hand-edited
+/// document fails loudly instead of being ignored.
+void check_known_keys(const JsonValue& obj, std::string_view section,
+                      std::span<const std::string_view> known);
+
+/// Parses `text` as a decimal uint64 (digits only: no sign, blank or
+/// exponent), the form 64-bit seeds travel in.  Throws JsonError naming
+/// `what` on any other input and on overflow.
+[[nodiscard]] std::uint64_t parse_decimal_u64(std::string_view text,
+                                              std::string_view what);
 
 }  // namespace lunule

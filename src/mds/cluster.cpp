@@ -459,45 +459,7 @@ ServeResult MdsCluster::try_create(DirId d, TickLane* lane) {
     // cost (unless the backlog is over the high-water mark).
     charge_journal_append(m);
   }
-
-  // CephFS-style auto-split: fragment one level deeper whenever the
-  // per-fragment population crosses the threshold.  Splits mutate the
-  // shared fragment arena, so a lane only requests one; the merge applies
-  // it after every lane's recorder effects have drained.
-  if (params_.dirfrag_split_threshold > 0) {
-    if (lane != nullptr) {
-      if (tree_.frag_bits(d) < params_.dirfrag_split_max_bits &&
-          tree_.dir(d).file_count() >=
-              params_.dirfrag_split_threshold * tree_.frag_count(d)) {
-        if (lane->split_requests.empty() ||
-            lane->split_requests.back() != d) {
-          lane->split_requests.push_back(d);
-        }
-      }
-    } else {
-      maybe_autosplit(d);
-    }
-  }
   return ServeResult::kServed;
-}
-
-void MdsCluster::maybe_autosplit(DirId d) {
-  if (tree_.frag_bits(d) < params_.dirfrag_split_max_bits &&
-      tree_.dir(d).file_count() >=
-          params_.dirfrag_split_threshold * tree_.frag_count(d)) {
-    tree_.fragment_dir(d, static_cast<std::uint8_t>(tree_.frag_bits(d) + 1));
-  }
-}
-
-void MdsCluster::apply_split_request(DirId d) {
-  // Batched creates can overshoot by more than one level; keep splitting
-  // until the threshold clears (or the depth cap is hit).
-  while (params_.dirfrag_split_threshold > 0 &&
-         tree_.frag_bits(d) < params_.dirfrag_split_max_bits &&
-         tree_.dir(d).file_count() >=
-             params_.dirfrag_split_threshold * tree_.frag_count(d)) {
-    tree_.fragment_dir(d, static_cast<std::uint8_t>(tree_.frag_bits(d) + 1));
-  }
 }
 
 void MdsCluster::charge_forward(MdsId m, TickLane* lane) {
@@ -513,7 +475,6 @@ void MdsCluster::charge_forward(MdsId m, TickLane* lane) {
 }
 
 void MdsCluster::merge_lanes(std::span<TickLane> lanes) {
-  // Phase 1: per-rank effects, ascending rank order.
   for (TickLane& lane : lanes) {
     ops_tallied_ += lane.ops_tallied;
     for (std::size_t r = 0; r < lane.forwards.size(); ++r) {
@@ -527,12 +488,6 @@ void MdsCluster::merge_lanes(std::span<TickLane> lanes) {
       tree_.account_created_files(d, count);
     }
     lane.created.clear();
-  }
-  // Phase 2: deferred auto-splits, after every escrowed fragment pick has
-  // been applied against the pre-split layout.
-  for (TickLane& lane : lanes) {
-    for (const DirId d : lane.split_requests) apply_split_request(d);
-    lane.split_requests.clear();
   }
 }
 

@@ -41,14 +41,6 @@ struct ClusterParams {
   int epoch_ticks = 10;
   MigrationParams migration;
   RecorderParams recorder;
-  /// CephFS-style automatic dirfrag splitting (mds_bal_split_size): when a
-  /// directory's per-fragment population crosses this threshold on create,
-  /// the MDS fragments it one level deeper.  0 disables auto-splitting
-  /// (the default here: the balancers split on their own schedule, and the
-  /// reproduction benches are calibrated without it).
-  std::uint32_t dirfrag_split_threshold = 0;
-  /// Upper bound on automatic fragmentation depth (2^bits fragments).
-  std::uint8_t dirfrag_split_max_bits = 6;
   /// CephFS-style hot-dirfrag read replication
   /// (mds_bal_replicate_threshold): a fragment serving more reads per
   /// second than this gets replicated to every peer, and reads are served
@@ -94,9 +86,6 @@ struct TickLane {
   /// the placement census are settled at merge (consecutive creates into
   /// the same directory coalesce).
   std::vector<std::pair<DirId, std::uint32_t>> created;
-  /// Directories whose auto-split threshold tripped during the phase;
-  /// re-checked and applied at merge (splits mutate the shared arena).
-  std::vector<DirId> split_requests;
 
   void reset(MdsId r, std::size_t n_ranks) {
     rank = r;
@@ -106,7 +95,6 @@ struct TickLane {
     recorder.touched.clear();
     events.clear();
     created.clear();
-    split_requests.clear();
   }
 };
 
@@ -134,9 +122,8 @@ class MdsCluster {
   void charge_forward(MdsId m, TickLane* lane = nullptr);
 
   /// Drains per-rank lanes in ascending rank order (serial phase of the
-  /// sharded engine): counters, forwards, recorder effects, and create
-  /// accounting first for every lane, then deferred splits — escrowed
-  /// fragment picks reference pre-split fragment ids.
+  /// sharded engine): counters, forwards, recorder effects, trace events
+  /// and create accounting, one lane at a time.
   void merge_lanes(std::span<TickLane> lanes);
 
   /// Worker pool for intra-tick parallel phases (epoch-close fold,
@@ -322,11 +309,6 @@ class MdsCluster {
  private:
   /// Replica management at epoch close (replicate hot frags, drop cold).
   void update_replicas();
-  /// One-level auto-split check after a legacy-path create.
-  void maybe_autosplit(DirId d);
-  /// Merge-time auto-split: re-checks the threshold and splits until it
-  /// clears (batched creates can overshoot by more than one level).
-  void apply_split_request(DirId d);
   /// Everything rank `m` is authoritative for (explicit dir pins + dirfrag
   /// pins), in deterministic namespace order — the ESubtreeMap payload.
   [[nodiscard]] std::vector<fs::SubtreeRef> owned_units(MdsId m) const;

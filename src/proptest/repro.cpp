@@ -11,7 +11,10 @@ namespace lunule::proptest {
 
 namespace {
 constexpr std::string_view kFormat = "lunule-proptest-repro-v1";
-}
+constexpr std::string_view kKeys[] = {
+    "format", "oracle", "generator_seed", "generator_index", "message",
+    "config"};
+}  // namespace
 
 void write_repro(std::ostream& os, const Repro& repro) {
   sim::JsonWriter w(os);
@@ -36,13 +39,7 @@ std::string repro_to_json(const Repro& repro) {
 
 Repro repro_from_json(std::string_view text) {
   const JsonValue doc = JsonValue::parse(text);
-  for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    if (key != "format" && key != "oracle" && key != "generator_seed" &&
-        key != "generator_index" && key != "message" && key != "config") {
-      throw JsonError("unknown key '" + key + "' in repro file");
-    }
-  }
+  check_known_keys(doc, "repro file", kKeys);
   if (const JsonValue* f = doc.find("format")) {
     if (f->as_string() != kFormat) {
       throw JsonError("unsupported repro format '" + f->as_string() + "'");
@@ -51,12 +48,7 @@ Repro repro_from_json(std::string_view text) {
   Repro r;
   r.oracle = doc.at("oracle").as_string();
   if (const JsonValue* s = doc.find("generator_seed")) {
-    std::uint64_t seed = 0;
-    for (const char c : s->as_string()) {
-      if (c < '0' || c > '9') throw JsonError("malformed generator_seed");
-      seed = seed * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    r.generator_seed = seed;
+    r.generator_seed = parse_decimal_u64(s->as_string(), "generator_seed");
   }
   if (const JsonValue* i = doc.find("generator_index")) {
     r.generator_index = i->as_uint();

@@ -117,43 +117,41 @@ workloads::ClientParams client_params(const ScenarioConfig& cfg, Rng& rng) {
   return p;
 }
 
-/// Adds the CNN client group scanning the given class dirs.
-void add_cnn_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
-                     const std::vector<DirId>& dirs, std::uint32_t files,
-                     std::size_t count, std::uint32_t first_id) {
-  const std::vector<std::uint32_t> per_dir(dirs.size(), files);
+/// Adds `count` clients numbered from `first_id`.  Each client's program
+/// is built first (it may draw from or fork `rng`) and its ClientParams
+/// are drawn after it; the pinned trace digests depend on this order.
+template <typename MakeProgram>
+void add_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
+                 std::size_t count, std::uint32_t first_id,
+                 MakeProgram make_program) {
   for (std::size_t c = 0; c < count; ++c) {
+    std::unique_ptr<workloads::WorkloadProgram> program = make_program(c);
+    const workloads::ClientParams params = client_params(cfg, rng);
     s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::ScanProgram>(dirs, per_dir,
-                                                 kCnnMetaRatio)));
+        first_id + static_cast<std::uint32_t>(c), params, std::move(program)));
   }
 }
 
-void add_nlp_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
-                     const std::vector<DirId>& dirs, std::uint32_t files,
-                     std::size_t count, std::uint32_t first_id) {
+/// Adds a CNN or NLP client group scanning the given dirs.
+void add_scan_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
+                      const std::vector<DirId>& dirs, std::uint32_t files,
+                      double meta_ratio, std::size_t count,
+                      std::uint32_t first_id) {
   const std::vector<std::uint32_t> per_dir(dirs.size(), files);
-  for (std::size_t c = 0; c < count; ++c) {
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::ScanProgram>(dirs, per_dir,
-                                                 kNlpMetaRatio)));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t) {
+    return std::make_unique<workloads::ScanProgram>(dirs, per_dir, meta_ratio);
+  });
 }
 
 void add_web_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
                      const std::shared_ptr<workloads::WebTrace>& trace,
                      std::uint64_t requests, std::size_t count,
                      std::uint32_t first_id) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::uint64_t offset =
-        rng.next_below(trace->records().size());
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::WebReplayProgram>(trace, offset, requests,
-                                                      kWebMetaRatio)));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t) {
+    const std::uint64_t offset = rng.next_below(trace->records().size());
+    return std::make_unique<workloads::WebReplayProgram>(
+        trace, offset, requests, kWebMetaRatio);
+  });
 }
 
 void add_zipf_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
@@ -164,24 +162,20 @@ void add_zipf_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
   // The 80/20 rule of the paper's Filebench configuration.
   const double exponent = zipf_exponent_for(0.2, 0.8, files);
   auto sampler = std::make_shared<ZipfSampler>(files, exponent);
-  for (std::size_t c = 0; c < count; ++c) {
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::ZipfReadProgram>(
-            dirs[c], files, requests, sampler,
-            rng.fork(1000 + first_id + c), kZipfMetaRatio)));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t c) {
+    return std::make_unique<workloads::ZipfReadProgram>(
+        dirs[c], files, requests, sampler, rng.fork(1000 + first_id + c),
+        kZipfMetaRatio);
+  });
 }
 
 void add_md_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
                     const std::vector<DirId>& dirs, std::uint64_t creates,
                     std::size_t count, std::uint32_t first_id) {
   LUNULE_CHECK(dirs.size() >= count);
-  for (std::size_t c = 0; c < count; ++c) {
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::MdtestCreateProgram>(dirs[c], creates)));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t c) {
+    return std::make_unique<workloads::MdtestCreateProgram>(dirs[c], creates);
+  });
 }
 
 void add_flash_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
@@ -193,13 +187,11 @@ void add_flash_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
   LUNULE_CHECK(home_dirs.size() >= count);
   auto sampler =
       std::make_shared<ZipfSampler>(hot_files, shape.zipf_exponent);
-  for (std::size_t c = 0; c < count; ++c) {
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::FlashCrowdProgram>(
-            hot_dir, hot_files, home_dirs[c], home_files, requests,
-            shape.hot_fraction, sampler, rng.fork(2000 + first_id + c))));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t c) {
+    return std::make_unique<workloads::FlashCrowdProgram>(
+        hot_dir, hot_files, home_dirs[c], home_files, requests,
+        shape.hot_fraction, sampler, rng.fork(2000 + first_id + c));
+  });
 }
 
 void add_tenant_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
@@ -210,13 +202,11 @@ void add_tenant_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
                         std::uint32_t first_id) {
   auto sampler = std::make_shared<ZipfSampler>(tenants->size(),
                                                shape.zipf_exponent);
-  for (std::size_t c = 0; c < count; ++c) {
-    s.add_client(std::make_unique<workloads::Client>(
-        first_id + static_cast<std::uint32_t>(c), client_params(cfg, rng),
-        std::make_unique<workloads::TenantMixProgram>(
-            tenants, files_per_tenant, requests, shape.create_fraction,
-            sampler, rng.fork(3000 + first_id + c))));
-  }
+  add_clients(s, cfg, rng, count, first_id, [&](std::size_t c) {
+    return std::make_unique<workloads::TenantMixProgram>(
+        tenants, files_per_tenant, requests, shape.create_fraction, sampler,
+        rng.fork(3000 + first_id + c));
+  });
 }
 
 }  // namespace
@@ -329,6 +319,63 @@ void validate_scenario_config(const ScenarioConfig& cfg) {
     reject_knob("sharded_ticks", cfg.sharded_ticks, ">= 0");
   }
   cfg.faults.validate(cfg.n_mds, cfg.max_ticks);
+
+  // An enabled section must also pass the LUNULE_CHECKs of the component
+  // it builds (MdsJournal, Autoscaler, ProxyCacheTier).  Those abort, so
+  // they are mirrored here as catchable errors.
+  const auto require = [](bool ok, const char* knob, auto v, const char* want) {
+    if (!ok) reject_knob(knob, v, want);
+  };
+  if (const journal::JournalParams& j = cfg.journal; j.enabled) {
+    require(j.segment_entries >= 1, "journal.segment_entries",
+            j.segment_entries, ">= 1");
+    require(j.flush_interval_ticks >= 1, "journal.flush_interval_ticks",
+            j.flush_interval_ticks, ">= 1");
+    require(j.max_unflushed_entries >= 1, "journal.max_unflushed_entries",
+            j.max_unflushed_entries, ">= 1");
+    require(j.append_cost_ops >= 0.0, "journal.append_cost_ops",
+            j.append_cost_ops, ">= 0");
+    require(j.flush_cost_ops >= 0.0, "journal.flush_cost_ops",
+            j.flush_cost_ops, ">= 0");
+    require(j.replay_entries_per_second > 0.0,
+            "journal.replay_entries_per_second", j.replay_entries_per_second,
+            "> 0");
+    require(j.replay_base_seconds >= 0.0, "journal.replay_base_seconds",
+            j.replay_base_seconds, ">= 0");
+    require(j.replay_capacity_penalty >= 0.0 && j.replay_capacity_penalty < 1.0,
+            "journal.replay_capacity_penalty", j.replay_capacity_penalty,
+            "in [0, 1)");
+    require(j.history_decay_per_epoch > 0.0 && j.history_decay_per_epoch <= 1.0,
+            "journal.history_decay_per_epoch", j.history_decay_per_epoch,
+            "in (0, 1]");
+    require(j.async_high_water_entries >= 1,
+            "journal.async_high_water_entries", j.async_high_water_entries,
+            ">= 1");
+  }
+  if (const mds::AutoscalerParams& a = cfg.autoscaler; a.enabled) {
+    require(a.min_ranks >= 1, "autoscaler.min_ranks", a.min_ranks, ">= 1");
+    require(a.scale_up_utilization > 0.0 && a.scale_up_utilization <= 1.0,
+            "autoscaler.scale_up_utilization", a.scale_up_utilization,
+            "in (0, 1]");
+    require(a.scale_down_utilization >= 0.0 &&
+                a.scale_down_utilization < a.scale_up_utilization,
+            "autoscaler.scale_down_utilization", a.scale_down_utilization,
+            "in [0, scale_up_utilization)");
+    require(a.saturation_utilization > 0.0 && a.saturation_utilization <= 1.0,
+            "autoscaler.saturation_utilization", a.saturation_utilization,
+            "in (0, 1]");
+    require(a.hysteresis_epochs >= 1, "autoscaler.hysteresis_epochs",
+            a.hysteresis_epochs, ">= 1");
+    require(a.cooldown_epochs >= 0, "autoscaler.cooldown_epochs",
+            a.cooldown_epochs, ">= 0");
+  }
+  if (const proxy::ProxyParams& p = cfg.proxy; p.enabled) {
+    require(p.lease_ticks >= 1, "proxy.lease_ticks", p.lease_ticks, ">= 1");
+    require(p.promote_threshold_iops > 0.0, "proxy.promote_threshold_iops",
+            p.promote_threshold_iops, "> 0");
+    require(p.max_promoted >= 1, "proxy.max_promoted", p.max_promoted,
+            ">= 1");
+  }
 }
 
 mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
@@ -359,6 +406,8 @@ mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
 }
 
 std::unique_ptr<Simulation> make_scenario(const ScenarioConfig& cfg) {
+  // The balancer derives its parameters from cfg: validate before that.
+  validate_scenario_config(cfg);
   return make_scenario_with_balancer(
       cfg, make_balancer(cfg.balancer, cluster_params_for(cfg)));
 }
@@ -405,14 +454,16 @@ std::unique_ptr<Simulation> make_scenario_with_balancer(
       const CnnShape shape;
       const auto dirs = fs::build_imagenet_like(
           t, "cnn", scaled(shape.dirs, cfg.scale), shape.files);
-      add_cnn_clients(*sim, cfg, rng, dirs, shape.files, cfg.n_clients, 0);
+      add_scan_clients(*sim, cfg, rng, dirs, shape.files, kCnnMetaRatio,
+                       cfg.n_clients, 0);
       break;
     }
     case WorkloadKind::kNlp: {
       const NlpShape shape;
       const std::uint32_t files = scaled(shape.files, cfg.scale);
       const auto dirs = fs::build_corpus_like(t, "nlp", shape.dirs, files);
-      add_nlp_clients(*sim, cfg, rng, dirs, files, cfg.n_clients, 0);
+      add_scan_clients(*sim, cfg, rng, dirs, files, kNlpMetaRatio,
+                       cfg.n_clients, 0);
       break;
     }
     case WorkloadKind::kWeb: {
@@ -458,14 +509,15 @@ std::unique_ptr<Simulation> make_scenario_with_balancer(
       const std::uint32_t cnn_files = scaled(cnn.files, cfg.scale);
       const auto cnn_dirs =
           fs::build_imagenet_like(t, "cnn", cnn.dirs, cnn_files);
-      add_cnn_clients(*sim, cfg, rng, cnn_dirs, cnn_files, group, 0);
+      add_scan_clients(*sim, cfg, rng, cnn_dirs, cnn_files, kCnnMetaRatio,
+                       group, 0);
 
       const NlpShape nlp;
       const std::uint32_t nlp_files = scaled(nlp.files, cfg.scale);
       const auto nlp_dirs =
           fs::build_corpus_like(t, "nlp", nlp.dirs, nlp_files);
-      add_nlp_clients(*sim, cfg, rng, nlp_dirs, nlp_files, group,
-                      static_cast<std::uint32_t>(group));
+      add_scan_clients(*sim, cfg, rng, nlp_dirs, nlp_files, kNlpMetaRatio,
+                       group, static_cast<std::uint32_t>(group));
 
       const WebShape web;
       const auto layout =

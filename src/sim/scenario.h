@@ -11,6 +11,7 @@
 // benches can trade fidelity for runtime without distorting shapes.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -148,7 +149,8 @@ struct ScenarioConfig {
 
 /// Rejects a config the simulator cannot run with std::invalid_argument
 /// naming the first out-of-range knob (n_mds, n_clients, capacities,
-/// scale, epoch length, probabilities, retry budgets, shard count) or the
+/// scale, epoch length, probabilities, retry budgets, shard count, and
+/// the knobs of an enabled journal, autoscaler or proxy section) or the
 /// fault plan's defect.  Configs come from repro files, hand-written JSON
 /// and bench flags, so a bad value is an input error, not an invariant
 /// violation.  make_scenario calls it before building anything.
@@ -268,6 +270,14 @@ struct ScenarioResult {
   /// Full flight-recorder dump (JSON, deterministic for a fixed seed);
   /// benches write it to disk under --trace.
   std::string trace_json;
+
+  /// Sustained throughput: ops served per simulated second of the run
+  /// (robust against different run lengths: faster balancers finish the
+  /// fixed job sooner).
+  [[nodiscard]] double sustained_iops() const {
+    return static_cast<double>(total_served) /
+           std::max<double>(1.0, static_cast<double>(end_tick));
+  }
 };
 
 /// Runs a scenario to completion and extracts the reporting summary.

@@ -1,7 +1,12 @@
 #include "sim/scenario_json.h"
 
+#include <array>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "sim/json_export.h"
 
@@ -9,7 +14,128 @@ namespace lunule::sim {
 
 namespace {
 
-std::string_view fault_kind_name(faults::FaultKind k) {
+using faults::FaultEvent;
+using journal::JournalParams;
+using mds::AutoscalerParams;
+using proxy::ProxyParams;
+
+// -- The knob lists -----------------------------------------------------------
+//
+// One list per section names each key once, in document order; the writer,
+// the loader and the key check below walk these lists and name no key
+// themselves.  A field's C++ type picks its JSON form: bool, double (exact
+// round-trip), signed integers as int64, unsigned as uint64, enums by
+// display name, a nested section as an object and the fault plan as an
+// array of fault-event objects.
+
+/// The two knobs whose form their type does not decide.
+enum KnobFlags : unsigned {
+  kRequired = 1,       // a document without the key is refused
+  kDecimalString = 2,  // 64-bit seed: JSON numbers are exact only to 2^53
+};
+
+template <typename S, typename T>
+struct Knob {
+  std::string_view key;
+  T S::*field;
+  unsigned flags;
+};
+
+template <typename S, typename T>
+constexpr Knob<S, T> knob(std::string_view key, T S::*field,
+                          unsigned flags = 0) {
+  return {key, field, flags};
+}
+
+template <typename S>
+constexpr std::tuple<> kKnobs{};
+
+template <>
+constexpr auto kKnobs<ScenarioConfig> = std::tuple{
+    knob("workload", &ScenarioConfig::workload),
+    knob("balancer", &ScenarioConfig::balancer),
+    knob("n_mds", &ScenarioConfig::n_mds),
+    knob("n_clients", &ScenarioConfig::n_clients),
+    knob("mds_capacity_iops", &ScenarioConfig::mds_capacity_iops),
+    knob("client_rate", &ScenarioConfig::client_rate),
+    knob("client_rate_jitter", &ScenarioConfig::client_rate_jitter),
+    knob("client_start_spread", &ScenarioConfig::client_start_spread),
+    knob("scale", &ScenarioConfig::scale),
+    knob("max_ticks", &ScenarioConfig::max_ticks),
+    knob("epoch_ticks", &ScenarioConfig::epoch_ticks),
+    knob("stop_when_done", &ScenarioConfig::stop_when_done),
+    knob("data_enabled", &ScenarioConfig::data_enabled),
+    knob("data_capacity", &ScenarioConfig::data_capacity),
+    knob("sibling_credit_prob", &ScenarioConfig::sibling_credit_prob),
+    knob("replicate_threshold_iops",
+         &ScenarioConfig::replicate_threshold_iops),
+    knob("faults", &ScenarioConfig::faults),
+    knob("journal", &ScenarioConfig::journal),
+    knob("autoscaler", &ScenarioConfig::autoscaler),
+    knob("proxy", &ScenarioConfig::proxy),
+    knob("migration_max_retries", &ScenarioConfig::migration_max_retries),
+    knob("migration_retry_backoff_ticks",
+         &ScenarioConfig::migration_retry_backoff_ticks),
+    knob("capture_trace", &ScenarioConfig::capture_trace),
+    knob("sharded_ticks", &ScenarioConfig::sharded_ticks),
+    knob("seed", &ScenarioConfig::seed, kDecimalString)};
+
+template <>
+constexpr auto kKnobs<FaultEvent> = std::tuple{
+    knob("kind", &FaultEvent::kind, kRequired),
+    knob("mds", &FaultEvent::mds), knob("at_tick", &FaultEvent::at_tick),
+    knob("duration", &FaultEvent::duration),
+    knob("factor", &FaultEvent::factor)};
+
+template <>
+constexpr auto kKnobs<JournalParams> = std::tuple{
+    knob("enabled", &JournalParams::enabled),
+    knob("segment_entries", &JournalParams::segment_entries),
+    knob("flush_interval_ticks", &JournalParams::flush_interval_ticks),
+    knob("max_unflushed_entries", &JournalParams::max_unflushed_entries),
+    knob("append_cost_ops", &JournalParams::append_cost_ops),
+    knob("flush_cost_ops", &JournalParams::flush_cost_ops),
+    knob("replay_entries_per_second",
+         &JournalParams::replay_entries_per_second),
+    knob("replay_base_seconds", &JournalParams::replay_base_seconds),
+    knob("replay_capacity_penalty", &JournalParams::replay_capacity_penalty),
+    knob("history_decay_per_epoch", &JournalParams::history_decay_per_epoch),
+    knob("async_mode", &JournalParams::async_mode),
+    knob("async_high_water_entries",
+         &JournalParams::async_high_water_entries)};
+
+template <>
+constexpr auto kKnobs<AutoscalerParams> = std::tuple{
+    knob("enabled", &AutoscalerParams::enabled),
+    knob("initial_active", &AutoscalerParams::initial_active),
+    knob("min_ranks", &AutoscalerParams::min_ranks),
+    knob("max_ranks", &AutoscalerParams::max_ranks),
+    knob("scale_up_utilization", &AutoscalerParams::scale_up_utilization),
+    knob("scale_down_utilization", &AutoscalerParams::scale_down_utilization),
+    knob("saturation_utilization", &AutoscalerParams::saturation_utilization),
+    knob("hysteresis_epochs", &AutoscalerParams::hysteresis_epochs),
+    knob("cooldown_epochs", &AutoscalerParams::cooldown_epochs)};
+
+template <>
+constexpr auto kKnobs<ProxyParams> = std::tuple{
+    knob("enabled", &ProxyParams::enabled),
+    knob("lease_ticks", &ProxyParams::lease_ticks),
+    knob("promote_threshold_iops", &ProxyParams::promote_threshold_iops),
+    knob("demote_threshold_iops", &ProxyParams::demote_threshold_iops),
+    knob("max_promoted", &ProxyParams::max_promoted)};
+
+template <typename S, typename Fn>
+void for_each_knob(Fn&& fn) {
+  static_assert(std::tuple_size_v<std::decay_t<decltype(kKnobs<S>)>> != 0,
+                "a section needs a knob list");
+  std::apply([&](const auto&... k) { (fn(k), ...); }, kKnobs<S>);
+}
+
+// -- Enum knobs travel by display name ----------------------------------------
+
+std::string_view name_of(WorkloadKind k) { return workload_name(k); }
+std::string_view name_of(BalancerKind k) { return balancer_name(k); }
+std::string_view name_of(faults::FaultKind k) {
   switch (k) {
     case faults::FaultKind::kCrash:           return "crash";
     case faults::FaultKind::kPermanentLoss:   return "permanent_loss";
@@ -20,240 +146,131 @@ std::string_view fault_kind_name(faults::FaultKind k) {
   return "?";
 }
 
-faults::FaultKind fault_kind_from_name(std::string_view name) {
+std::optional<WorkloadKind> named(std::string_view name, WorkloadKind) {
+  return workload_kind_from_name(name);
+}
+std::optional<BalancerKind> named(std::string_view name, BalancerKind) {
+  return balancer_kind_from_name(name);
+}
+std::optional<faults::FaultKind> named(std::string_view name,
+                                       faults::FaultKind) {
   for (const faults::FaultKind k :
        {faults::FaultKind::kCrash, faults::FaultKind::kPermanentLoss,
         faults::FaultKind::kSlowNode, faults::FaultKind::kAbortMigrations,
         faults::FaultKind::kJournalStall}) {
-    if (fault_kind_name(k) == name) return k;
+    if (name_of(k) == name) return k;
   }
-  throw JsonError("unknown fault kind '" + std::string(name) + "'");
+  return std::nullopt;
 }
 
-/// Every loader below walks the object with this guard so that unknown keys
-/// are reported with their enclosing section.
-void check_known_keys(const JsonValue& obj, std::string_view section,
-                      std::initializer_list<std::string_view> known) {
-  for (const auto& [key, value] : obj.as_object()) {
-    (void)value;
-    bool ok = false;
-    for (const std::string_view k : known) ok = ok || key == k;
-    if (!ok) {
-      throw JsonError("unknown key '" + key + "' in " + std::string(section));
+// -- Writer, loader and key collector -----------------------------------------
+
+template <typename S>
+void write_section(JsonWriter& w, const S& s);
+
+template <typename T>
+void write_value(JsonWriter& w, const T& v, unsigned flags) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.value(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.value_exact(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    w.value(name_of(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    if (flags & kDecimalString) {
+      w.value(std::string_view(std::to_string(v)));
+    } else if constexpr (std::is_signed_v<T>) {
+      w.value(static_cast<std::int64_t>(v));
+    } else {
+      w.value(static_cast<std::uint64_t>(v));
     }
+  } else if constexpr (std::is_same_v<T, faults::FaultPlan>) {
+    w.begin_array();
+    for (const FaultEvent& e : v.events) write_section(w, e);
+    w.end_array();
+  } else {
+    write_section(w, v);
   }
 }
 
-void load_fault_event(const JsonValue& v, faults::FaultPlan& plan) {
-  check_known_keys(v, "fault event",
-                   {"kind", "mds", "at_tick", "duration", "factor"});
-  faults::FaultEvent e;
-  e.kind = fault_kind_from_name(v.at("kind").as_string());
-  if (const JsonValue* m = v.find("mds")) {
-    e.mds = static_cast<MdsId>(m->as_int());
-  }
-  if (const JsonValue* t = v.find("at_tick")) {
-    e.at_tick = static_cast<Tick>(t->as_int());
-  }
-  if (const JsonValue* d = v.find("duration")) {
-    e.duration = static_cast<Tick>(d->as_int());
-  }
-  if (const JsonValue* f = v.find("factor")) e.factor = f->as_double();
-  plan.events.push_back(e);
+template <typename S>
+void write_section(JsonWriter& w, const S& s) {
+  w.begin_object();
+  for_each_knob<S>([&](const auto& k) {
+    w.key(k.key);
+    write_value(w, s.*k.field, k.flags);
+  });
+  w.end_object();
 }
 
-void load_journal(const JsonValue& v, journal::JournalParams& j) {
-  check_known_keys(
-      v, "journal",
-      {"enabled", "segment_entries", "flush_interval_ticks",
-       "max_unflushed_entries", "append_cost_ops", "flush_cost_ops",
-       "replay_entries_per_second", "replay_base_seconds",
-       "replay_capacity_penalty", "history_decay_per_epoch", "async_mode",
-       "async_high_water_entries"});
-  if (const JsonValue* x = v.find("enabled")) j.enabled = x->as_bool();
-  if (const JsonValue* x = v.find("segment_entries")) {
-    j.segment_entries = static_cast<std::uint32_t>(x->as_uint());
+/// Reads an integer of type T: every narrowing is range-checked here.
+template <typename T>
+T load_integer(const JsonValue& x, std::string_view key, unsigned flags) {
+  std::conditional_t<std::is_signed_v<T>, std::int64_t, std::uint64_t> v = 0;
+  if constexpr (std::is_signed_v<T>) {
+    v = x.as_int();
+  } else if ((flags & kDecimalString) &&
+             x.kind() == JsonValue::Kind::kString) {
+    v = parse_decimal_u64(x.as_string(), key);
+  } else {
+    v = x.as_uint();  // the seed also loads from a plain number
   }
-  if (const JsonValue* x = v.find("flush_interval_ticks")) {
-    j.flush_interval_ticks = static_cast<Tick>(x->as_int());
+  if (!std::in_range<T>(v)) {
+    throw JsonError("json number " + std::to_string(v) + " out of range for '" +
+                    std::string(key) + "'");
   }
-  if (const JsonValue* x = v.find("max_unflushed_entries")) {
-    j.max_unflushed_entries = x->as_uint();
-  }
-  if (const JsonValue* x = v.find("append_cost_ops")) {
-    j.append_cost_ops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("flush_cost_ops")) {
-    j.flush_cost_ops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("replay_entries_per_second")) {
-    j.replay_entries_per_second = x->as_double();
-  }
-  if (const JsonValue* x = v.find("replay_base_seconds")) {
-    j.replay_base_seconds = x->as_double();
-  }
-  if (const JsonValue* x = v.find("replay_capacity_penalty")) {
-    j.replay_capacity_penalty = x->as_double();
-  }
-  if (const JsonValue* x = v.find("history_decay_per_epoch")) {
-    j.history_decay_per_epoch = x->as_double();
-  }
-  if (const JsonValue* x = v.find("async_mode")) {
-    j.async_mode = x->as_bool();
-  }
-  if (const JsonValue* x = v.find("async_high_water_entries")) {
-    j.async_high_water_entries = x->as_uint();
+  return static_cast<T>(v);
+}
+
+template <typename S>
+void load_section(const JsonValue& v, std::string_view section, S& s);
+
+template <typename T>
+void load_value(const JsonValue& x, std::string_view key, unsigned flags,
+                T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = x.as_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = x.as_double();
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::optional<T> e = named(x.as_string(), out);
+    if (!e) {
+      throw JsonError("unknown " + std::string(key) + " '" + x.as_string() +
+                      "'");
+    }
+    out = *e;
+  } else if constexpr (std::is_integral_v<T>) {
+    out = load_integer<T>(x, key, flags);
+  } else if constexpr (std::is_same_v<T, faults::FaultPlan>) {
+    for (const JsonValue& e : x.as_array()) {
+      load_section(e, key, out.events.emplace_back());
+    }
+  } else {
+    load_section(x, key, out);
   }
 }
 
-void load_autoscaler(const JsonValue& v, mds::AutoscalerParams& a) {
-  check_known_keys(
-      v, "autoscaler",
-      {"enabled", "initial_active", "min_ranks", "max_ranks",
-       "scale_up_utilization", "scale_down_utilization",
-       "saturation_utilization", "hysteresis_epochs", "cooldown_epochs"});
-  if (const JsonValue* x = v.find("enabled")) a.enabled = x->as_bool();
-  if (const JsonValue* x = v.find("initial_active")) {
-    a.initial_active = static_cast<std::size_t>(x->as_uint());
-  }
-  if (const JsonValue* x = v.find("min_ranks")) {
-    a.min_ranks = static_cast<std::size_t>(x->as_uint());
-  }
-  if (const JsonValue* x = v.find("max_ranks")) {
-    a.max_ranks = static_cast<std::size_t>(x->as_uint());
-  }
-  if (const JsonValue* x = v.find("scale_up_utilization")) {
-    a.scale_up_utilization = x->as_double();
-  }
-  if (const JsonValue* x = v.find("scale_down_utilization")) {
-    a.scale_down_utilization = x->as_double();
-  }
-  if (const JsonValue* x = v.find("saturation_utilization")) {
-    a.saturation_utilization = x->as_double();
-  }
-  if (const JsonValue* x = v.find("hysteresis_epochs")) {
-    a.hysteresis_epochs = static_cast<int>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("cooldown_epochs")) {
-    a.cooldown_epochs = static_cast<int>(x->as_int());
-  }
+template <typename S>
+constexpr auto keys_of() {
+  return std::apply([](const auto&... k) { return std::array{k.key...}; },
+                    kKnobs<S>);
 }
 
-void load_proxy(const JsonValue& v, proxy::ProxyParams& p) {
-  check_known_keys(v, "proxy",
-                   {"enabled", "lease_ticks", "promote_threshold_iops",
-                    "demote_threshold_iops", "max_promoted"});
-  if (const JsonValue* x = v.find("enabled")) p.enabled = x->as_bool();
-  if (const JsonValue* x = v.find("lease_ticks")) {
-    p.lease_ticks = static_cast<Tick>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("promote_threshold_iops")) {
-    p.promote_threshold_iops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("demote_threshold_iops")) {
-    p.demote_threshold_iops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("max_promoted")) {
-    p.max_promoted = static_cast<std::size_t>(x->as_uint());
-  }
+template <typename S>
+void load_section(const JsonValue& v, std::string_view section, S& s) {
+  static constexpr auto kKeys = keys_of<S>();
+  check_known_keys(v, section, kKeys);
+  for_each_knob<S>([&](const auto& k) {
+    const JsonValue* x = (k.flags & kRequired) ? &v.at(k.key) : v.find(k.key);
+    if (x != nullptr) load_value(*x, k.key, k.flags, s.*k.field);
+  });
 }
 
 }  // namespace
 
 void write_scenario_config(std::ostream& os, const ScenarioConfig& cfg) {
   JsonWriter w(os);
-  w.begin_object();
-  w.field("workload", workload_name(cfg.workload));
-  w.field("balancer", balancer_name(cfg.balancer));
-  w.field("n_mds", static_cast<std::uint64_t>(cfg.n_mds));
-  w.field("n_clients", static_cast<std::uint64_t>(cfg.n_clients));
-  w.field_exact("mds_capacity_iops", cfg.mds_capacity_iops);
-  w.field_exact("client_rate", cfg.client_rate);
-  w.field_exact("client_rate_jitter", cfg.client_rate_jitter);
-  w.field("client_start_spread",
-          static_cast<std::int64_t>(cfg.client_start_spread));
-  w.field_exact("scale", cfg.scale);
-  w.field("max_ticks", static_cast<std::int64_t>(cfg.max_ticks));
-  w.field("epoch_ticks", static_cast<std::int64_t>(cfg.epoch_ticks));
-  w.field("stop_when_done", cfg.stop_when_done);
-  w.field("data_enabled", cfg.data_enabled);
-  w.field_exact("data_capacity", cfg.data_capacity);
-  w.field_exact("sibling_credit_prob", cfg.sibling_credit_prob);
-  w.field_exact("replicate_threshold_iops", cfg.replicate_threshold_iops);
-
-  w.key("faults");
-  w.begin_array();
-  for (const faults::FaultEvent& e : cfg.faults.events) {
-    w.begin_object();
-    w.field("kind", fault_kind_name(e.kind));
-    w.field("mds", static_cast<std::int64_t>(e.mds));
-    w.field("at_tick", static_cast<std::int64_t>(e.at_tick));
-    w.field("duration", static_cast<std::int64_t>(e.duration));
-    w.field_exact("factor", e.factor);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("journal");
-  w.begin_object();
-  w.field("enabled", cfg.journal.enabled);
-  w.field("segment_entries",
-          static_cast<std::uint64_t>(cfg.journal.segment_entries));
-  w.field("flush_interval_ticks",
-          static_cast<std::int64_t>(cfg.journal.flush_interval_ticks));
-  w.field("max_unflushed_entries", cfg.journal.max_unflushed_entries);
-  w.field_exact("append_cost_ops", cfg.journal.append_cost_ops);
-  w.field_exact("flush_cost_ops", cfg.journal.flush_cost_ops);
-  w.field_exact("replay_entries_per_second",
-                cfg.journal.replay_entries_per_second);
-  w.field_exact("replay_base_seconds", cfg.journal.replay_base_seconds);
-  w.field_exact("replay_capacity_penalty",
-                cfg.journal.replay_capacity_penalty);
-  w.field_exact("history_decay_per_epoch",
-                cfg.journal.history_decay_per_epoch);
-  w.field("async_mode", cfg.journal.async_mode);
-  w.field("async_high_water_entries", cfg.journal.async_high_water_entries);
-  w.end_object();
-
-  w.key("autoscaler");
-  w.begin_object();
-  w.field("enabled", cfg.autoscaler.enabled);
-  w.field("initial_active",
-          static_cast<std::uint64_t>(cfg.autoscaler.initial_active));
-  w.field("min_ranks", static_cast<std::uint64_t>(cfg.autoscaler.min_ranks));
-  w.field("max_ranks", static_cast<std::uint64_t>(cfg.autoscaler.max_ranks));
-  w.field_exact("scale_up_utilization", cfg.autoscaler.scale_up_utilization);
-  w.field_exact("scale_down_utilization",
-                cfg.autoscaler.scale_down_utilization);
-  w.field_exact("saturation_utilization",
-                cfg.autoscaler.saturation_utilization);
-  w.field("hysteresis_epochs",
-          static_cast<std::int64_t>(cfg.autoscaler.hysteresis_epochs));
-  w.field("cooldown_epochs",
-          static_cast<std::int64_t>(cfg.autoscaler.cooldown_epochs));
-  w.end_object();
-
-  w.key("proxy");
-  w.begin_object();
-  w.field("enabled", cfg.proxy.enabled);
-  w.field("lease_ticks", static_cast<std::int64_t>(cfg.proxy.lease_ticks));
-  w.field_exact("promote_threshold_iops", cfg.proxy.promote_threshold_iops);
-  w.field_exact("demote_threshold_iops", cfg.proxy.demote_threshold_iops);
-  w.field("max_promoted",
-          static_cast<std::uint64_t>(cfg.proxy.max_promoted));
-  w.end_object();
-
-  w.field("migration_max_retries",
-          static_cast<std::int64_t>(cfg.migration_max_retries));
-  w.field("migration_retry_backoff_ticks",
-          static_cast<std::int64_t>(cfg.migration_retry_backoff_ticks));
-  w.field("capture_trace", cfg.capture_trace);
-  w.field("sharded_ticks", static_cast<std::int64_t>(cfg.sharded_ticks));
-  // Seeds use the full 64-bit space; JSON numbers are doubles (exact only up
-  // to 2^53), so the seed travels as a decimal string.  The loader accepts
-  // small numeric seeds too, for hand-written configs.
-  w.field("seed", std::string_view(std::to_string(cfg.seed)));
-  w.end_object();
+  write_section(w, cfg);
 }
 
 std::string scenario_config_to_json(const ScenarioConfig& cfg) {
@@ -263,100 +280,8 @@ std::string scenario_config_to_json(const ScenarioConfig& cfg) {
 }
 
 ScenarioConfig scenario_config_from_value(const JsonValue& v) {
-  check_known_keys(
-      v, "scenario config",
-      {"workload", "balancer", "n_mds", "n_clients", "mds_capacity_iops",
-       "client_rate", "client_rate_jitter", "client_start_spread", "scale",
-       "max_ticks", "epoch_ticks", "stop_when_done", "data_enabled",
-       "data_capacity", "sibling_credit_prob", "replicate_threshold_iops",
-       "faults", "journal", "autoscaler", "proxy", "migration_max_retries",
-       "migration_retry_backoff_ticks", "capture_trace", "sharded_ticks",
-       "seed"});
   ScenarioConfig cfg;
-  if (const JsonValue* x = v.find("workload")) {
-    const auto k = workload_kind_from_name(x->as_string());
-    if (!k) throw JsonError("unknown workload '" + x->as_string() + "'");
-    cfg.workload = *k;
-  }
-  if (const JsonValue* x = v.find("balancer")) {
-    const auto k = balancer_kind_from_name(x->as_string());
-    if (!k) throw JsonError("unknown balancer '" + x->as_string() + "'");
-    cfg.balancer = *k;
-  }
-  if (const JsonValue* x = v.find("n_mds")) {
-    cfg.n_mds = static_cast<std::size_t>(x->as_uint());
-  }
-  if (const JsonValue* x = v.find("n_clients")) {
-    cfg.n_clients = static_cast<std::size_t>(x->as_uint());
-  }
-  if (const JsonValue* x = v.find("mds_capacity_iops")) {
-    cfg.mds_capacity_iops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("client_rate")) {
-    cfg.client_rate = x->as_double();
-  }
-  if (const JsonValue* x = v.find("client_rate_jitter")) {
-    cfg.client_rate_jitter = x->as_double();
-  }
-  if (const JsonValue* x = v.find("client_start_spread")) {
-    cfg.client_start_spread = static_cast<Tick>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("scale")) cfg.scale = x->as_double();
-  if (const JsonValue* x = v.find("max_ticks")) {
-    cfg.max_ticks = static_cast<Tick>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("epoch_ticks")) {
-    cfg.epoch_ticks = static_cast<int>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("stop_when_done")) {
-    cfg.stop_when_done = x->as_bool();
-  }
-  if (const JsonValue* x = v.find("data_enabled")) {
-    cfg.data_enabled = x->as_bool();
-  }
-  if (const JsonValue* x = v.find("data_capacity")) {
-    cfg.data_capacity = x->as_double();
-  }
-  if (const JsonValue* x = v.find("sibling_credit_prob")) {
-    cfg.sibling_credit_prob = x->as_double();
-  }
-  if (const JsonValue* x = v.find("replicate_threshold_iops")) {
-    cfg.replicate_threshold_iops = x->as_double();
-  }
-  if (const JsonValue* x = v.find("faults")) {
-    for (const JsonValue& e : x->as_array()) load_fault_event(e, cfg.faults);
-  }
-  if (const JsonValue* x = v.find("journal")) load_journal(*x, cfg.journal);
-  if (const JsonValue* x = v.find("autoscaler")) {
-    load_autoscaler(*x, cfg.autoscaler);
-  }
-  if (const JsonValue* x = v.find("proxy")) load_proxy(*x, cfg.proxy);
-  if (const JsonValue* x = v.find("migration_max_retries")) {
-    cfg.migration_max_retries = static_cast<int>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("migration_retry_backoff_ticks")) {
-    cfg.migration_retry_backoff_ticks = static_cast<Tick>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("capture_trace")) {
-    cfg.capture_trace = x->as_bool();
-  }
-  if (const JsonValue* x = v.find("sharded_ticks")) {
-    cfg.sharded_ticks = static_cast<int>(x->as_int());
-  }
-  if (const JsonValue* x = v.find("seed")) {
-    if (x->kind() == JsonValue::Kind::kString) {
-      const std::string& s = x->as_string();
-      if (s.empty()) throw JsonError("empty seed string");
-      std::uint64_t seed = 0;
-      for (const char c : s) {
-        if (c < '0' || c > '9') throw JsonError("malformed seed '" + s + "'");
-        seed = seed * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-      cfg.seed = seed;
-    } else {
-      cfg.seed = x->as_uint();
-    }
-  }
+  load_section(v, "scenario config", cfg);
   return cfg;
 }
 

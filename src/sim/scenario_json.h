@@ -11,9 +11,11 @@
 //     object keys have a fixed order);
 //   * load rejects unknown keys with JsonError, so a typo'd knob in a
 //     hand-edited repro fails loudly instead of silently running defaults;
-//   * every key is optional — absent knobs keep their ScenarioConfig
-//     defaults, which keeps committed repro files minimal and stable as new
-//     knobs are added.
+//   * load rejects an integer that does not fit its field with JsonError
+//     instead of wrapping it;
+//   * every key but a fault event's `kind` is optional — absent knobs keep
+//     their ScenarioConfig defaults, which keeps committed repro files
+//     minimal and stable as new knobs are added.
 #pragma once
 
 #include <iosfwd>
@@ -26,7 +28,7 @@
 namespace lunule::sim {
 
 /// Serializes every ScenarioConfig knob (workload, balancer, cluster shape,
-/// fault plan, journal parameters, hot-path opts, seed, ...).
+/// fault plan, journal, autoscaler and proxy parameters, seed, ...).
 void write_scenario_config(std::ostream& os, const ScenarioConfig& cfg);
 
 [[nodiscard]] std::string scenario_config_to_json(const ScenarioConfig& cfg);

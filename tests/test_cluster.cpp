@@ -102,41 +102,6 @@ TEST_F(ClusterTest, AddServerExpandsCluster) {
   EXPECT_EQ(cluster.server(id).served_in_open_epoch(), 1u);
 }
 
-TEST_F(ClusterTest, AutoSplitFragmentsGrowingDirectories) {
-  params.dirfrag_split_threshold = 8;
-  params.dirfrag_split_max_bits = 3;
-  params.mds_capacity_iops = 1000.0;
-  MdsCluster cluster(tree, params);
-  const DirId d = tree.add_dir(tree.root(), "grow");
-  cluster.begin_tick(0);
-  // 8 creates -> split to 2 frags; 16 -> 4; 32 -> 8; then capped.
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(cluster.try_create(d), ServeResult::kServed);
-    if (i + 1 == 8) {
-      EXPECT_EQ(tree.frag_count(d), 2u);
-    }
-    if (i + 1 == 16) {
-      EXPECT_EQ(tree.frag_count(d), 4u);
-    }
-    if (i + 1 == 32) {
-      EXPECT_EQ(tree.frag_count(d), 8u);
-    }
-  }
-  EXPECT_EQ(tree.frag_count(d), 8u);  // max_bits = 3
-  // Fragment file counts still partition the directory.
-  std::uint32_t total = 0;
-  for (const auto& frag : tree.frags(d)) total += frag.file_count;
-  EXPECT_EQ(total, 100u);
-}
-
-TEST_F(ClusterTest, AutoSplitDisabledByDefault) {
-  MdsCluster cluster(tree, params);
-  const DirId d = tree.add_dir(tree.root(), "grow");
-  cluster.begin_tick(0);
-  for (int i = 0; i < 10; ++i) cluster.try_create(d);
-  EXPECT_FALSE(tree.fragmented(d));
-}
-
 TEST_F(ClusterTest, TotalsAggregateAcrossServers) {
   MdsCluster cluster(tree, params);
   tree.set_auth(dirs[1], 1);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.h"
 #include "faults/fault_plan.h"
 #include "proptest/generator.h"
 #include "proptest/oracles.h"
@@ -235,6 +236,19 @@ TEST(ProptestRepro, RejectsUnknownKeysAndWrongFormat) {
   ASSERT_NE(pos, std::string::npos);
   wrong_format.replace(pos, 24, "lunule-proptest-repro-v9");
   EXPECT_ANY_THROW(repro_from_json(wrong_format));
+
+  // A generator seed past 2^64 - 1 is refused, not wrapped.
+  const std::string seed = R"("generator_seed":"17")";
+  const auto at = good.find(seed);
+  ASSERT_NE(at, std::string::npos);
+  std::string max_seed = good;
+  max_seed.replace(at, seed.size(),
+                   R"("generator_seed":"18446744073709551615")");
+  EXPECT_EQ(repro_from_json(max_seed).generator_seed, ~std::uint64_t{0});
+  std::string overflow = good;
+  overflow.replace(at, seed.size(),
+                   R"("generator_seed":"18446744073709551616")");
+  EXPECT_THROW(static_cast<void>(repro_from_json(overflow)), JsonError);
 }
 
 // ------------------------------------------------------------------- runner

@@ -1,8 +1,9 @@
 // ScenarioConfig <-> JSON round-trip coverage (sim/scenario_json.h).
 //
-// Every knob — including fault plans and journal parameters — must
-// survive save -> load exactly, and save -> load -> save must be
-// byte-identical (repro files in tests/corpus/ rely on this).  Values that
+// Every knob — including the fault plan and the journal, autoscaler and
+// proxy sections — must survive save -> load exactly, and save -> load ->
+// save must be byte-identical (repro files in tests/corpus/ rely on this).
+// Integers that do not fit their field are refused at load; values that
 // load but cannot run are refused at scenario construction.
 #include "sim/scenario_json.h"
 
@@ -51,6 +52,20 @@ ScenarioConfig full_config() {
   cfg.journal.history_decay_per_epoch = 0.55;
   cfg.journal.async_mode = true;
   cfg.journal.async_high_water_entries = 321;
+  cfg.autoscaler.enabled = true;
+  cfg.autoscaler.initial_active = 3;
+  cfg.autoscaler.min_ranks = 2;
+  cfg.autoscaler.max_ranks = 6;
+  cfg.autoscaler.scale_up_utilization = 0.8125;
+  cfg.autoscaler.scale_down_utilization = 0.25;
+  cfg.autoscaler.saturation_utilization = 0.9;
+  cfg.autoscaler.hysteresis_epochs = 4;
+  cfg.autoscaler.cooldown_epochs = 5;
+  cfg.proxy.enabled = true;
+  cfg.proxy.lease_ticks = 13;
+  cfg.proxy.promote_threshold_iops = 640.5;
+  cfg.proxy.demote_threshold_iops = 12.75;
+  cfg.proxy.max_promoted = 5;
   cfg.migration_max_retries = 9;
   cfg.migration_retry_backoff_ticks = 11;
   cfg.capture_trace = true;
@@ -100,12 +115,67 @@ TEST(ScenarioRoundtrip, EveryKnobSurvivesSaveLoad) {
   EXPECT_EQ(back.journal.async_mode, cfg.journal.async_mode);
   EXPECT_EQ(back.journal.async_high_water_entries,
             cfg.journal.async_high_water_entries);
+  EXPECT_EQ(back.autoscaler.enabled, cfg.autoscaler.enabled);
+  EXPECT_EQ(back.autoscaler.initial_active, cfg.autoscaler.initial_active);
+  EXPECT_EQ(back.autoscaler.min_ranks, cfg.autoscaler.min_ranks);
+  EXPECT_EQ(back.autoscaler.max_ranks, cfg.autoscaler.max_ranks);
+  EXPECT_EQ(back.autoscaler.scale_up_utilization,
+            cfg.autoscaler.scale_up_utilization);
+  EXPECT_EQ(back.autoscaler.scale_down_utilization,
+            cfg.autoscaler.scale_down_utilization);
+  EXPECT_EQ(back.autoscaler.saturation_utilization,
+            cfg.autoscaler.saturation_utilization);
+  EXPECT_EQ(back.autoscaler.hysteresis_epochs,
+            cfg.autoscaler.hysteresis_epochs);
+  EXPECT_EQ(back.autoscaler.cooldown_epochs, cfg.autoscaler.cooldown_epochs);
+  EXPECT_EQ(back.proxy.enabled, cfg.proxy.enabled);
+  EXPECT_EQ(back.proxy.lease_ticks, cfg.proxy.lease_ticks);
+  EXPECT_EQ(back.proxy.promote_threshold_iops,
+            cfg.proxy.promote_threshold_iops);
+  EXPECT_EQ(back.proxy.demote_threshold_iops,
+            cfg.proxy.demote_threshold_iops);
+  EXPECT_EQ(back.proxy.max_promoted, cfg.proxy.max_promoted);
   EXPECT_EQ(back.migration_max_retries, cfg.migration_max_retries);
   EXPECT_EQ(back.migration_retry_backoff_ticks,
             cfg.migration_retry_backoff_ticks);
   EXPECT_EQ(back.capture_trace, cfg.capture_trace);
   EXPECT_EQ(back.sharded_ticks, cfg.sharded_ticks);
   EXPECT_EQ(back.seed, cfg.seed);
+}
+
+// The saved bytes of full_config(), pinned.  A renamed key stops committed
+// repro files from loading, and a reordered or reformatted one changes
+// every saved config; either must show up here first.
+constexpr std::string_view kFullConfigJson =
+    R"({"workload":"Mixed","balancer":"Lunule-Hash","n_mds":7,"n_clients":33,)"
+    R"("mds_capacity_iops":1234.5,"client_rate":99.25,)"
+    R"("client_rate_jitter":0.0625,"client_start_spread":17,)"
+    R"("scale":0.123456789012345,"max_ticks":777,"epoch_ticks":7,)"
+    R"("stop_when_done":false,"data_enabled":true,"data_capacity":45000.5,)"
+    R"("sibling_credit_prob":0.45,"replicate_threshold_iops":321.75,)"
+    R"("faults":[{"kind":"crash","mds":2,"at_tick":100,"duration":40,)"
+    R"("factor":1},{"kind":"permanent_loss","mds":3,"at_tick":200,)"
+    R"("duration":0,"factor":1},{"kind":"slow_node","mds":1,"at_tick":50,)"
+    R"("duration":30,"factor":0.35},{"kind":"abort_migrations","mds":4,)"
+    R"("at_tick":120,"duration":0,"factor":1},{"kind":"journal_stall","mds":0,)"
+    R"("at_tick":60,"duration":25,"factor":1}],"journal":{"enabled":true,)"
+    R"("segment_entries":64,"flush_interval_ticks":3,)"
+    R"("max_unflushed_entries":500,"append_cost_ops":0.125,)"
+    R"("flush_cost_ops":2.5,"replay_entries_per_second":1500.25,)"
+    R"("replay_base_seconds":2.75,"replay_capacity_penalty":0.4,)"
+    R"("history_decay_per_epoch":0.55,"async_mode":true,)"
+    R"("async_high_water_entries":321},"autoscaler":{"enabled":true,)"
+    R"("initial_active":3,"min_ranks":2,"max_ranks":6,)"
+    R"("scale_up_utilization":0.8125,"scale_down_utilization":0.25,)"
+    R"("saturation_utilization":0.9,"hysteresis_epochs":4,)"
+    R"("cooldown_epochs":5},"proxy":{"enabled":true,"lease_ticks":13,)"
+    R"("promote_threshold_iops":640.5,"demote_threshold_iops":12.75,)"
+    R"("max_promoted":5},"migration_max_retries":9,)"
+    R"("migration_retry_backoff_ticks":11,"capture_trace":true,)"
+    R"("sharded_ticks":3,"seed":"16045690984503111693"})";
+
+TEST(ScenarioRoundtrip, SavedBytesArePinned) {
+  EXPECT_EQ(scenario_config_to_json(full_config()), kFullConfigJson);
 }
 
 TEST(ScenarioRoundtrip, SaveLoadSaveIsByteIdentical) {
@@ -158,6 +228,20 @@ TEST(ScenarioRoundtrip, MalformedValuesAreRejected) {
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": -2})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"n_mds": 2.5})"), JsonError);
   EXPECT_THROW(scenario_config_from_json(R"({"seed": "12x"})"), JsonError);
+  // Integers that do not fit their field are refused, never wrapped.
+  for (const char* doc : {
+           R"({"epoch_ticks": 4294967297})",
+           R"({"journal": {"segment_entries": 4294967296}})",
+           R"({"faults": [{"kind": "crash", "mds": 4294967296}]})",
+           R"({"seed": "18446744073709551616"})",
+           R"({"max_ticks": 1e19})",
+           R"({"max_ticks": 1e300})",
+           R"({"max_ticks": -1e19})",
+       }) {
+    SCOPED_TRACE(doc);
+    EXPECT_THROW(static_cast<void>(scenario_config_from_json(doc)),
+                 JsonError);
+  }
 
   // Well-formed documents whose values cannot run load fine, then every
   // balancer's scenario construction refuses them with an exception
@@ -177,6 +261,10 @@ TEST(ScenarioRoundtrip, MalformedValuesAreRejected) {
            R"({"sharded_ticks": -3})",
            R"({"client_start_spread": -4})",
            R"({"n_mds": 65, "replicate_threshold_iops": 10})",
+           R"({"journal": {"enabled": true, "segment_entries": 0}})",
+           R"({"journal": {"enabled": true, "flush_interval_ticks": 0}})",
+           R"({"proxy": {"enabled": true, "lease_ticks": -1}})",
+           R"({"autoscaler": {"enabled": true, "min_ranks": 0}})",
        }) {
     SCOPED_TRACE(doc);
     ScenarioConfig cfg = scenario_config_from_json(doc);
