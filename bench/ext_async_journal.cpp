@@ -61,11 +61,11 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
     w.field("stall_fraction", c.r.mean_stall_fraction);
     w.field("total_served", c.r.total_served);
     w.field("clients_done", static_cast<std::uint64_t>(c.r.clients_done));
-    w.field("journal_entries_appended", c.r.journal_entries_appended);
-    w.field("async_acked", c.r.journal_async_acked);
-    w.field("async_throttle_ticks", c.r.journal_async_throttle_ticks);
-    w.field("acked_lost_entries", c.r.journal_acked_lost_entries);
-    w.field("dependency_violations", c.r.journal_dependency_violations);
+    w.field("journal_entries_appended", c.r.journal.appends);
+    w.field("async_acked", c.r.journal.async_acked);
+    w.field("async_throttle_ticks", c.r.journal.async_throttle_ticks);
+    w.field("acked_lost_entries", c.r.faults.acked_lost_entries);
+    w.field("dependency_violations", c.r.faults.dependency_violations);
     w.end_object();
   }
   w.end_array();
@@ -139,8 +139,8 @@ int run(int argc, char** argv) {
                    TablePrinter::fmt(c.r.op_latency.max_value(), 0),
                    TablePrinter::fmt(c.r.mean_stall_fraction, 3),
                    TablePrinter::fmt(c.r.total_served),
-                   TablePrinter::fmt(c.r.journal_async_acked),
-                   TablePrinter::fmt(c.r.journal_async_throttle_ticks)});
+                   TablePrinter::fmt(c.r.journal.async_acked),
+                   TablePrinter::fmt(c.r.journal.async_throttle_ticks)});
   }
   if (opts.report.csv) {
     table.print_csv(std::cout);
@@ -159,21 +159,21 @@ int run(int argc, char** argv) {
     const sim::ScenarioResult& async = cells[i + 1].r;
     checks.expect(sync.total_served > 0 && async.total_served > 0,
                   cells[i].workload + ": both modes serve the workload");
-    checks.expect(sync.journal_entries_appended > 0 &&
-                      async.journal_entries_appended > 0,
+    checks.expect(sync.journal.appends > 0 &&
+                      async.journal.appends > 0,
                   cells[i].workload + ": both modes journal mutations");
-    checks.expect(sync.journal_async_acked == 0 &&
-                      sync.journal_async_throttle_ticks == 0,
+    checks.expect(sync.journal.async_acked == 0 &&
+                      sync.journal.async_throttle_ticks == 0,
                   cells[i].workload +
                       ": sync mode reports no async activity");
-    checks.expect(async.journal_async_acked ==
-                      async.journal_entries_appended,
+    checks.expect(async.journal.async_acked ==
+                      async.journal.appends,
                   cells[i].workload +
                       ": async mode acknowledges every append at apply");
-    checks.expect(async.journal_dependency_violations == 0,
+    checks.expect(async.faults.dependency_violations == 0,
                   cells[i].workload +
                       ": async replay audit finds no dependency violations");
-    checks.expect(async.journal_acked_lost_entries == 0,
+    checks.expect(async.faults.acked_lost_entries == 0,
                   cells[i].workload +
                       ": no crash in the plan, so nothing acked is lost");
     // The headline claim: at equal completed work, decoupling completion

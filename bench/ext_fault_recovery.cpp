@@ -76,15 +76,15 @@ int run(int argc, char** argv) {
     opts.dump_trace(r);
     table.add_row({row.label,
                    fmt_reconverge(r.reconverge_seconds),
-                   TablePrinter::fmt(r.takeover_subtrees),
-                   TablePrinter::fmt(r.fault_migration_aborts),
-                   TablePrinter::fmt(r.replay_seconds, 2) + " s",
-                   TablePrinter::fmt(r.lost_entries),
+                   TablePrinter::fmt(r.faults.subtrees),
+                   TablePrinter::fmt(r.faults.aborted_migrations),
+                   TablePrinter::fmt(r.faults.replay_seconds, 2) + " s",
+                   TablePrinter::fmt(r.faults.lost_entries),
                    TablePrinter::fmt(r.mean_if, 3),
                    TablePrinter::fmt(r.total_served)});
     if (row.journaled) {
       journal_rec = r.reconverge_seconds;
-      journal_replay = r.replay_seconds;
+      journal_replay = r.faults.replay_seconds;
     } else {
       switch (row.balancer) {
         case sim::BalancerKind::kLunule:  lunule_rec = r.reconverge_seconds; break;

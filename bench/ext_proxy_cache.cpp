@@ -90,9 +90,9 @@ int run(int argc, char** argv) {
     const sim::ScenarioResult& r = results[i];
     opts.dump_trace(r);
     table.add_row({variants[i].label, TablePrinter::fmt(r.total_served),
-                   TablePrinter::fmt(r.proxy_reads_absorbed),
-                   TablePrinter::fmt(r.proxy_lease_grants),
-                   TablePrinter::fmt(r.proxy_lease_recalls),
+                   TablePrinter::fmt(r.proxy.reads_absorbed),
+                   TablePrinter::fmt(r.proxy.lease_grants),
+                   TablePrinter::fmt(r.proxy.lease_recalls),
                    TablePrinter::fmt(r.clients_done) + "/" +
                        TablePrinter::fmt(r.n_clients),
                    TablePrinter::fmt(tail_jct(r), 0) + " s",
@@ -110,24 +110,23 @@ int run(int argc, char** argv) {
                   std::string(variants[i].label) +
                       ": every client finishes");
   }
-  checks.expect(base.proxy_reads_absorbed == 0 &&
-                    repl.proxy_reads_absorbed == 0,
+  checks.expect(base.proxy.reads_absorbed == 0 &&
+                    repl.proxy.reads_absorbed == 0,
                 "proxy-free variants absorb nothing (control)");
-  checks.expect(prox.proxy_reads_absorbed > 0,
+  checks.expect(prox.proxy.reads_absorbed > 0,
                 "the tier absorbs reads on the thundering herd");
   checks.expect(prox.total_served < base.total_served,
                 "absorbed reads come off the MDS-served count");
   checks.expect(
-      prox.total_served + prox.proxy_reads_absorbed == base.total_served,
+      prox.completed_ops() == base.completed_ops(),
       "MDS-served + absorbed equals the tier-free total (conservation)");
   checks.expect(tail_jct(prox) <= tail_jct(base) * 1.02,
                 "...at equal-or-better tail JCT");
-  checks.expect(crash_prox.proxy_reads_absorbed > 0,
+  checks.expect(crash_prox.proxy.reads_absorbed > 0,
                 "the tier keeps absorbing across a mid-crowd crash");
-  checks.expect(crash_prox.proxy_lease_recalls > 0,
+  checks.expect(crash_prox.proxy.lease_recalls > 0,
                 "the crash (or its migrations) recalled at least one lease");
-  checks.expect(crash_prox.total_served + crash_prox.proxy_reads_absorbed ==
-                    crash_base.total_served,
+  checks.expect(crash_prox.completed_ops() == crash_base.completed_ops(),
                 "conservation holds under the crash plan too");
 
   if (opts.report.csv) {

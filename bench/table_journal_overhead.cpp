@@ -72,12 +72,12 @@ int run(int argc, char** argv) {
         {c.label, TablePrinter::fmt(c.result.total_served),
          TablePrinter::fmt(c.result.sustained_iops(), 0),
          TablePrinter::fmt(100.0 * overhead_of(c), 2) + "%",
-         TablePrinter::fmt(c.result.journal_entries_appended),
+         TablePrinter::fmt(c.result.journal.appends),
          TablePrinter::fmt(
-             static_cast<double>(c.result.journal_bytes_written) / (1024.0 *
+             static_cast<double>(c.result.journal.bytes_written) / (1024.0 *
                                                                     1024.0),
              2),
-         TablePrinter::fmt(c.result.journal_segments_trimmed)});
+         TablePrinter::fmt(c.result.journal.segments_trimmed)});
   }
   if (opts.report.csv) {
     table.print_csv(std::cout);
@@ -87,13 +87,13 @@ int run(int argc, char** argv) {
                 "faults)");
   }
 
-  checks.expect(cells[0].result.journal_entries_appended == 0 &&
-                    cells[0].result.journal_bytes_written == 0,
+  checks.expect(cells[0].result.journal.appends == 0 &&
+                    cells[0].result.journal.bytes_written == 0,
                 "with the journal off, no journal traffic exists at all");
-  checks.expect(cells[1].result.journal_entries_appended > 0 &&
-                    cells[1].result.journal_bytes_written > 0,
+  checks.expect(cells[1].result.journal.appends > 0 &&
+                    cells[1].result.journal.bytes_written > 0,
                 "with the journal on, every mutation pays journal traffic");
-  checks.expect(cells[1].result.journal_segments_trimmed > 0,
+  checks.expect(cells[1].result.journal.segments_trimmed > 0,
                 "checkpoints retire covered segments (bounded replay debt)");
   checks.expect(overhead_of(cells[1]) <= 0.05,
                 "default journaling costs at most 5% of metadata "

@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
                             {&r.if_series}, {"IF"},
                             static_cast<double>(cfg.epoch_ticks), ropts);
 
-  std::cout << "\nfaults injected:      " << r.faults_injected
-            << " (skipped: " << r.faults_skipped << ")\n"
-            << "subtrees taken over:  " << r.takeover_subtrees << "\n"
-            << "migrations aborted:   " << r.fault_migration_aborts
+  std::cout << "\nfaults injected:      " << r.faults.applied
+            << " (skipped: " << r.faults.skipped << ")\n"
+            << "subtrees taken over:  " << r.faults.subtrees << "\n"
+            << "migrations aborted:   " << r.faults.aborted_migrations
             << " by faults\n"
             << "re-convergence:       "
             << (r.reconverge_seconds < 0.0
@@ -74,13 +74,13 @@ int main(int argc, char** argv) {
                     : std::to_string(static_cast<long long>(
                           r.reconverge_seconds)) + " s after the crash")
             << "\n"
-            << "journal appends:      " << r.journal_entries_appended << " ("
-            << r.journal_bytes_written / (1024 * 1024) << " MB, "
-            << r.journal_segments_trimmed << " segments trimmed)\n"
-            << "replay at take-over:  " << r.replayed_entries
-            << " entries in " << r.replay_seconds << " s, "
-            << r.lost_entries << " un-flushed entries lost, "
-            << r.journaled_takeover_subtrees << " subtrees reconstructed\n"
+            << "journal appends:      " << r.journal.appends << " ("
+            << r.journal.bytes_written / (1024 * 1024) << " MB, "
+            << r.journal.segments_trimmed << " segments trimmed)\n"
+            << "replay at take-over:  " << r.faults.replayed_entries
+            << " entries in " << r.faults.replay_seconds << " s, "
+            << r.faults.lost_entries << " un-flushed entries lost, "
+            << r.faults.journaled_subtrees << " subtrees reconstructed\n"
             << "ops served:           " << r.total_served << "\n";
   return 0;
 }

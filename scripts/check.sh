@@ -24,8 +24,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Two tiers (see docs/TESTING.md): the gtest suites, then the
 # property-fuzzing entry points (corpus replay, generation determinism,
 # smoke campaign).  Split so a fuzz regression is immediately attributable.
-ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure -L tier1
-ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure -L fuzz
+ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure \
+  --no-tests=error -L tier1
+ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure \
+  --no-tests=error -L fuzz
 
 status=0
 for bench in "$BUILD_DIR"/bench/*; do

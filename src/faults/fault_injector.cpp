@@ -80,42 +80,34 @@ void FaultInjector::apply(const Step& s) {
         // Downing the last alive rank (or one already down from an
         // overlapping event) is refused, not fatal: the plan is data and
         // may describe a pile-up the cluster cannot survive.
-        ++skipped_;
+        ++totals_.skipped;
         return;
       }
-      const mds::MdsCluster::FailoverStats stats = cluster_.set_down(s.mds);
-      takeover_subtrees_ += stats.subtrees;
-      takeover_inodes_ += stats.inodes;
-      migration_aborts_ += stats.aborted_migrations;
-      replay_seconds_ += stats.replay_seconds;
-      replayed_entries_ += stats.replayed_entries;
-      lost_entries_ += stats.lost_entries;
-      journaled_takeover_subtrees_ += stats.journaled_subtrees;
-      acked_lost_entries_ += stats.acked_lost_entries;
-      dependency_violations_ += stats.dependency_violations;
-      ++applied_;
+      totals_ += cluster_.set_down(s.mds);
+      ++totals_.applied;
       return;
     }
     case Action::kUp:
       cluster_.set_up(s.mds);
-      ++applied_;
+      ++totals_.applied;
       return;
     case Action::kDegrade:
       cluster_.set_degrade(s.mds, s.factor);
-      ++applied_;
+      ++totals_.applied;
       return;
     case Action::kAbort:
-      migration_aborts_ += cluster_.migration().force_abort_active(s.mds);
-      ++applied_;
+      totals_.aborted_migrations +=
+          cluster_.migration().force_abort_active(s.mds);
+      ++totals_.applied;
       return;
     case Action::kStallJournal:
       if (!cluster_.journaling()) {
         // There is no journal to stall: the fault cannot land.
-        ++skipped_;
+        ++totals_.skipped;
         return;
       }
       cluster_.stall_journal(s.mds, s.at + s.duration);
-      ++applied_;
+      ++totals_.applied;
       return;
   }
 }

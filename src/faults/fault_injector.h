@@ -21,6 +21,17 @@
 
 namespace lunule::faults {
 
+/// Lifetime totals of an applied fault plan: every crash's fail-over
+/// summed (`aborted_migrations` also counts forced aborts; the journal
+/// replay members stay zero when the cluster journals nothing), plus the
+/// injector's own tallies.
+struct FaultTotals : mds::MdsCluster::FailoverStats {
+  std::uint64_t applied = 0;
+  /// Crashes refused (the last alive MDS, or one already down) and
+  /// journal stalls on a cluster without a journal.
+  std::uint64_t skipped = 0;
+};
+
 class FaultInjector {
  public:
   /// The plan must already be validated; construction sorts its expansion.
@@ -35,41 +46,8 @@ class FaultInjector {
   /// simulation loop).
   [[nodiscard]] bool done() const { return next_ >= actions_.size(); }
 
-  // -- Reporting ----------------------------------------------------------
-  [[nodiscard]] std::size_t faults_applied() const { return applied_; }
-  /// Crashes skipped because they would have downed the last alive MDS.
-  [[nodiscard]] std::size_t faults_skipped() const { return skipped_; }
-  [[nodiscard]] std::size_t takeover_subtrees() const {
-    return takeover_subtrees_;
-  }
-  [[nodiscard]] std::uint64_t takeover_inodes() const {
-    return takeover_inodes_;
-  }
-  /// Migrations aborted by crashes plus forced aborts.
-  [[nodiscard]] std::size_t migration_aborts() const {
-    return migration_aborts_;
-  }
-  // Journal-replay totals across every applied crash (all zero when the
-  // cluster journals nothing).
-  [[nodiscard]] double replay_seconds() const { return replay_seconds_; }
-  [[nodiscard]] std::uint64_t replayed_entries() const {
-    return replayed_entries_;
-  }
-  /// Entries past the last durable flush at crash time, lost for good.
-  [[nodiscard]] std::uint64_t lost_entries() const { return lost_entries_; }
-  /// Subtrees the replays reconstructed from durable journal state.
-  [[nodiscard]] std::size_t journaled_takeover_subtrees() const {
-    return journaled_takeover_subtrees_;
-  }
-  /// Acknowledged-but-lost entries across every applied crash (the async
-  /// journal's documented loss window; always 0 in sync mode).
-  [[nodiscard]] std::uint64_t acked_lost_entries() const {
-    return acked_lost_entries_;
-  }
-  /// Replay prefix-consistency audit failures (must stay 0; see replay.h).
-  [[nodiscard]] std::uint64_t dependency_violations() const {
-    return dependency_violations_;
-  }
+  /// Lifetime totals of the plan applied so far.
+  [[nodiscard]] const FaultTotals& totals() const { return totals_; }
 
  private:
   enum class Action : std::uint8_t {
@@ -93,17 +71,7 @@ class FaultInjector {
   mds::MdsCluster& cluster_;
   std::vector<Step> actions_;
   std::size_t next_ = 0;
-  std::size_t applied_ = 0;
-  std::size_t skipped_ = 0;
-  std::size_t takeover_subtrees_ = 0;
-  std::uint64_t takeover_inodes_ = 0;
-  std::size_t migration_aborts_ = 0;
-  double replay_seconds_ = 0.0;
-  std::uint64_t replayed_entries_ = 0;
-  std::uint64_t lost_entries_ = 0;
-  std::size_t journaled_takeover_subtrees_ = 0;
-  std::uint64_t acked_lost_entries_ = 0;
-  std::uint64_t dependency_violations_ = 0;
+  FaultTotals totals_;
 };
 
 }  // namespace lunule::faults

@@ -183,19 +183,33 @@ class MdsCluster {
   // -- Faults ---------------------------------------------------------------
   /// What a fail-over moved, for reporting and trace events.
   struct FailoverStats {
-    std::size_t subtrees = 0;          // dirs + frags reassigned
+    std::uint64_t subtrees = 0;        // dirs + frags reassigned
     std::uint64_t inodes = 0;          // exclusive inodes failed over
-    std::size_t aborted_migrations = 0;
+    std::uint64_t aborted_migrations = 0;
     // Journal-replay metrics (all zero when journaling is disabled):
-    std::uint64_t replayed_entries = 0;  // durable entries scanned
-    std::uint64_t lost_entries = 0;      // unflushed tail, gone for good
-    double replay_seconds = 0.0;         // modeled replay wall time
-    std::size_t journaled_subtrees = 0;  // units the replay reconstructed
+    std::uint64_t replayed_entries = 0;    // durable entries scanned
+    std::uint64_t lost_entries = 0;        // unflushed tail, gone for good
+    double replay_seconds = 0.0;           // modeled replay wall time
+    std::uint64_t journaled_subtrees = 0;  // units the replay reconstructed
     // Async-mode loss window: of the lost entries, those acknowledged to
     // clients before the crash (0 in sync mode), plus the replay's
     // prefix-consistency audit (must stay 0; see replay.h).
     std::uint64_t acked_lost_entries = 0;
     std::uint64_t dependency_violations = 0;
+
+    /// Field-wise sum (the fault injector's lifetime totals).
+    FailoverStats& operator+=(const FailoverStats& o) {
+      subtrees += o.subtrees;
+      inodes += o.inodes;
+      aborted_migrations += o.aborted_migrations;
+      replayed_entries += o.replayed_entries;
+      lost_entries += o.lost_entries;
+      replay_seconds += o.replay_seconds;
+      journaled_subtrees += o.journaled_subtrees;
+      acked_lost_entries += o.acked_lost_entries;
+      dependency_violations += o.dependency_violations;
+      return *this;
+    }
   };
 
   /// Crashes MDS `m`: its budget drops to zero, every subtree and dirfrag it
@@ -235,7 +249,10 @@ class MdsCluster {
     std::uint64_t bytes_written = 0;
     std::uint64_t flushes = 0;
     std::uint64_t segments_trimmed = 0;
-    // Async-mode background-lane totals (all zero in sync mode).
+    // Async-mode background-lane totals (all zero in sync mode): entries
+    // acknowledged before they were durable, IOPS charges the lane absorbed
+    // and their summed cost in ops, and ticks any rank's backlog sat over
+    // the high-water mark (foreground service throttled).
     std::uint64_t async_acked = 0;
     std::uint64_t async_background_charges = 0;
     double async_background_ops = 0.0;

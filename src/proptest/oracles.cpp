@@ -193,8 +193,8 @@ OracleResult check_shard_equivalence(const sim::ScenarioConfig& cfg) {
 OracleResult check_journal_overhead_bounded(const sim::ScenarioConfig& cfg) {
   // Without crashes (nothing to replay, nothing to lose) the journal is
   // pure overhead, and a *bounded* one: the journaled run must still serve
-  // the workload, and a completed workload is served exactly once either
-  // way.
+  // the workload, and a completed workload completes exactly once either
+  // way (the journal may shift which reads a proxy tier absorbs).
   sim::ScenarioConfig off = cfg;
   off.faults = crash_free(cfg.faults);
   off.journal = {};
@@ -208,15 +208,16 @@ OracleResult check_journal_overhead_bounded(const sim::ScenarioConfig& cfg) {
 
   const sim::ScenarioResult r_off = sim::run_scenario(off);
   const sim::ScenarioResult r_on = sim::run_scenario(on);
-  if (r_on.journal_entries_appended == 0) {
+  if (r_on.journal.appends == 0) {
     return OracleResult::fail("journaled run appended no entries");
   }
   const bool off_done = r_off.clients_done == r_off.n_clients;
   const bool on_done = r_on.clients_done == r_on.n_clients;
-  if (off_done && on_done && r_on.total_served != r_off.total_served) {
+  if (off_done && on_done && r_on.completed_ops() != r_off.completed_ops()) {
     std::ostringstream os;
-    os << "journal on/off disagree on completed workload: " << r_on.total_served
-       << " vs " << r_off.total_served << " ops served";
+    os << "journal on/off disagree on completed workload: "
+       << r_on.completed_ops() << " vs " << r_off.completed_ops()
+       << " ops completed";
     return OracleResult::fail(os.str());
   }
   const auto floor_served = static_cast<std::uint64_t>(
@@ -234,9 +235,10 @@ OracleResult check_elasticity_conserves_completed_ops(
     const sim::ScenarioConfig& cfg) {
   // Elasticity changes *when* capacity exists, never *what* the clients
   // get done: a workload that completes on the full fixed pool and also
-  // completes on the elastic pool must have been served exactly once
+  // completes on the elastic pool must have completed exactly once
   // either way — no ops lost in a drain handoff, none double-counted
-  // across an activation's replay window.
+  // across an activation's replay window.  Ranks coming and going shift
+  // which reads a proxy tier absorbs, so the sum is what is conserved.
   sim::ScenarioConfig off = cfg;
   off.autoscaler = {};
   sim::ScenarioConfig on = off;
@@ -254,10 +256,12 @@ OracleResult check_elasticity_conserves_completed_ops(
 
   const sim::ScenarioResult r_off = sim::run_scenario(off);
   const sim::ScenarioResult r_on = sim::run_scenario(on);
-  if (r_off.scale_up_events != 0 || r_off.scale_down_events != 0) {
+  if (r_off.elasticity.activations != 0 ||
+      r_off.elasticity.retirements != 0) {
     std::ostringstream os;
-    os << "autoscaler-disabled run scaled anyway: " << r_off.scale_up_events
-       << " up / " << r_off.scale_down_events << " down";
+    os << "autoscaler-disabled run scaled anyway: "
+       << r_off.elasticity.activations << " up / "
+       << r_off.elasticity.retirements << " down";
     return OracleResult::fail(os.str());
   }
   if (r_on.total_served == 0) {
@@ -270,10 +274,10 @@ OracleResult check_elasticity_conserves_completed_ops(
     // max_ticks lands; conservation is only defined over completed work.
     return OracleResult::skip("workload did not complete on both pools");
   }
-  if (r_on.total_served != r_off.total_served) {
+  if (r_on.completed_ops() != r_off.completed_ops()) {
     std::ostringstream os;
-    os << "elasticity lost completed ops: " << r_on.total_served
-       << " served elastic vs " << r_off.total_served << " fixed";
+    os << "elasticity lost completed ops: " << r_on.completed_ops()
+       << " completed elastic vs " << r_off.completed_ops() << " fixed";
     return OracleResult::fail(os.str());
   }
   return OracleResult::ok();
@@ -281,8 +285,8 @@ OracleResult check_elasticity_conserves_completed_ops(
 
 OracleResult check_capacity_monotonicity(const sim::ScenarioConfig& cfg) {
   // More hardware must not lose work: with double the per-MDS capacity the
-  // cluster serves at least (almost — balancing dynamics shift) as many ops
-  // in the same window, and a workload that completed keeps completing.
+  // cluster completes at least (almost — balancing dynamics shift) as many
+  // ops in the same window, and a workload that completed keeps completing.
   sim::ScenarioConfig hi = cfg;
   hi.mds_capacity_iops = cfg.mds_capacity_iops * 2.0;
   const sim::ScenarioResult base = sim::run_scenario(cfg);
@@ -296,13 +300,13 @@ OracleResult check_capacity_monotonicity(const sim::ScenarioConfig& cfg) {
        << base.clients_done << "/" << base.n_clients << ")";
     return OracleResult::fail(os.str());
   }
-  const auto floor_served = static_cast<std::uint64_t>(
-      0.95 * static_cast<double>(base.total_served));
-  if (doubled.total_served < floor_served) {
+  const auto floor_completed = static_cast<std::uint64_t>(
+      0.95 * static_cast<double>(base.completed_ops()));
+  if (doubled.completed_ops() < floor_completed) {
     std::ostringstream os;
-    os << "doubling capacity lost throughput: " << doubled.total_served
-       << " vs " << base.total_served << " ops served (floor "
-       << floor_served << ")";
+    os << "doubling capacity lost throughput: " << doubled.completed_ops()
+       << " vs " << base.completed_ops() << " ops completed (floor "
+       << floor_completed << ")";
     return OracleResult::fail(os.str());
   }
   return OracleResult::ok();
@@ -311,11 +315,12 @@ OracleResult check_capacity_monotonicity(const sim::ScenarioConfig& cfg) {
 OracleResult check_cross_balancer_conservation(
     const sim::ScenarioConfig& cfg) {
   // The workload defines total demand; the balancer only decides *where*
-  // ops are served.  Every balancer that runs the workload to completion
-  // must therefore agree exactly on total ops served.
+  // ops complete (which MDS, or the proxy tier).  Every balancer that runs
+  // the workload to completion must therefore agree exactly on total ops
+  // completed.
   struct Done {
     sim::BalancerKind kind;
-    std::uint64_t served;
+    std::uint64_t completed;
   };
   std::vector<Done> done;
   for (const sim::BalancerKind kind :
@@ -324,19 +329,21 @@ OracleResult check_cross_balancer_conservation(
     sim::ScenarioConfig c = cfg;
     c.balancer = kind;
     const sim::ScenarioResult r = sim::run_scenario(c);
-    if (r.clients_done == r.n_clients) done.push_back({kind, r.total_served});
+    if (r.clients_done == r.n_clients) {
+      done.push_back({kind, r.completed_ops()});
+    }
   }
   if (done.size() < 2) {
     return OracleResult::skip(
         "fewer than two balancers completed the workload");
   }
   for (const Done& d : done) {
-    if (d.served != done.front().served) {
+    if (d.completed != done.front().completed) {
       std::ostringstream os;
-      os << "completed workload served differently: "
+      os << "balancers completed different op counts: "
          << sim::balancer_name(done.front().kind) << "="
-         << done.front().served << " vs " << sim::balancer_name(d.kind)
-         << "=" << d.served;
+         << done.front().completed << " vs " << sim::balancer_name(d.kind)
+         << "=" << d.completed;
       return OracleResult::fail(os.str());
     }
   }
@@ -390,11 +397,11 @@ OracleResult check_proxy_conserves_completed_ops(
 
   const sim::ScenarioResult r_off = sim::run_scenario(off);
   const sim::ScenarioResult r_on = sim::run_scenario(on);
-  if (r_off.proxy_reads_absorbed != 0 || r_off.proxy_lease_grants != 0) {
+  if (r_off.proxy.reads_absorbed != 0 || r_off.proxy.lease_grants != 0) {
     std::ostringstream os;
     os << "proxy-disabled run absorbed anyway: "
-       << r_off.proxy_reads_absorbed << " reads / "
-       << r_off.proxy_lease_grants << " grants";
+       << r_off.proxy.reads_absorbed << " reads / "
+       << r_off.proxy.lease_grants << " grants";
     return OracleResult::fail(os.str());
   }
   if (r_on.total_served == 0) {
@@ -405,10 +412,10 @@ OracleResult check_proxy_conserves_completed_ops(
   if (!off_done || !on_done) {
     return OracleResult::skip("workload did not complete on both sides");
   }
-  if (r_on.total_served + r_on.proxy_reads_absorbed != r_off.total_served) {
+  if (r_on.completed_ops() != r_off.completed_ops()) {
     std::ostringstream os;
     os << "proxy broke op conservation: " << r_on.total_served
-       << " MDS-served + " << r_on.proxy_reads_absorbed << " absorbed != "
+       << " MDS-served + " << r_on.proxy.reads_absorbed << " absorbed != "
        << r_off.total_served << " baseline";
     return OracleResult::fail(os.str());
   }
@@ -430,22 +437,22 @@ OracleResult check_proxy_coherence_under_faults(
     on.proxy.max_promoted = 8;
   }
   const sim::ScenarioResult r = sim::run_scenario(on);
-  if (r.proxy_reads_absorbed > 0 && r.proxy_lease_grants == 0) {
+  if (r.proxy.reads_absorbed > 0 && r.proxy.lease_grants == 0) {
     return OracleResult::fail("reads absorbed without a single lease grant");
   }
-  if (r.proxy_lease_grants > 0 && r.proxy_promotions == 0) {
+  if (r.proxy.lease_grants > 0 && r.proxy.promotions == 0) {
     return OracleResult::fail("leases granted without a single promotion");
   }
-  if (r.proxy_demotions > r.proxy_promotions) {
+  if (r.proxy.demotions > r.proxy.promotions) {
     std::ostringstream os;
-    os << "more demotions than promotions: " << r.proxy_demotions << " vs "
-       << r.proxy_promotions;
+    os << "more demotions than promotions: " << r.proxy.demotions << " vs "
+       << r.proxy.promotions;
     return OracleResult::fail(os.str());
   }
-  if (r.proxy_lease_recalls > r.proxy_lease_grants) {
+  if (r.proxy.lease_recalls > r.proxy.lease_grants) {
     std::ostringstream os;
-    os << "more recalls than grants: " << r.proxy_lease_recalls << " vs "
-       << r.proxy_lease_grants;
+    os << "more recalls than grants: " << r.proxy.lease_recalls << " vs "
+       << r.proxy.lease_grants;
     return OracleResult::fail(os.str());
   }
   if (r.total_served == 0) {
@@ -509,23 +516,23 @@ OracleResult check_async_crash_prefix_consistent(
   if (r.total_served == 0) {
     return OracleResult::fail("async journaled run served nothing");
   }
-  if (r.journal_dependency_violations != 0) {
+  if (r.faults.dependency_violations != 0) {
     std::ostringstream os;
-    os << "replay found " << r.journal_dependency_violations
+    os << "replay found " << r.faults.dependency_violations
        << " durable entries depending on lost ones";
     return OracleResult::fail(os.str());
   }
-  if (r.journal_async_acked != r.journal_entries_appended) {
+  if (r.journal.async_acked != r.journal.appends) {
     std::ostringstream os;
-    os << "async mode acknowledged " << r.journal_async_acked
-       << " entries but appended " << r.journal_entries_appended
+    os << "async mode acknowledged " << r.journal.async_acked
+       << " entries but appended " << r.journal.appends
        << " (ack-at-apply must cover every append)";
     return OracleResult::fail(os.str());
   }
-  if (r.journal_acked_lost_entries != r.lost_entries) {
+  if (r.faults.acked_lost_entries != r.faults.lost_entries) {
     std::ostringstream os;
-    os << "async loss window mis-accounted: " << r.journal_acked_lost_entries
-       << " acked-lost vs " << r.lost_entries << " lost entries";
+    os << "async loss window mis-accounted: " << r.faults.acked_lost_entries
+       << " acked-lost vs " << r.faults.lost_entries << " lost entries";
     return OracleResult::fail(os.str());
   }
   return OracleResult::ok();

@@ -117,6 +117,54 @@ void write_series(JsonWriter& w, const TimeSeries& series) {
   w.end_object();
 }
 
+namespace {
+
+// One key list per component totals struct: each exported member is named
+// once, here, and write_result names no total itself.
+
+void write_totals(JsonWriter& w, const faults::FaultTotals& t) {
+  w.field("faults_injected", t.applied);
+  w.field("faults_skipped", t.skipped);
+  w.field("takeover_subtrees", t.subtrees);
+  w.field("takeover_inodes", t.inodes);
+  w.field("fault_migration_aborts", t.aborted_migrations);
+  w.field("replay_seconds", t.replay_seconds);
+  w.field("replayed_entries", t.replayed_entries);
+  w.field("lost_entries", t.lost_entries);
+  w.field("journaled_takeover_subtrees", t.journaled_subtrees);
+  w.field("journal_acked_lost_entries", t.acked_lost_entries);
+  w.field("journal_dependency_violations", t.dependency_violations);
+}
+
+void write_totals(JsonWriter& w, const mds::MdsCluster::JournalTotals& t) {
+  w.field("journal_entries_appended", t.appends);
+  w.field("journal_bytes_written", t.bytes_written);
+  w.field("journal_flushes", t.flushes);
+  w.field("journal_segments_trimmed", t.segments_trimmed);
+  w.field("journal_async_acked", t.async_acked);
+  w.field("journal_async_background_charges", t.async_background_charges);
+  w.field("journal_async_background_ops", t.async_background_ops);
+  w.field("journal_async_throttle_ticks", t.async_throttle_ticks);
+}
+
+void write_totals(JsonWriter& w,
+                  const mds::MdsCluster::ElasticityTotals& t) {
+  w.field("scale_up_events", t.activations);
+  w.field("drains_started", t.drains_started);
+  w.field("scale_down_events", t.retirements);
+}
+
+void write_totals(JsonWriter& w, const proxy::ProxyCacheTier::Totals& t) {
+  w.field("proxy_reads_absorbed", t.reads_absorbed);
+  w.field("proxy_lease_grants", t.lease_grants);
+  w.field("proxy_lease_recalls", t.lease_recalls);
+  w.field("proxy_lease_expiries", t.lease_expiries);
+  w.field("proxy_promotions", t.promotions);
+  w.field("proxy_demotions", t.demotions);
+}
+
+}  // namespace
+
 void write_result(std::ostream& os, const ScenarioResult& r) {
   JsonWriter w(os);
   w.begin_object();
@@ -136,38 +184,15 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
   w.field("valid_migration_fraction", r.valid_migration_fraction);
   w.field("migrations_audited", r.migrations_audited);
   w.field("wasted_migration_inodes", r.wasted_migration_inodes);
-  w.field("faults_injected", static_cast<std::uint64_t>(r.faults_injected));
-  w.field("faults_skipped", static_cast<std::uint64_t>(r.faults_skipped));
-  w.field("takeover_subtrees",
-          static_cast<std::uint64_t>(r.takeover_subtrees));
-  w.field("fault_migration_aborts", r.fault_migration_aborts);
   w.field("first_crash_tick", static_cast<std::int64_t>(r.first_crash_tick));
   w.field("reconverge_seconds", r.reconverge_seconds);
   w.field("migration_retries_exhausted", r.migration_retries_exhausted);
-  w.field("replay_seconds", r.replay_seconds);
-  w.field("replayed_entries", r.replayed_entries);
-  w.field("lost_entries", r.lost_entries);
-  w.field("journaled_takeover_subtrees",
-          static_cast<std::uint64_t>(r.journaled_takeover_subtrees));
-  w.field("journal_entries_appended", r.journal_entries_appended);
-  w.field("journal_bytes_written", r.journal_bytes_written);
-  w.field("journal_segments_trimmed", r.journal_segments_trimmed);
-  w.field("journal_async_acked", r.journal_async_acked);
-  w.field("journal_async_background_charges",
-          r.journal_async_background_charges);
-  w.field("journal_async_background_ops", r.journal_async_background_ops);
-  w.field("journal_async_throttle_ticks", r.journal_async_throttle_ticks);
-  w.field("journal_acked_lost_entries", r.journal_acked_lost_entries);
-  w.field("journal_dependency_violations", r.journal_dependency_violations);
   w.field("rank_seconds", r.rank_seconds);
-  w.field("scale_up_events", r.scale_up_events);
-  w.field("scale_down_events", r.scale_down_events);
   w.field("drain_seconds", r.drain_seconds);
-  w.field("proxy_reads_absorbed", r.proxy_reads_absorbed);
-  w.field("proxy_lease_grants", r.proxy_lease_grants);
-  w.field("proxy_lease_recalls", r.proxy_lease_recalls);
-  w.field("proxy_promotions", r.proxy_promotions);
-  w.field("proxy_demotions", r.proxy_demotions);
+  write_totals(w, r.faults);
+  write_totals(w, r.journal);
+  write_totals(w, r.elasticity);
+  write_totals(w, r.proxy);
   w.key("op_latency");
   w.begin_object();
   w.field("mean", r.op_latency.mean());

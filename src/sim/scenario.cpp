@@ -612,28 +612,14 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   r.peak_aggregate_iops = sim->metrics().peak_aggregate_iops();
   r.migration_retries_exhausted =
       sim->cluster().migration().retries_exhausted();
-  if (sim->cluster().journaling()) {
-    const mds::MdsCluster::JournalTotals totals =
-        sim->cluster().journal_totals();
-    r.journal_entries_appended = totals.appends;
-    r.journal_bytes_written = totals.bytes_written;
-    r.journal_segments_trimmed = totals.segments_trimmed;
-    r.journal_async_acked = totals.async_acked;
-    r.journal_async_background_charges = totals.async_background_charges;
-    r.journal_async_background_ops = totals.async_background_ops;
-    r.journal_async_throttle_ticks = totals.async_throttle_ticks;
+  r.journal = sim->cluster().journal_totals();
+  r.elasticity = sim->cluster().elasticity();
+  if (const auto* tier =
+          dynamic_cast<const proxy::ProxyCacheTier*>(sim->cache_tier())) {
+    r.proxy = tier->totals();
   }
   if (const faults::FaultInjector* inj = sim->fault_injector()) {
-    r.faults_injected = inj->faults_applied();
-    r.faults_skipped = inj->faults_skipped();
-    r.takeover_subtrees = inj->takeover_subtrees();
-    r.fault_migration_aborts = inj->migration_aborts();
-    r.replay_seconds = inj->replay_seconds();
-    r.replayed_entries = inj->replayed_entries();
-    r.lost_entries = inj->lost_entries();
-    r.journaled_takeover_subtrees = inj->journaled_takeover_subtrees();
-    r.journal_acked_lost_entries = inj->acked_lost_entries();
-    r.journal_dependency_violations = inj->dependency_violations();
+    r.faults = inj->totals();
     r.first_crash_tick = cfg.faults.first_crash_tick();
     if (r.first_crash_tick >= 0) {
       // Re-convergence: the first epoch closing after the crash whose
@@ -650,19 +636,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       }
     }
   }
-  {
-    // Lazily-created counters: value() reads 0 when the tier never fired
-    // (or was never constructed), so fault-free reporting stays zero-cost.
-    const obs::CounterRegistry& ctr = sim->cluster().trace().counters();
-    r.proxy_reads_absorbed = ctr.value("proxy.reads_absorbed");
-    r.proxy_lease_grants = ctr.value("proxy.lease_grants");
-    r.proxy_lease_recalls = ctr.value("proxy.lease_recalls");
-    r.proxy_promotions = ctr.value("proxy.promotions");
-    r.proxy_demotions = ctr.value("proxy.demotions");
-  }
   r.rank_seconds = sim->rank_seconds();
-  r.scale_up_events = sim->cluster().elasticity().activations;
-  r.scale_down_events = sim->cluster().elasticity().retirements;
   if (const mds::Autoscaler* as = sim->autoscaler()) {
     r.drain_seconds = static_cast<double>(as->stats().drain_epochs) *
                       static_cast<double>(cfg.epoch_ticks);

@@ -18,6 +18,7 @@
 #include <string_view>
 
 #include "common/histogram.h"
+#include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "journal/journal.h"
 #include "proxy/proxy_cache.h"
@@ -207,12 +208,6 @@ struct ScenarioResult {
   Tick end_tick = 0;
   double mean_if = 0.0;
   double peak_aggregate_iops = 0.0;
-  // -- Fault / recovery reporting (zero / -1 on fault-free runs) ----------
-  std::size_t faults_injected = 0;
-  /// Crashes refused because they would have downed the last alive MDS.
-  std::size_t faults_skipped = 0;
-  std::size_t takeover_subtrees = 0;
-  std::uint64_t fault_migration_aborts = 0;
   /// Tick of the plan's earliest crash / permanent loss (-1 = none).
   Tick first_crash_tick = -1;
   /// Seconds from the first crash until the observed IF first returns
@@ -222,54 +217,31 @@ struct ScenarioResult {
   /// Migration tasks dropped for good after exhausting forced-abort
   /// retries (each leaves a terminal migration_retries_exhausted event).
   std::uint64_t migration_retries_exhausted = 0;
-  // -- Journal / replay reporting (all zero with the journal disabled) ----
-  /// Modeled replay wall time summed over every applied crash.
-  double replay_seconds = 0.0;
-  /// Durable entries scanned by crash replays.
-  std::uint64_t replayed_entries = 0;
-  /// Entries past the last durable flush at crash time, lost for good.
-  std::uint64_t lost_entries = 0;
-  /// Subtrees crash replays reconstructed from durable journal state.
-  std::size_t journaled_takeover_subtrees = 0;
-  /// Cluster-wide journal lifetime totals.
-  std::uint64_t journal_entries_appended = 0;
-  std::uint64_t journal_bytes_written = 0;
-  std::uint64_t journal_segments_trimmed = 0;
-  // -- Async journal mode reporting (all zero in sync mode) ---------------
-  /// Entries acknowledged to clients before durability (async appends).
-  std::uint64_t journal_async_acked = 0;
-  /// IOPS charges absorbed by the background durability lane, and their
-  /// summed cost in ops.
-  std::uint64_t journal_async_background_charges = 0;
-  double journal_async_background_ops = 0.0;
-  /// Ticks any rank's backlog sat over the high-water mark (foreground
-  /// service throttled by the durability lane).
-  std::uint64_t journal_async_throttle_ticks = 0;
-  /// Acknowledged-but-lost entries across every applied crash — the
-  /// documented async loss window (bounded by `max_unflushed_entries`).
-  std::uint64_t journal_acked_lost_entries = 0;
-  /// Replay prefix-consistency audit failures (must stay 0; see replay.h).
-  std::uint64_t journal_dependency_violations = 0;
-  // -- Elasticity reporting -----------------------------------------------
   /// Σ over ticks of the serving rank count (the elastic pool's cost
   /// meter); filled for every run, elastic or not.
   std::uint64_t rank_seconds = 0;
-  /// Completed membership changes (standby activations / drained
-  /// retirements, including any driven manually via scheduled events).
-  std::uint64_t scale_up_events = 0;
-  std::uint64_t scale_down_events = 0;
   /// Seconds spent with a scale-down drain in flight (0 without one).
   double drain_seconds = 0.0;
-  // -- Proxy cache-tier reporting (all zero with the proxy disabled) ------
-  /// Reads completed by the tier without reaching any MDS.
-  std::uint64_t proxy_reads_absorbed = 0;
-  std::uint64_t proxy_lease_grants = 0;
-  std::uint64_t proxy_lease_recalls = 0;
-  std::uint64_t proxy_promotions = 0;
-  std::uint64_t proxy_demotions = 0;
+  // -- Component totals, copied whole at the end of the run ---------------
+  /// Fault plan and crash replays (all zero on fault-free runs).
+  faults::FaultTotals faults;
+  /// Cluster-wide journal lifetime totals (all zero with it disabled).
+  mds::MdsCluster::JournalTotals journal;
+  /// Pool membership changes (activations, drains begun, retirements),
+  /// including any driven manually via scheduled events.
+  mds::MdsCluster::ElasticityTotals elasticity;
+  /// Proxy cache tier (all zero with it disabled).
+  proxy::ProxyCacheTier::Totals proxy;
   /// Full flight-recorder dump (JSON, deterministic for a fixed seed);
   /// benches write it to disk under --trace.
   std::string trace_json;
+
+  /// Completed work: ops the MDSs served plus reads the proxy tier
+  /// absorbed.  Balancer, pool and journal decide where an op completes,
+  /// never whether, so conservation checks compare this sum.
+  [[nodiscard]] std::uint64_t completed_ops() const {
+    return total_served + proxy.reads_absorbed;
+  }
 
   /// Sustained throughput: ops served per simulated second of the run
   /// (robust against different run lengths: faster balancers finish the

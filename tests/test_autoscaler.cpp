@@ -245,8 +245,8 @@ TEST(AutoscalerScenario, DisabledRunMetersTheFullPool) {
   sim::ScenarioConfig cfg = small_zipf();
   cfg.capture_trace = true;
   const sim::ScenarioResult r = sim::run_scenario(cfg);
-  EXPECT_EQ(r.scale_up_events, 0u);
-  EXPECT_EQ(r.scale_down_events, 0u);
+  EXPECT_EQ(r.elasticity.activations, 0u);
+  EXPECT_EQ(r.elasticity.retirements, 0u);
   EXPECT_EQ(r.drain_seconds, 0.0);
   EXPECT_EQ(r.rank_seconds,
             static_cast<std::uint64_t>(cfg.n_mds) *
@@ -280,7 +280,7 @@ TEST(AutoscalerScenario, ElasticRunScalesUpAndConservesWork) {
   EXPECT_LT(re.rank_seconds,
             static_cast<std::uint64_t>(elastic.n_mds) *
                 static_cast<std::uint64_t>(re.end_tick));
-  EXPECT_GT(re.scale_up_events, 0u);
+  EXPECT_GT(re.elasticity.activations, 0u);
 }
 
 TEST(AutoscalerScenario, ElasticConfigRoundTripsThroughJson) {

@@ -317,8 +317,8 @@ TEST(FaultInjector, SkipsCrashOfLastAliveMds) {
   injector.on_tick(1);
   injector.on_tick(2);
   EXPECT_TRUE(injector.done());
-  EXPECT_EQ(injector.faults_applied(), 1u);
-  EXPECT_EQ(injector.faults_skipped(), 1u);
+  EXPECT_EQ(injector.totals().applied, 1u);
+  EXPECT_EQ(injector.totals().skipped, 1u);
   EXPECT_EQ(cluster.alive_count(), 1u);
   EXPECT_TRUE(cluster.is_up(1));
 }
@@ -334,7 +334,7 @@ TEST(FaultInjector, AppliesActionsInPlanOrderWithinOneTick) {
   plan.slow(0, 5, 10, 0.5).crash(1, 5, 3);
   faults::FaultInjector injector(cluster, plan);
   injector.on_tick(5);
-  EXPECT_EQ(injector.faults_applied(), 2u);
+  EXPECT_EQ(injector.totals().applied, 2u);
   EXPECT_FALSE(cluster.is_up(1));
   EXPECT_DOUBLE_EQ(cluster.server(0).degrade_factor(), 0.5);
   injector.on_tick(8);  // recovery action from the crash expansion
@@ -374,10 +374,10 @@ TEST(FaultScenario, SameSeedSamePlanIsByteIdentical) {
 
 TEST(FaultScenario, ReportsRecoveryMetrics) {
   const sim::ScenarioResult r = sim::run_scenario(faulty_config(7));
-  EXPECT_GE(r.faults_injected, 4u);  // crash+recover, slow+restore, abort
+  EXPECT_GE(r.faults.applied, 4u);  // crash+recover, slow+restore, abort
   EXPECT_EQ(r.first_crash_tick, 60);
-  EXPECT_EQ(r.faults_skipped, 0u);
-  EXPECT_GT(r.takeover_subtrees, 0u);
+  EXPECT_EQ(r.faults.skipped, 0u);
+  EXPECT_GT(r.faults.subtrees, 0u);
   EXPECT_GT(r.total_served, 0u);
   // Every fault event got a home in the trace's faults component.
   EXPECT_NE(r.trace_json.find("\"faults\""), std::string::npos);
@@ -387,7 +387,7 @@ TEST(FaultScenario, FaultFreeRunsReportNeutralValues) {
   sim::ScenarioConfig cfg = faulty_config(3);
   cfg.faults = faults::FaultPlan{};
   const sim::ScenarioResult r = sim::run_scenario(cfg);
-  EXPECT_EQ(r.faults_injected, 0u);
+  EXPECT_EQ(r.faults.applied, 0u);
   EXPECT_EQ(r.first_crash_tick, -1);
   EXPECT_DOUBLE_EQ(r.reconverge_seconds, -1.0);
 }

@@ -235,7 +235,7 @@ TEST_P(FuzzSweep, FaultyScenariosHoldEpochInvariants) {
 
   const sim::ScenarioResult r = sim::run_scenario(cfg);
   EXPECT_GT(r.total_served, 0u);
-  EXPECT_GE(r.faults_injected + r.faults_skipped, n_faults);
+  EXPECT_GE(r.faults.applied + r.faults.skipped, n_faults);
 }
 
 TEST_P(FuzzSweep, JournaledFaultyScenariosHoldJournalInvariants) {
@@ -287,8 +287,8 @@ TEST_P(FuzzSweep, JournaledFaultyScenariosHoldJournalInvariants) {
 
   const sim::ScenarioResult r = sim::run_scenario(cfg);
   EXPECT_GT(r.total_served, 0u);
-  EXPECT_GT(r.journal_entries_appended, 0u);
-  EXPECT_GT(r.journal_bytes_written, 0u);
+  EXPECT_GT(r.journal.appends, 0u);
+  EXPECT_GT(r.journal.bytes_written, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(1, 9));

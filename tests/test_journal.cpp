@@ -692,11 +692,11 @@ sim::ScenarioConfig journaled_crash_config(std::uint64_t seed) {
 
 TEST(JournalScenario, CrashReportsReplayMetrics) {
   const sim::ScenarioResult r = sim::run_scenario(journaled_crash_config(7));
-  EXPECT_GT(r.replay_seconds, 0.0);
-  EXPECT_GT(r.replayed_entries, 0u);
-  EXPECT_GT(r.journaled_takeover_subtrees, 0u);
-  EXPECT_GT(r.journal_entries_appended, 0u);
-  EXPECT_GT(r.journal_bytes_written, 0u);
+  EXPECT_GT(r.faults.replay_seconds, 0.0);
+  EXPECT_GT(r.faults.replayed_entries, 0u);
+  EXPECT_GT(r.faults.journaled_subtrees, 0u);
+  EXPECT_GT(r.journal.appends, 0u);
+  EXPECT_GT(r.journal.bytes_written, 0u);
 }
 
 TEST(JournalScenario, JournaledRunsAreDeterministic) {
@@ -720,9 +720,9 @@ TEST(JournalScenario, DisabledJournalLeavesTraceFreeOfJournalArtifacts) {
   cfg.capture_trace = true;
   const sim::ScenarioResult r = sim::run_scenario(cfg);
   EXPECT_EQ(r.trace_json.find("journal"), std::string::npos);
-  EXPECT_EQ(r.replay_seconds, 0.0);
-  EXPECT_EQ(r.journal_entries_appended, 0u);
-  EXPECT_EQ(r.journal_bytes_written, 0u);
+  EXPECT_EQ(r.faults.replay_seconds, 0.0);
+  EXPECT_EQ(r.journal.appends, 0u);
+  EXPECT_EQ(r.journal.bytes_written, 0u);
 }
 
 TEST(JournalScenario, TightCapTrailingFlushAndStallStayDeterministic) {
@@ -742,7 +742,7 @@ TEST(JournalScenario, TightCapTrailingFlushAndStallStayDeterministic) {
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.clients_done, a.n_clients)
       << "refused creates were never re-admitted";
-  EXPECT_GT(a.journal_entries_appended, 0u);
+  EXPECT_GT(a.journal.appends, 0u);
 }
 
 TEST(JournalScenario, AsyncCrashRunReportsLossWindowAndCleanAudit) {
@@ -750,11 +750,11 @@ TEST(JournalScenario, AsyncCrashRunReportsLossWindowAndCleanAudit) {
   cfg.journal.async_mode = true;
   cfg.journal.flush_interval_ticks = 4;
   const sim::ScenarioResult r = sim::run_scenario(cfg);
-  EXPECT_GT(r.journal_entries_appended, 0u);
-  EXPECT_EQ(r.journal_async_acked, r.journal_entries_appended);
-  EXPECT_GT(r.journal_async_background_charges, 0u);
-  EXPECT_EQ(r.journal_acked_lost_entries, r.lost_entries);
-  EXPECT_EQ(r.journal_dependency_violations, 0u);
+  EXPECT_GT(r.journal.appends, 0u);
+  EXPECT_EQ(r.journal.async_acked, r.journal.appends);
+  EXPECT_GT(r.journal.async_background_charges, 0u);
+  EXPECT_EQ(r.faults.acked_lost_entries, r.faults.lost_entries);
+  EXPECT_EQ(r.faults.dependency_violations, 0u);
 }
 
 TEST(JournalScenario, AsyncTraceCarriesDurabilityLagEvents) {
@@ -773,9 +773,9 @@ TEST(JournalScenario, AsyncTraceCarriesDurabilityLagEvents) {
   const sim::ScenarioResult sync_run = sim::run_scenario(cfg);
   EXPECT_EQ(sync_run.trace_json.find("durability_lag"), std::string::npos);
   EXPECT_EQ(sync_run.trace_json.find("async"), std::string::npos);
-  EXPECT_EQ(sync_run.journal_async_acked, 0u);
-  EXPECT_EQ(sync_run.journal_async_background_charges, 0u);
-  EXPECT_EQ(sync_run.journal_async_throttle_ticks, 0u);
+  EXPECT_EQ(sync_run.journal.async_acked, 0u);
+  EXPECT_EQ(sync_run.journal.async_background_charges, 0u);
+  EXPECT_EQ(sync_run.journal.async_throttle_ticks, 0u);
 }
 
 TEST(JournalScenario, AsyncRunsAreDeterministic) {
@@ -799,8 +799,8 @@ TEST(JournalScenario, JournalStallIsSkippedWithoutAJournal) {
   cfg.max_ticks = 120;
   cfg.faults.journal_stall(0, 40, 20);
   const sim::ScenarioResult r = sim::run_scenario(cfg);
-  EXPECT_EQ(r.faults_injected, 0u);
-  EXPECT_EQ(r.faults_skipped, 1u);
+  EXPECT_EQ(r.faults.applied, 0u);
+  EXPECT_EQ(r.faults.skipped, 1u);
 }
 
 // -- Replay-window conversion (regression) ----------------------------------

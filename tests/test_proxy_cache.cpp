@@ -305,11 +305,11 @@ TEST(ProxyScenario, FlashCrowdAbsorbsAndConservesCompletedOps) {
   const sim::ScenarioResult on = sim::run_scenario(flash_config(true));
   ASSERT_EQ(off.clients_done, off.n_clients);
   ASSERT_EQ(on.clients_done, on.n_clients);
-  EXPECT_EQ(off.proxy_reads_absorbed, 0u);
-  EXPECT_GT(on.proxy_reads_absorbed, 0u);
-  EXPECT_GT(on.proxy_lease_grants, 0u);
-  EXPECT_GT(on.proxy_promotions, 0u);
-  EXPECT_EQ(on.total_served + on.proxy_reads_absorbed, off.total_served);
+  EXPECT_EQ(off.proxy.reads_absorbed, 0u);
+  EXPECT_GT(on.proxy.reads_absorbed, 0u);
+  EXPECT_GT(on.proxy.lease_grants, 0u);
+  EXPECT_GT(on.proxy.promotions, 0u);
+  EXPECT_EQ(on.completed_ops(), off.completed_ops());
 }
 
 TEST(ProxyScenario, QuiescentTierTracesByteIdenticallyToNoTier) {

@@ -45,8 +45,8 @@ void expect_same(const sim::ScenarioResult& a, const sim::ScenarioResult& b,
   EXPECT_EQ(a.total_served_per_mds, b.total_served_per_mds);
   EXPECT_DOUBLE_EQ(a.mean_if, b.mean_if);
   EXPECT_DOUBLE_EQ(a.peak_aggregate_iops, b.peak_aggregate_iops);
-  EXPECT_EQ(a.takeover_subtrees, b.takeover_subtrees);
-  EXPECT_EQ(a.replayed_entries, b.replayed_entries);
+  EXPECT_EQ(a.faults.subtrees, b.faults.subtrees);
+  EXPECT_EQ(a.faults.replayed_entries, b.faults.replayed_entries);
 }
 
 /// Runs `cfg` at 1, 2 and 4 shards and asserts the traces are

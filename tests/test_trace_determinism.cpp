@@ -73,9 +73,9 @@ TEST(TraceDeterminism, ProxyDisabledTraceMatchesPinnedPreProxyDigest) {
   const ScenarioResult r = run_scenario(cfg);
   ASSERT_FALSE(r.trace_json.empty());
   EXPECT_EQ(fnv1a64(r.trace_json), 0x51e3506e66756352ull);
-  EXPECT_EQ(r.proxy_reads_absorbed, 0u);
-  EXPECT_EQ(r.proxy_lease_grants, 0u);
-  EXPECT_EQ(r.proxy_promotions, 0u);
+  EXPECT_EQ(r.proxy.reads_absorbed, 0u);
+  EXPECT_EQ(r.proxy.lease_grants, 0u);
+  EXPECT_EQ(r.proxy.promotions, 0u);
 }
 
 // Pinned trace digest, async edition: with async_mode off (the default,
@@ -91,11 +91,11 @@ TEST(TraceDeterminism, AsyncDisabledTraceMatchesPinnedDigest) {
   const ScenarioResult r = run_scenario(cfg);
   ASSERT_FALSE(r.trace_json.empty());
   EXPECT_EQ(fnv1a64(r.trace_json), 0x51e3506e66756352ull);
-  EXPECT_EQ(r.journal_async_acked, 0u);
-  EXPECT_EQ(r.journal_async_background_charges, 0u);
-  EXPECT_EQ(r.journal_async_throttle_ticks, 0u);
-  EXPECT_EQ(r.journal_acked_lost_entries, 0u);
-  EXPECT_EQ(r.journal_dependency_violations, 0u);
+  EXPECT_EQ(r.journal.async_acked, 0u);
+  EXPECT_EQ(r.journal.async_background_charges, 0u);
+  EXPECT_EQ(r.journal.async_throttle_ticks, 0u);
+  EXPECT_EQ(r.faults.acked_lost_entries, 0u);
+  EXPECT_EQ(r.faults.dependency_violations, 0u);
 }
 
 }  // namespace
