@@ -4,12 +4,13 @@ namespace lunule::balancer {
 
 namespace {
 
-Candidate frag_candidate(fs::NamespaceTree& tree, DirId d, FragId f) {
-  fs::FragStats& fs = tree.frag(d, f);
+Candidate frag_candidate(fs::NamespaceTree& tree, const fs::SubtreeRef& ref,
+                         MdsId auth) {
+  fs::FragStats& fs = tree.frag(ref.dir, ref.frag);
   tree.advance_frag_stats(fs);
   Candidate c;
-  c.ref = fs::SubtreeRef{.dir = d, .frag = f};
-  c.auth = tree.auth_of_subtree(c.ref);
+  c.ref = ref;
+  c.auth = auth;
   c.inodes = fs.file_count;
   c.heat = fs.heat;
   c.visits_w = fs.visits_window.window_sum();
@@ -24,10 +25,10 @@ Candidate frag_candidate(fs::NamespaceTree& tree, DirId d, FragId f) {
   return c;
 }
 
-Candidate whole_dir_candidate(fs::NamespaceTree& tree, DirId d) {
+Candidate whole_dir_candidate(fs::NamespaceTree& tree, DirId d, MdsId auth) {
   Candidate c;
   c.ref = fs::SubtreeRef{.dir = d};
-  c.auth = tree.auth_of(d);
+  c.auth = auth;
   c.inodes = tree.exclusive_inodes(c.ref);
   // One pass over the raw per-frag statistics; no per-frag authority
   // resolution or Candidate materialisation is needed just to sum scalars.
@@ -52,29 +53,34 @@ bool is_leaf_unit(const fs::Directory& dir) {
   return dir.file_count() > 0 || dir.children().empty();
 }
 
-template <typename Pred>
+/// Appends the units of `d` whose authority passes `owned`.  Authority is
+/// resolved first, so a unit on another rank is neither rolled forward nor
+/// summed: lazy advancement yields the same fragment state whenever the
+/// roll happens, so skipping the read changes nothing observable.
+template <typename Owned>
 void collect_dir_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
-                    DirId d, Pred pred) {
+                    DirId d, Owned owned) {
   const fs::Directory& dir = tree.dir(d);
   if (d == tree.root() || !is_leaf_unit(dir)) return;
   if (tree.fragmented(d)) {
     for (FragId f = 0; f < static_cast<FragId>(tree.frag_count(d)); ++f) {
-      Candidate c = frag_candidate(tree, d, f);
-      if (pred(c)) out.push_back(std::move(c));
+      const fs::SubtreeRef ref{.dir = d, .frag = f};
+      const MdsId auth = tree.auth_of_subtree(ref);
+      if (owned(auth)) out.push_back(frag_candidate(tree, ref, auth));
     }
-  } else {
-    Candidate c = whole_dir_candidate(tree, d);
-    if (pred(c)) out.push_back(std::move(c));
+    return;
   }
+  const MdsId auth = tree.auth_of(d);
+  if (owned(auth)) out.push_back(whole_dir_candidate(tree, d, auth));
 }
 
 /// Directories per parallel collection chunk; chunk outputs concatenate in
 /// chunk order, so the result equals the serial ascending scan.
 constexpr std::size_t kCollectChunk = 512;
 
-template <typename Pred>
+template <typename Owned>
 void collect_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
-                Pred pred, const std::vector<DirId>* live_dirs,
+                Owned owned, const std::vector<DirId>* live_dirs,
                 WorkerPool* pool) {
   out.clear();
   const std::size_t n =
@@ -86,7 +92,7 @@ void collect_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
     // `live_dirs` is sorted ascending, so enumeration order matches the
     // whole-namespace scan restricted to the live set.
     for (std::size_t k = 0; k < n; ++k) {
-      collect_dir_if(out, tree, dir_at(k), pred);
+      collect_dir_if(out, tree, dir_at(k), owned);
     }
     return;
   }
@@ -100,7 +106,7 @@ void collect_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
     const std::size_t lo = c * kCollectChunk;
     const std::size_t hi = std::min(n, lo + kCollectChunk);
     for (std::size_t k = lo; k < hi; ++k) {
-      collect_dir_if(per_chunk[c], tree, dir_at(k), pred);
+      collect_dir_if(per_chunk[c], tree, dir_at(k), owned);
     }
   });
   std::size_t total = 0;
@@ -127,22 +133,23 @@ void collect_candidates_into(std::vector<Candidate>& out,
                              const std::vector<DirId>* live_dirs,
                              WorkerPool* pool) {
   collect_if(
-      out, tree, [owner](const Candidate& c) { return c.auth == owner; },
-      live_dirs, pool);
+      out, tree, [owner](MdsId auth) { return auth == owner; }, live_dirs,
+      pool);
 }
 
 std::vector<Candidate> collect_all_candidates(fs::NamespaceTree& tree) {
   std::vector<Candidate> out;
   collect_if(
-      out, tree, [](const Candidate&) { return true; },
-      /*live_dirs=*/nullptr, /*pool=*/nullptr);
+      out, tree, [](MdsId) { return true; }, /*live_dirs=*/nullptr,
+      /*pool=*/nullptr);
   return out;
 }
 
 Candidate make_candidate(fs::NamespaceTree& tree,
                          const fs::SubtreeRef& ref) {
-  if (ref.is_frag()) return frag_candidate(tree, ref.dir, ref.frag);
-  return whole_dir_candidate(tree, ref.dir);
+  const MdsId auth = tree.auth_of_subtree(ref);
+  if (ref.is_frag()) return frag_candidate(tree, ref, auth);
+  return whole_dir_candidate(tree, ref.dir, auth);
 }
 
 }  // namespace lunule::balancer

@@ -107,6 +107,8 @@ inline constexpr std::uint64_t kTieRankSalt = 0x11ULL;
 /// Enumerates the migratable units currently authoritative on `owner`.
 /// Units are leaf directories (directories holding files or without
 /// children); fragmented directories contribute one unit per owned frag.
+/// Authority is resolved before a unit's statistics are read, so units on
+/// other ranks are never rolled forward or summed.
 /// When `live_dirs` is non-null (sorted ascending), only those directories
 /// are considered.  When `pool` is non-null the scan is chunked across its
 /// workers; per-chunk outputs concatenate in chunk order, so the candidate

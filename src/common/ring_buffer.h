@@ -2,24 +2,26 @@
 //
 // Used for the per-subtree "cutting windows" of the Pattern Analyzer
 // (Section 3.3): each directory keeps the visit counts of its last N epochs,
-// and l_t / l_s are sums over that window.
+// and l_t / l_s are sums over that window.  The cursors are one byte each
+// (N < 256): FragStats carries six rings per dirfrag, so every byte here
+// is paid once per fragment in the arena.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <numeric>
+#include <cstdint>
 
 namespace lunule {
 
 template <typename T, std::size_t N>
 class RingBuffer {
-  static_assert(N > 0);
+  static_assert(N > 0 && N < 256, "cursors are one byte");
 
  public:
   /// Appends a sample, evicting the oldest once full.
   void push(T value) {
     items_[head_] = value;
-    head_ = (head_ + 1) % N;
+    head_ = static_cast<std::uint8_t>(head_ + 1 == N ? 0 : head_ + 1);
     if (size_ < N) ++size_;
   }
 
@@ -28,10 +30,17 @@ class RingBuffer {
   [[nodiscard]] static constexpr std::size_t capacity() { return N; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Sum over the retained window.
+  /// Sum over the retained window, added newest to oldest (the order of
+  /// at(0), at(1), ...), so a floating-point sum is the same bits as
+  /// summing at(i) in that order.  Two straight runs instead of a modulo
+  /// per sample: [head-1 .. 0], then the wrapped [N-1 .. ].
   [[nodiscard]] T window_sum() const {
     T acc{};
-    for (std::size_t i = 0; i < size_; ++i) acc += at(i);
+    std::size_t left = size_;
+    for (std::size_t k = head_; k > 0 && left > 0; --k, --left) {
+      acc += items_[k - 1];
+    }
+    for (std::size_t k = N; left > 0; --k, --left) acc += items_[k - 1];
     return acc;
   }
 
@@ -47,8 +56,8 @@ class RingBuffer {
 
  private:
   std::array<T, N> items_{};
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  std::uint8_t head_ = 0;
+  std::uint8_t size_ = 0;
 };
 
 }  // namespace lunule

@@ -9,12 +9,6 @@ namespace lunule::core {
 
 namespace {
 
-struct Scored {
-  balancer::Candidate cand;
-  MigrationIndex idx;
-  double pred = 0.0;
-};
-
 /// The inode budget may never go negative: every subtraction below is
 /// guarded, and this re-checks the aggregate before a selection escapes.
 void check_budget(const std::vector<Selection>& out, std::uint64_t cap) {
@@ -24,6 +18,20 @@ void check_budget(const std::vector<Selection>& out, std::uint64_t cap) {
 }
 
 }  // namespace
+
+bool SubtreeSelector::ranks_before(const ScoredKey& a, const ScoredKey& b) {
+  if (a.pred != b.pred) return a.pred > b.pred;
+  if (a.dir != b.dir) {
+    if (a.rank != b.rank) return a.rank < b.rank;
+    return a.dir < b.dir;
+  }
+  return a.frag < b.frag;
+}
+
+SubtreeSelector::SubtreeSelector(SelectorParams params) : params_(params) {
+  LUNULE_CHECK_MSG(params_.tolerance >= 0.0,
+                   "selector tolerance must be non-negative");
+}
 
 std::vector<Selection> SubtreeSelector::select(
     fs::NamespaceTree& tree, MdsId exporter, double amount_iops,
@@ -50,49 +58,61 @@ std::vector<Selection> SubtreeSelector::select(
   // to `live_dirs` yields the exact same scored set as a full scan.
   balancer::collect_candidates_into(cand_scratch_, tree, exporter, live_dirs,
                                     pool);
-  std::vector<Scored> scored;
-  scored.reserve(cand_scratch_.size());
-  for (balancer::Candidate& c : cand_scratch_) {
-    const MigrationIndex idx = compute_mindex(c);
-    const double p = idx.predicted_iops(params_.window_seconds);
+  std::vector<ScoredKey>& keys = key_scratch_;
+  keys.clear();
+  for (std::size_t i = 0; i < cand_scratch_.size(); ++i) {
+    const balancer::Candidate& c = cand_scratch_[i];
+    const double p = compute_mindex(c).predicted_iops(params_.window_seconds);
     if (p > 0.0) {
-      scored.push_back(Scored{.cand = std::move(c), .idx = idx, .pred = p});
+      keys.push_back(ScoredKey{.pred = p,
+                               .rank = balancer::tie_rank(c.ref.dir),
+                               .dir = c.ref.dir,
+                               .frag = c.ref.frag,
+                               .index = static_cast<std::uint32_t>(i)});
     }
   }
-  if (scored.empty()) return out;
-  std::sort(scored.begin(), scored.end(), [](const Scored& a,
-                                             const Scored& b) {
-    if (a.pred != b.pred) return a.pred > b.pred;
-    return balancer::ref_tie_before(a.cand.ref, b.cand.ref);
-  });
+  if (keys.empty()) return out;
+  // Eq. 4 is a pure function of the candidate, so recomputing it for the
+  // few units taken gives the bits the scoring pass saw.
+  const auto selection_of = [&](const ScoredKey& k) {
+    const balancer::Candidate& c = cand_scratch_[k.index];
+    return Selection{.ref = c.ref,
+                     .predicted_iops = k.pred,
+                     .inodes = c.inodes,
+                     .index = compute_mindex(c)};
+  };
 
   const double tol = params_.tolerance * amount_iops;
 
-  // Path 1: a single subtree approximately matching the amount.
-  for (const Scored& s : scored) {
-    if (std::abs(s.pred - amount_iops) <= tol &&
-        s.cand.inodes <= inode_cap &&
-        current_rate(s.cand) <= params_.hot_skip_iops) {
-      return {Selection{.ref = s.cand.ref,
-                        .predicted_iops = s.pred,
-                        .inodes = s.cand.inodes,
-                        .index = s.idx}};
+  // Path 1: a single subtree approximately matching the amount — the
+  // first qualifying key under the order, found without sorting.
+  const ScoredKey* match = nullptr;
+  for (const ScoredKey& k : keys) {
+    if (!(std::abs(k.pred - amount_iops) <= tol)) continue;
+    if (match != nullptr && !ranks_before(k, *match)) continue;
+    const balancer::Candidate& c = cand_scratch_[k.index];
+    if (c.inodes <= inode_cap && current_rate(c) <= params_.hot_skip_iops) {
+      match = &k;
     }
   }
+  if (match != nullptr) return {selection_of(*match)};
 
   // Path 2: split the smallest subtree whose *predicted future load*
   // exceeds the amount and take fragments until the demand is covered.
   // The prediction (not the current rate) is the criterion: a scan-front
   // directory may be blazing hot right now but predict almost nothing —
-  // splitting it would be the vanilla balancer's mistake.
-  const Scored* oversized = nullptr;
-  for (const Scored& s : scored) {
-    if (s.pred > amount_iops) {
-      oversized = &s;  // list is descending: keep the smallest such
+  // splitting it would be the vanilla balancer's mistake.  The smallest
+  // such subtree is the last key under the order that predicts more than
+  // the amount.
+  const ScoredKey* oversized = nullptr;
+  for (const ScoredKey& k : keys) {
+    if (k.pred > amount_iops &&
+        (oversized == nullptr || ranks_before(*oversized, k))) {
+      oversized = &k;
     }
   }
-  if (oversized != nullptr && !oversized->cand.ref.is_frag()) {
-    const DirId d = oversized->cand.ref.dir;
+  if (oversized != nullptr && oversized->frag == kWholeDir) {
+    const DirId d = oversized->dir;
     const fs::Directory& dir = tree.dir(d);
     if (dir.file_count() >= params_.min_files_to_fragment) {
       // Split no deeper than keeps ~min_files_to_fragment/2 files per
@@ -137,21 +157,31 @@ std::vector<Selection> SubtreeSelector::select(
   }
 
   // Path 3: minimal set, greedy largest-first, bounded by the per-epoch
-  // inode capacity and the subtree-count cap.
+  // inode capacity and the subtree-count cap.  `remaining` starts at the
+  // amount and only shrinks, so a key predicting more than
+  // amount·(1+tolerance) would fail the overshoot test below on every
+  // step: drop those, heapify the rest and pop them in order only until
+  // the walk stops.
+  const double reach = amount_iops * (1.0 + params_.tolerance);
+  std::erase_if(keys, [reach](const ScoredKey& k) { return k.pred > reach; });
+  const auto heap_after = [](const ScoredKey& a, const ScoredKey& b) {
+    return ranks_before(b, a);
+  };
+  std::make_heap(keys.begin(), keys.end(), heap_after);
   double remaining = amount_iops;
   std::uint64_t inode_budget = inode_cap;
-  for (const Scored& s : scored) {
+  for (auto end = keys.end(); end != keys.begin(); --end) {
     if (remaining <= tol || out.size() >= params_.max_subtrees) break;
-    if (s.cand.inodes > inode_budget) continue;
-    if (current_rate(s.cand) > params_.hot_skip_iops) continue;
+    std::pop_heap(keys.begin(), end, heap_after);
+    const ScoredKey& k = *(end - 1);
+    const balancer::Candidate& c = cand_scratch_[k.index];
+    if (c.inodes > inode_budget) continue;
+    if (current_rate(c) > params_.hot_skip_iops) continue;
     // Skip candidates that would clearly overshoot the leftover demand.
-    if (s.pred > remaining * (1.0 + params_.tolerance)) continue;
-    out.push_back(Selection{.ref = s.cand.ref,
-                            .predicted_iops = s.pred,
-                            .inodes = s.cand.inodes,
-                            .index = s.idx});
-    remaining -= s.pred;
-    inode_budget -= s.cand.inodes;
+    if (k.pred > remaining * (1.0 + params_.tolerance)) continue;
+    out.push_back(selection_of(k));
+    remaining -= k.pred;
+    inode_budget -= c.inodes;
   }
   check_budget(out, inode_cap);
   return out;

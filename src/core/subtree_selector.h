@@ -13,12 +13,19 @@
 //   (3) otherwise, a minimal set of subtrees whose mIndex values sum to
 //       roughly the demand (greedy, largest first).
 //
+// All three paths read the candidates in one total order (predicted IOPS
+// descending, ties by balancer::ref_tie_before), but none sorts them:
+// paths 1 and 2 each take one extreme of a linear scan, and path 3 pops a
+// heap only until it stops.  An exporter owns tens of thousands of units at
+// 100k directories while a decision takes at most max_subtrees of them.
+//
 // Selection is additionally bounded by the per-epoch migration capacity in
 // *inodes* (what the Migrator can actually stream within one epoch), which
 // keeps the spatial path from queueing thousands of cold directories at
 // once — the exact over-migration failure the vanilla balancer exhibits.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "balancer/candidates.h"
@@ -61,7 +68,8 @@ struct Selection {
 
 class SubtreeSelector {
  public:
-  explicit SubtreeSelector(SelectorParams params) : params_(params) {}
+  /// Aborts on a negative tolerance (path 3 relies on 1 + tolerance > 0).
+  explicit SubtreeSelector(SelectorParams params);
 
   /// Chooses subtrees owned by `exporter` with aggregate predicted load of
   /// about `amount_iops`.  May fragment directories (hence the mutable
@@ -85,10 +93,28 @@ class SubtreeSelector {
   [[nodiscard]] const SelectorParams& params() const { return params_; }
 
  private:
+  /// One scored candidate, reduced to what the order and the final
+  /// Selection need: the predicted IOPS, its directory's hashed tie rank
+  /// (computed once, not inside every comparison), the unit, and its
+  /// position in cand_scratch_.
+  struct ScoredKey {
+    double pred = 0.0;
+    std::uint64_t rank = 0;
+    DirId dir = kNoDir;
+    FragId frag = kWholeDir;
+    std::uint32_t index = 0;
+  };
+  /// The selector's total order: predicted IOPS descending, then
+  /// balancer::ref_tie_before (hashed directory rank, directory id,
+  /// fragment id) on the cached rank.  Units are distinct, so no two keys
+  /// tie.
+  static bool ranks_before(const ScoredKey& a, const ScoredKey& b);
+
   SelectorParams params_;
-  /// Enumeration scratch reused across calls (allocation hygiene on the
-  /// per-epoch hot path).
+  /// Enumeration and scoring scratch reused across calls (allocation
+  /// hygiene on the per-epoch hot path).
   mutable std::vector<balancer::Candidate> cand_scratch_;
+  mutable std::vector<ScoredKey> key_scratch_;
 };
 
 }  // namespace lunule::core

@@ -34,8 +34,29 @@ inline constexpr std::size_t kCuttingWindows = 6;
 inline constexpr std::size_t kMaxReplicaRanks = 64;
 
 struct FragStats {
+  // Field order is layout: everything from auth_pin through stats_epoch
+  // fits the first 64 bytes.  Routing reads auth_pin / replica_mask and
+  // AccessRecorder::record() touches the rest, so one op on a fragment
+  // stays within one cache line's worth of bytes.
+
   /// Authority pin; kNoMds means "inherit the owning directory's authority".
   MdsId auth_pin = kNoMds;
+  /// Files mapped to this fragment.
+  std::uint32_t file_count = 0;
+  /// Of those, how many have ever been visited.
+  std::uint32_t visited_files = 0;
+
+  // -- Current (open) epoch accumulators, folded into the rings at epoch
+  //    close by AccessRecorder::close_epoch(). --
+  /// Metadata operations this epoch (load proxy; several ops may target
+  /// the same file — lookup/getattr/open chains).
+  std::uint32_t visits_epoch = 0;
+  /// Logical file visits this epoch: the first op on a file per epoch
+  /// (the granularity of the paper's per-inode boolean queue).
+  std::uint32_t file_visits_epoch = 0;
+  std::uint32_t first_visits_epoch = 0;
+  std::uint32_t recurrent_epoch = 0;
+  std::uint32_t creates_epoch = 0;
 
   /// Read-replica holders (bitmask over MDS ranks, bit i = MDS-i).  CephFS
   /// replicates hot dirfrags to peers so reads spread without migration
@@ -49,35 +70,9 @@ struct FragStats {
     return (replica_mask >> static_cast<unsigned>(m)) & 1u;
   }
 
-  /// Files mapped to this fragment.
-  std::uint32_t file_count = 0;
-  /// Of those, how many have ever been visited.
-  std::uint32_t visited_files = 0;
-
   /// CephFS-Vanilla's temporal popularity counter (exponentially decayed
   /// once per epoch).
   double heat = 0.0;
-
-  // -- Current (open) epoch accumulators, folded into the rings at epoch
-  //    close by AccessRecorder::close_epoch(). --
-  /// Metadata operations this epoch (load proxy; several ops may target
-  /// the same file — lookup/getattr/open chains).
-  std::uint32_t visits_epoch = 0;
-  /// Logical file visits this epoch: the first op on a file per epoch
-  /// (the granularity of the paper's per-inode boolean queue).
-  std::uint32_t file_visits_epoch = 0;
-  std::uint32_t first_visits_epoch = 0;
-  std::uint32_t recurrent_epoch = 0;
-  std::uint32_t creates_epoch = 0;
-  double sibling_credit_epoch = 0.0;
-
-  // -- Closed-epoch cutting windows. --
-  RingBuffer<std::uint32_t, kCuttingWindows> visits_window;
-  RingBuffer<std::uint32_t, kCuttingWindows> file_visits_window;
-  RingBuffer<std::uint32_t, kCuttingWindows> first_visits_window;
-  RingBuffer<std::uint32_t, kCuttingWindows> recurrent_window;
-  RingBuffer<std::uint32_t, kCuttingWindows> creates_window;
-  RingBuffer<double, kCuttingWindows> sibling_credit_window;
 
   /// Lifetime visit counter (reporting only).
   std::uint64_t total_visits = 0;
@@ -90,9 +85,22 @@ struct FragStats {
   // it.  `dead_epoch` is the clock value at which the fragment's signal is
   // fully drained (all liveness windows evicted and heat flushed to zero),
   // predicted at fold time so the warm set can expire entries without
-  // touching them.
+  // touching them.  stats_epoch is the last per-op field: every writer
+  // compares it with the clock before accumulating.
   EpochId stats_epoch = 0;
   EpochId dead_epoch = 0;
+
+  /// Open-epoch sibling credits (written on a sibling's first visit, not
+  /// on this fragment's own ops).
+  double sibling_credit_epoch = 0.0;
+
+  // -- Closed-epoch cutting windows. --
+  RingBuffer<std::uint32_t, kCuttingWindows> visits_window;
+  RingBuffer<std::uint32_t, kCuttingWindows> file_visits_window;
+  RingBuffer<std::uint32_t, kCuttingWindows> first_visits_window;
+  RingBuffer<std::uint32_t, kCuttingWindows> recurrent_window;
+  RingBuffer<std::uint32_t, kCuttingWindows> creates_window;
+  RingBuffer<double, kCuttingWindows> sibling_credit_window;
 
   [[nodiscard]] std::uint32_t unvisited_files() const {
     return file_count - visited_files;

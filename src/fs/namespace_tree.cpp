@@ -136,6 +136,8 @@ void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
     nf.heat = old_frag.heat * ratio;
     nf.visits_epoch =
         static_cast<std::uint32_t>(old_frag.visits_epoch * ratio);
+    nf.file_visits_epoch =
+        static_cast<std::uint32_t>(old_frag.file_visits_epoch * ratio);
     nf.first_visits_epoch =
         static_cast<std::uint32_t>(old_frag.first_visits_epoch * ratio);
     nf.recurrent_epoch =

@@ -239,9 +239,15 @@ void AccessRecorder::close_epoch(WorkerPool* pool) {
   dirty_.clear();
   tree_.tick_stats_clock();
   const EpochId clock = tree_.stats_clock();
-  for (const DirId d : active_) {
+  // Expiry keeps relative order, so the survivors of the prefix sorted at
+  // the last close stay sorted; only the directories that joined since
+  // (appended in touch order) need sorting before the merge.
+  std::size_t kept_sorted = 0;
+  for (std::size_t k = 0; k < active_.size(); ++k) {
+    const DirId d = active_[k];
     if (tree_.dir(d).stats_dead_epoch() > clock) {
       keep_scratch_.push_back(d);
+      if (k < sorted_prefix_) ++kept_sorted;
     } else {
       is_active_[d] = 0;
     }
@@ -250,7 +256,11 @@ void AccessRecorder::close_epoch(WorkerPool* pool) {
   active_.swap(keep_scratch_);
   // Ascending enumeration order makes the active set a drop-in filter for
   // the whole-namespace candidate scan (which walks DirIds ascending).
-  std::sort(active_.begin(), active_.end());
+  // Entries are unique (is_active_), so the merge equals a full sort.
+  const auto tail = active_.begin() + static_cast<std::ptrdiff_t>(kept_sorted);
+  std::sort(tail, active_.end());
+  std::inplace_merge(active_.begin(), tail, active_.end());
+  sorted_prefix_ = active_.size();
 }
 
 }  // namespace lunule::mds

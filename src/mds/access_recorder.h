@@ -152,7 +152,10 @@ class AccessRecorder {
   RecorderParams params_;
   /// Key base of the stateless sibling-credit streams.
   std::uint64_t credit_seed_;
+  /// The active set: a prefix sorted at the last close, then the
+  /// directories that joined since, in touch order.
   std::vector<DirId> active_;
+  std::size_t sorted_prefix_ = 0;
   std::vector<std::uint8_t> is_active_;  // indexed by DirId, lazily grown
   /// Directories touched during the open epoch (deduplicated via
   /// Directory::touched_epoch); the close folds exactly these.

@@ -2,6 +2,7 @@
 #include "mds/access_recorder.h"
 
 #include <algorithm>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +79,44 @@ TEST_F(AccessRecorderTest, ActiveSetShrinksWhenStatsAge) {
   // After enough idle epochs both heat and the windows drain to zero.
   for (int e = 0; e < 10; ++e) rec.close_epoch();
   EXPECT_TRUE(rec.active_dirs().empty());
+}
+
+TEST_F(AccessRecorderTest, ActiveSetAscendingAfterEveryClose) {
+  // Directories join the set in random touch order (records, sibling
+  // credits, bare touches) and expire after idle stretches; each close
+  // merges the newcomers into the survivors.
+  fs::NamespaceTree big;
+  const std::vector<DirId> many = fs::build_private_dirs(big, "m", 200, 8);
+  RecorderParams p = params_with(0.5);
+  p.heat_decay = 0.1;  // idle directories expire within a few closes
+  AccessRecorder rec(big, p, Rng(3));
+  Rng rng(17);
+  std::size_t expiries = 0;
+  std::size_t prev_size = 0;
+  for (EpochId e = 0; e < 60; ++e) {
+    const double density = (e % 10 < 3) ? 0.0 : rng.next_double() * 0.3;
+    for (std::size_t k = 0; k < many.size(); ++k) {
+      if (!rng.next_bool(density)) continue;
+      const DirId d = many[rng.next_below(many.size())];
+      if (rng.next_bool(0.1)) {
+        rec.touch(d);
+      } else {
+        rec.record(d, static_cast<FileIndex>(rng.next_below(8)), e);
+      }
+    }
+    rec.close_epoch();
+    const std::vector<DirId>& active = rec.active_dirs();
+    ASSERT_TRUE(std::adjacent_find(active.begin(), active.end(),
+                                   std::greater_equal<>()) == active.end())
+        << "not strictly ascending after close " << e;
+    for (const DirId d : many) {
+      EXPECT_EQ(rec.is_active(d),
+                std::binary_search(active.begin(), active.end(), d));
+    }
+    if (active.size() < prev_size) ++expiries;
+    prev_size = active.size();
+  }
+  EXPECT_GT(expiries, 0u);
 }
 
 TEST_F(AccessRecorderTest, SiblingCreditFlowsToSiblings) {

@@ -1,6 +1,8 @@
 // Tests for ring buffer, time series, table printer, and flags.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "common/flags.h"
@@ -32,6 +34,42 @@ TEST(RingBuffer, ClearResets) {
   rb.clear();
   EXPECT_TRUE(rb.empty());
   EXPECT_DOUBLE_EQ(rb.window_sum(), 0.0);
+}
+
+/// window_sum adds in two straight runs instead of a modulo per sample; it
+/// must equal the sum of at(0), at(1), ... in that order, bit for bit (a
+/// floating-point sum depends on its order), at every reachable head and
+/// size: sizes below N while filling, then every head once full.
+template <typename T, std::size_t N, typename Value>
+void expect_window_sum_is_newest_first_sum(Value value) {
+  RingBuffer<T, N> rb;
+  for (std::size_t pushes = 0; pushes <= 3 * N; ++pushes) {
+    T want{};
+    for (std::size_t i = 0; i < rb.size(); ++i) want += rb.at(i);
+    const T got = rb.window_sum();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(static_cast<double>(got)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(want)))
+        << "after " << pushes << " pushes";
+    rb.push(value(pushes));
+  }
+}
+
+TEST(RingBuffer, WindowSumIsTheNewestFirstSum) {
+  // Magnitudes far apart, so any other addition order rounds differently.
+  const auto mixed = [](std::size_t k) {
+    const double big = (k % 3 == 0) ? 1e16 : 1.0;
+    return (k % 2 == 0 ? big : -big) + 0.1 * static_cast<double>(k);
+  };
+  expect_window_sum_is_newest_first_sum<double, 6>(mixed);
+  expect_window_sum_is_newest_first_sum<double, 1>(mixed);
+  expect_window_sum_is_newest_first_sum<double, 5>(mixed);
+  // Unsigned sums wrap; the walk must still visit each sample once.
+  const auto near_max = [](std::size_t k) {
+    return static_cast<std::uint32_t>(0xfffffff0u + 7u * k);
+  };
+  expect_window_sum_is_newest_first_sum<std::uint32_t, 6>(near_max);
+  expect_window_sum_is_newest_first_sum<std::uint32_t, 1>(near_max);
+  expect_window_sum_is_newest_first_sum<std::uint32_t, 7>(near_max);
 }
 
 TEST(TimeSeries, AveragesAndMaximum) {

@@ -1,15 +1,22 @@
 // Tests for the process-wide concurrency budget, the worker pool, and the
 // per-shard trace-event escrow — the three primitives the sharded tick
-// engine is built on.
+// engine is built on — and for the two epoch-path loops that run on the
+// pool: candidate collection and the access recorder's fold.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "balancer/candidates.h"
 #include "common/concurrency.h"
+#include "common/rng.h"
 #include "common/worker_pool.h"
+#include "mds/access_recorder.h"
 #include "obs/trace_recorder.h"
 
 namespace lunule {
@@ -147,6 +154,190 @@ TEST(ShardEventBuffer, MergePreservesBufferOrderAndStampsSerialClock) {
     EXPECT_EQ(ring.at(i).epoch, 5);
     EXPECT_EQ(ring.at(i).tick, 42);
     EXPECT_EQ(ring.at(i).kind, obs::EventKind::kDirfragSplit);
+  }
+}
+
+// -- Parallel epoch paths ---------------------------------------------------
+// Both loops chunk their directories across the pool only above a size
+// cutoff (1,024 live directories to collect, 512 dirty ones to fold), which
+// the small trees of the other suites never reach.  Each test drives two
+// identical namespaces through the same accesses and runs the loop serially
+// on one and on a 3-worker pool on the other.
+
+/// A namespace of `groups` x `per_group` leaf directories under groups
+/// pinned to ranks 0..3, with some directories re-pinned, fragmented and
+/// fragment-pinned: every owner sees whole and fragmented units.
+void build_mixed_tree(fs::NamespaceTree& tree, int groups, int per_group) {
+  Rng rng(99);
+  for (int g = 0; g < groups; ++g) {
+    const DirId group = tree.add_dir(tree.root(), "g" + std::to_string(g));
+    tree.set_auth(group, static_cast<MdsId>(g % 4));
+    for (int i = 0; i < per_group; ++i) {
+      const DirId d = tree.add_dir(group, "d" + std::to_string(i));
+      tree.add_files(d, static_cast<std::uint32_t>(rng.next_between(4, 40)));
+      if (rng.next_bool(0.1)) {
+        tree.set_auth(d, static_cast<MdsId>(rng.next_below(4)));
+      }
+      if (rng.next_bool(0.1)) {
+        tree.fragment_dir(d, static_cast<std::uint8_t>(rng.next_between(1, 2)));
+        if (rng.next_bool(0.5)) {
+          tree.set_frag_auth(d, 0, static_cast<MdsId>(rng.next_below(4)));
+        }
+      }
+    }
+  }
+}
+
+/// Epoch `e` of a seeded access stream over the leaf directories: the
+/// first epoch touches every directory, later ones a shifting random part,
+/// so fragments lag by different amounts.
+void drive_epoch(mds::AccessRecorder& rec, const fs::NamespaceTree& tree,
+                 std::uint64_t e) {
+  Rng rng(1000 + e);
+  for (DirId d = 1; d < tree.dir_count(); ++d) {
+    const fs::Directory& dir = tree.dir(d);
+    if (dir.file_count() == 0) continue;
+    if (e > 0 && !rng.next_bool(0.5)) continue;
+    const auto ops = rng.next_between(1, 6);
+    for (std::int64_t k = 0; k < ops; ++k) {
+      rec.record(d, static_cast<FileIndex>(rng.next_below(dir.file_count())),
+                 static_cast<EpochId>(e));
+    }
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <typename T>
+bool same_ring(const RingBuffer<T, fs::kCuttingWindows>& a,
+               const RingBuffer<T, fs::kCuttingWindows>& b) {
+  using Bits =
+      std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<Bits>(a.at(i)) != std::bit_cast<Bits>(b.at(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every field of every live fragment and each directory's expiry stamp.
+void expect_same_stats(const fs::NamespaceTree& a, const fs::NamespaceTree& b) {
+  ASSERT_EQ(a.dir_count(), b.dir_count());
+  for (DirId d = 0; d < a.dir_count(); ++d) {
+    ASSERT_EQ(a.frag_count(d), b.frag_count(d));
+    EXPECT_EQ(a.dir(d).stats_dead_epoch(), b.dir(d).stats_dead_epoch());
+    for (FragId f = 0; f < static_cast<FragId>(a.frag_count(d)); ++f) {
+      const fs::FragStats& x = a.frag(d, f);
+      const fs::FragStats& y = b.frag(d, f);
+      SCOPED_TRACE("dirfrag " + std::to_string(d) + "/" + std::to_string(f));
+      EXPECT_EQ(x.stats_epoch, y.stats_epoch);
+      EXPECT_EQ(x.dead_epoch, y.dead_epoch);
+      EXPECT_EQ(x.visits_epoch, y.visits_epoch);
+      EXPECT_EQ(x.file_visits_epoch, y.file_visits_epoch);
+      EXPECT_EQ(x.first_visits_epoch, y.first_visits_epoch);
+      EXPECT_EQ(x.visited_files, y.visited_files);
+      EXPECT_TRUE(same_bits(x.heat, y.heat));
+      EXPECT_TRUE(same_bits(x.sibling_credit_epoch, y.sibling_credit_epoch));
+      EXPECT_TRUE(same_ring(x.visits_window, y.visits_window));
+      EXPECT_TRUE(same_ring(x.file_visits_window, y.file_visits_window));
+      EXPECT_TRUE(same_ring(x.first_visits_window, y.first_visits_window));
+      EXPECT_TRUE(same_ring(x.recurrent_window, y.recurrent_window));
+      EXPECT_TRUE(same_ring(x.creates_window, y.creates_window));
+      EXPECT_TRUE(
+          same_ring(x.sibling_credit_window, y.sibling_credit_window));
+    }
+  }
+}
+
+/// A namespace with its recorder (the recorder keeps a reference to it).
+struct Recorded {
+  Recorded(int groups, int per_group) : rec(tree, {}, Rng(5)) {
+    build_mixed_tree(tree, groups, per_group);
+  }
+  fs::NamespaceTree tree;
+  mds::AccessRecorder rec;
+};
+
+TEST(ParallelCollect, PoolMatchesSerialScan) {
+  Recorded serial(4, 300);
+  Recorded parallel(4, 300);
+  WorkerPool pool(3);
+  for (std::uint64_t e = 0; e < 8; ++e) {
+    drive_epoch(serial.rec, serial.tree, e);
+    drive_epoch(parallel.rec, parallel.tree, e);
+    serial.rec.close_epoch();
+    parallel.rec.close_epoch();
+  }
+  ASSERT_GE(serial.rec.active_dirs().size(), 1024u);
+  ASSERT_EQ(serial.rec.active_dirs(), parallel.rec.active_dirs());
+
+  std::vector<balancer::Candidate> want;
+  std::vector<balancer::Candidate> got;
+  std::size_t frag_units = 0;
+  for (const bool live_only : {true, false}) {
+    for (MdsId owner = 0; owner < 4; ++owner) {
+      balancer::collect_candidates_into(
+          want, serial.tree, owner,
+          live_only ? &serial.rec.active_dirs() : nullptr, nullptr);
+      balancer::collect_candidates_into(
+          got, parallel.tree, owner,
+          live_only ? &parallel.rec.active_dirs() : nullptr, &pool);
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const balancer::Candidate& w = want[i];
+        const balancer::Candidate& g = got[i];
+        SCOPED_TRACE("owner " + std::to_string(owner) + " unit " +
+                     std::to_string(i));
+        if (w.ref.is_frag()) ++frag_units;
+        EXPECT_EQ(g.ref, w.ref);
+        EXPECT_EQ(g.auth, w.auth);
+        EXPECT_EQ(g.inodes, w.inodes);
+        EXPECT_TRUE(same_bits(g.heat, w.heat));
+        EXPECT_EQ(g.visits_w, w.visits_w);
+        EXPECT_EQ(g.file_visits_w, w.file_visits_w);
+        EXPECT_EQ(g.first_visits_w, w.first_visits_w);
+        EXPECT_EQ(g.recurrent_w, w.recurrent_w);
+        EXPECT_EQ(g.creates_w, w.creates_w);
+        EXPECT_TRUE(same_bits(g.sibling_credit_w, w.sibling_credit_w));
+        EXPECT_EQ(g.visits_last_epoch, w.visits_last_epoch);
+        EXPECT_EQ(g.unvisited, w.unvisited);
+      }
+    }
+  }
+  EXPECT_GT(frag_units, 0u);
+  // Collection rolls the owned fragments forward: both sides rolled the
+  // same ones to the same state.
+  expect_same_stats(serial.tree, parallel.tree);
+}
+
+TEST(ParallelFold, PoolMatchesSerialClose) {
+  Recorded serial(2, 600);
+  Recorded parallel(2, 600);
+  WorkerPool pool(3);
+  for (std::uint64_t e = 0; e < 12; ++e) {
+    // The stream stops after epoch 6, so directories also expire.
+    if (e < 6) {
+      drive_epoch(serial.rec, serial.tree, e);
+      drive_epoch(parallel.rec, parallel.tree, e);
+      std::size_t dirty = 0;
+      for (DirId d = 0; d < serial.tree.dir_count(); ++d) {
+        if (serial.tree.dir(d).touched_epoch() ==
+            serial.tree.stats_clock()) {
+          ++dirty;
+        }
+      }
+      ASSERT_GE(dirty, 512u);
+    }
+    serial.rec.close_epoch();
+    parallel.rec.close_epoch(&pool);
+    SCOPED_TRACE("close " + std::to_string(e));
+    EXPECT_EQ(serial.rec.active_dirs(), parallel.rec.active_dirs());
+    expect_same_stats(serial.tree, parallel.tree);
   }
 }
 

@@ -2,6 +2,9 @@
 // lazy cutting-window advancement.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <type_traits>
+
 #include "fs/namespace_tree.h"
 
 namespace lunule::fs {
@@ -69,6 +72,28 @@ TEST_F(DirfragTest, SplitScalesCuttingWindows) {
   EXPECT_EQ(f0.visits_window.at(1), 20u);
 }
 
+TEST_F(DirfragTest, SplitScalesOpenAccumulators) {
+  // A split in the middle of an epoch hands each refining fragment its
+  // file share of every open accumulator (here a quarter: 4 x 16 files).
+  FragStats& s = tree.frag(dir_id, 0);
+  s.visits_epoch = 64;
+  s.file_visits_epoch = 32;
+  s.first_visits_epoch = 16;
+  s.recurrent_epoch = 8;
+  s.creates_epoch = 4;
+  s.sibling_credit_epoch = 2.0;
+  tree.fragment_dir(dir_id, 2);
+  for (FragId f = 0; f < 4; ++f) {
+    const FragStats& nf = tree.frag(dir_id, f);
+    EXPECT_EQ(nf.visits_epoch, 16u);
+    EXPECT_EQ(nf.file_visits_epoch, 8u);
+    EXPECT_EQ(nf.first_visits_epoch, 4u);
+    EXPECT_EQ(nf.recurrent_epoch, 2u);
+    EXPECT_EQ(nf.creates_epoch, 1u);
+    EXPECT_DOUBLE_EQ(nf.sibling_credit_epoch, 0.5);
+  }
+}
+
 TEST_F(DirfragTest, RefragmentInheritsPins) {
   tree.fragment_dir(dir_id, 1);  // 2 frags
   tree.set_frag_auth(dir_id, 1, 3);
@@ -90,6 +115,35 @@ TEST_F(DirfragTest, CreateIntoFragmentedDirLandsInRightFrag) {
   EXPECT_EQ(idx, 64u);
   EXPECT_EQ(tree.frag(dir_id, 64 & 3).file_count, 17u);
 }
+
+// -- Layout ---------------------------------------------------------------
+
+/// Offset one past the last byte of member `m`.
+#define LUNULE_END_OF(m) (offsetof(FragStats, m) + sizeof(FragStats::m))
+
+TEST(FragStatsLayout, PerOpFieldsFitTheFirst64Bytes) {
+  static_assert(std::is_standard_layout_v<FragStats>);
+  // Routing reads the pin and the replica mask; AccessRecorder::record()
+  // compares stats_epoch with the clock and bumps the rest.
+  EXPECT_LE(LUNULE_END_OF(auth_pin), 64u);
+  EXPECT_LE(LUNULE_END_OF(file_count), 64u);
+  EXPECT_LE(LUNULE_END_OF(visited_files), 64u);
+  EXPECT_LE(LUNULE_END_OF(visits_epoch), 64u);
+  EXPECT_LE(LUNULE_END_OF(file_visits_epoch), 64u);
+  EXPECT_LE(LUNULE_END_OF(first_visits_epoch), 64u);
+  EXPECT_LE(LUNULE_END_OF(recurrent_epoch), 64u);
+  EXPECT_LE(LUNULE_END_OF(creates_epoch), 64u);
+  EXPECT_LE(LUNULE_END_OF(replica_mask), 64u);
+  EXPECT_LE(LUNULE_END_OF(heat), 64u);
+  EXPECT_LE(LUNULE_END_OF(total_visits), 64u);
+  EXPECT_LE(LUNULE_END_OF(stats_epoch), 64u);
+  // One-byte ring cursors: six samples plus two bytes, padded.
+  EXPECT_EQ(sizeof(RingBuffer<std::uint32_t, kCuttingWindows>), 28u);
+  EXPECT_EQ(sizeof(RingBuffer<double, kCuttingWindows>), 56u);
+  EXPECT_LE(sizeof(FragStats), 280u);
+}
+
+#undef LUNULE_END_OF
 
 // -- Lazy cutting-window advancement --------------------------------------
 // advance_to must replay the eager per-close sequence bit-identically: the

@@ -2,11 +2,15 @@
 // property: two runs of the same seeded scenario produce byte-identical
 // trace dumps.
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "sim/scenario.h"
 
 namespace lunule::sim {
@@ -96,6 +100,48 @@ TEST(TraceDeterminism, AsyncDisabledTraceMatchesPinnedDigest) {
   EXPECT_EQ(r.journal.async_throttle_ticks, 0u);
   EXPECT_EQ(r.faults.acked_lost_entries, 0u);
   EXPECT_EQ(r.faults.dependency_violations, 0u);
+}
+
+// True when one Lunule decision (one exporter in one epoch) selected units
+// of two different directories.  Path 1 takes a single unit and path 2
+// takes fragments of the one directory it split, so only the minimal-set
+// path (3) produces this.
+bool has_multi_dir_selection(const std::string& trace_json) {
+  const JsonValue trace = JsonValue::parse(trace_json);
+  std::map<std::pair<std::int64_t, std::int64_t>, std::set<std::int64_t>>
+      dirs_per_decision;
+  for (const JsonValue& e :
+       trace.at("components").at("selector").at("events").as_array()) {
+    if (e.at("kind").as_string() != "selection") continue;
+    dirs_per_decision[{e.at("epoch").as_int(), e.at("a").as_int()}].insert(
+        e.at("n0").as_int());
+  }
+  for (const auto& [decision, dirs] : dirs_per_decision) {
+    if (dirs.size() >= 2) return true;
+  }
+  return false;
+}
+
+// Pinned trace digest for the container-tenant shape (2,000 eight-file
+// directories with Zipf popularity and a create tail): every Lunule
+// decision scores a large candidate set and at least one takes the
+// minimal-set path.  The constant is this scenario's digest from the build
+// in which the selector still sorted every scored candidate; the
+// selector's sort-free paths must reproduce it.
+TEST(TraceDeterminism, TenantLunuleTraceMatchesPinnedDigest) {
+  ScenarioConfig cfg;
+  cfg.workload = WorkloadKind::kTenant;
+  cfg.balancer = BalancerKind::kLunule;
+  cfg.n_mds = 8;
+  cfg.n_clients = 80;
+  cfg.max_ticks = 200;
+  cfg.sharded_ticks = 1;
+  cfg.seed = 7;
+  cfg.capture_trace = true;
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.trace_json.empty());
+  EXPECT_TRUE(has_multi_dir_selection(r.trace_json));
+  EXPECT_EQ(fnv1a64(r.trace_json), 0x0e15d31dc7ca38f0ull);
 }
 
 }  // namespace
