@@ -75,7 +75,7 @@ int run(int argc, char** argv) {
        }},
       {"heat-selection (Lunule-Light)",
        [](core::LunuleParams& p, sim::ScenarioConfig&) {
-         p.workload_aware = false;
+         p.selection = core::SelectionRule::kHeatShare;
        }},
   };
 

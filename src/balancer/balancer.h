@@ -7,7 +7,8 @@
 //   * MantleBalancer      — programmable when/how-much framework, used to
 //     host the GreedySpill policy (the paper's second baseline),
 //   * DirHashBalancer     — static hash pinning (Section 4.6's "Dir-Hash"),
-//   * core::LunuleBalancer— the paper's contribution (and its -Light variant).
+//   * core::LunuleBalancer— the paper's contribution; its selection rule
+//     also makes the -Light ablation and Lunule-Hash (§3.4 generality).
 #pragma once
 
 #include <span>

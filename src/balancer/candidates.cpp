@@ -1,5 +1,9 @@
 #include "balancer/candidates.h"
 
+#include <algorithm>
+
+#include "mds/cluster.h"
+
 namespace lunule::balancer {
 
 namespace {
@@ -46,11 +50,6 @@ Candidate whole_dir_candidate(fs::NamespaceTree& tree, DirId d, MdsId auth) {
     c.unvisited += frag.unvisited_files();
   }
   return c;
-}
-
-/// A migratable leaf unit: holds files, or is a childless directory.
-bool is_leaf_unit(const fs::Directory& dir) {
-  return dir.file_count() > 0 || dir.children().empty();
 }
 
 /// Appends the units of `d` whose authority passes `owned`.  Authority is
@@ -119,6 +118,10 @@ void collect_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
 
 }  // namespace
 
+bool is_leaf_unit(const fs::Directory& dir) {
+  return dir.file_count() > 0 || dir.children().empty();
+}
+
 std::vector<Candidate> collect_candidates(fs::NamespaceTree& tree,
                                           MdsId owner,
                                           const std::vector<DirId>* live_dirs,
@@ -135,6 +138,24 @@ void collect_candidates_into(std::vector<Candidate>& out,
   collect_if(
       out, tree, [owner](MdsId auth) { return auth == owner; }, live_dirs,
       pool);
+}
+
+void walk_heat_share(
+    std::vector<Candidate>& cands, mds::MdsCluster& cluster, MdsId owner,
+    double owner_load,
+    const std::function<bool(const Candidate& unit, double est_load)>& visit) {
+  collect_candidates_into(cands, cluster.tree(), owner,
+                          cluster.candidate_dirs(), cluster.shard_pool());
+  // Summed before sorting: a different summation order could move the
+  // total's last bit, and with it every estimate.
+  double total_heat = 0.0;
+  for (const Candidate& c : cands) total_heat += c.heat;
+  if (total_heat <= 0.0) return;
+  std::sort(cands.begin(), cands.end(), heat_order);
+  for (const Candidate& c : cands) {
+    if (c.heat <= 0.0) break;  // the rest are cold
+    if (!visit(c, owner_load * (c.heat / total_heat))) break;
+  }
 }
 
 std::vector<Candidate> collect_all_candidates(fs::NamespaceTree& tree) {

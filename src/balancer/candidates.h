@@ -1,4 +1,5 @@
-// Migration-candidate enumeration shared by all balancers.
+// Migration-candidate enumeration shared by all balancers, and the one
+// CephFS heat-share walk that Vanilla, Mantle and Lunule-Light select by.
 //
 // A *candidate* is a migratable unit — a leaf directory subtree or one
 // dirfrag of a fragmented directory — together with the aggregated
@@ -16,11 +17,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/types.h"
 #include "common/worker_pool.h"
 #include "fs/namespace_tree.h"
+
+namespace lunule::mds {
+class MdsCluster;
+}  // namespace lunule::mds
 
 namespace lunule::balancer {
 
@@ -104,9 +110,13 @@ inline constexpr std::uint64_t kTieRankSalt = 0x11ULL;
   return ref_tie_before(a.ref, b.ref);
 }
 
+/// A migratable leaf unit: a directory that holds files or has no
+/// children.  Collection enumerates these, and Dir-Hash pins them.
+[[nodiscard]] bool is_leaf_unit(const fs::Directory& dir);
+
 /// Enumerates the migratable units currently authoritative on `owner`.
-/// Units are leaf directories (directories holding files or without
-/// children); fragmented directories contribute one unit per owned frag.
+/// Units are leaf directories (see is_leaf_unit); fragmented directories
+/// contribute one unit per owned frag.
 /// Authority is resolved before a unit's statistics are read, so units on
 /// other ranks are never rolled forward or summed.
 /// When `live_dirs` is non-null (sorted ascending), only those directories
@@ -125,8 +135,19 @@ void collect_candidates_into(std::vector<Candidate>& out,
                              const std::vector<DirId>* live_dirs = nullptr,
                              WorkerPool* pool = nullptr);
 
+/// CephFS's heat-share selection walk (Vanilla, Mantle's GreedySpill and
+/// Lunule-Light): collects `owner`'s units into `cands`, sums their heat in
+/// collection order, then visits the units with positive heat hottest
+/// first (heat_order).  Each visit gets the unit's estimated load, its heat
+/// share of `owner_load` (owner_load * (heat / total)).  `visit` returns
+/// false to end the walk.  Visits nothing when the units carry no heat.
+void walk_heat_share(
+    std::vector<Candidate>& cands, mds::MdsCluster& cluster, MdsId owner,
+    double owner_load,
+    const std::function<bool(const Candidate& unit, double est_load)>& visit);
+
 /// Enumerates the migratable units of the whole namespace regardless of
-/// current authority (used by Dir-Hash static pinning and by reports).
+/// current authority.
 [[nodiscard]] std::vector<Candidate> collect_all_candidates(
     fs::NamespaceTree& tree);
 

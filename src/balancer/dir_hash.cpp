@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "balancer/candidates.h"
 #include "common/rng.h"
 #include "fs/namespace_tree.h"
 
@@ -40,8 +41,7 @@ void DirHashBalancer::setup(mds::MdsCluster& cluster) {
 
   for (DirId d = 1; d < tree.dir_count(); ++d) {
     fs::Directory& dir = tree.dir(d);
-    const bool leaf_unit = dir.file_count() > 0 || dir.children().empty();
-    if (!leaf_unit) continue;
+    if (!is_leaf_unit(dir)) continue;
     if (dir.file_count() >= params_.fragment_threshold &&
         tree.frag_bits(d) < params_.fragment_bits) {
       tree.fragment_dir(d, params_.fragment_bits);

@@ -1,8 +1,7 @@
 #include "balancer/mantle.h"
 
-#include <algorithm>
 #include <memory>
-#include <numeric>
+#include <utility>
 
 #include "balancer/candidates.h"
 #include "common/assert.h"
@@ -31,24 +30,13 @@ void MantleBalancer::on_epoch(mds::MdsCluster& cluster,
     // Mantle keeps CephFS's heat-based candidate selection: rank the
     // exporter's subtrees by heat and queue them until the heat-share
     // estimate covers the requested amount.
-    collect_candidates_into(cands_, cluster.tree(), spill.from,
-                            cluster.candidate_dirs(), cluster.shard_pool());
-    const double total_heat = std::accumulate(
-        cands_.begin(), cands_.end(), 0.0,
-        [](double acc, const Candidate& c) { return acc + c.heat; });
-    if (total_heat <= 0.0) continue;
-    std::sort(cands_.begin(), cands_.end(), heat_order);
-    const double exporter_load =
-        loads[static_cast<std::size_t>(spill.from)];
     double remaining = spill.amount;
-    for (const Candidate& c : cands_) {
-      if (remaining <= 0.0) break;
-      if (c.heat <= 0.0) break;
-      const double est_load = exporter_load * (c.heat / total_heat);
+    const auto queue_export = [&](const Candidate& c, double est_load) {
+      if (remaining <= 0.0) return false;
       // Same rule as CephFS's find_exports: a subtree hotter than the
       // remaining spill amount is descended into, not exported; leaf
       // directories therefore stay put.
-      if (est_load > remaining) continue;
+      if (est_load > remaining) return true;
       if (cluster.migration().submit(c.ref, spill.to)) {
         cluster.trace().record(obs::Component::kBalancer,
                                {.kind = obs::EventKind::kDecision,
@@ -57,7 +45,11 @@ void MantleBalancer::on_epoch(mds::MdsCluster& cluster,
                                 .v0 = est_load});
         remaining -= est_load;
       }
-    }
+      return true;
+    };
+    walk_heat_share(cands_, cluster, spill.from,
+                    loads[static_cast<std::size_t>(spill.from)],
+                    queue_export);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "balancer/vanilla.h"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "balancer/candidates.h"
@@ -58,19 +57,11 @@ void VanillaBalancer::on_epoch(mds::MdsCluster& cluster,
 
     // Rank this exporter's subtrees by heat (inefficiency #3) and estimate
     // each candidate's load as its heat share of the exporter's load.
-    collect_candidates_into(cands_, cluster.tree(), exporter,
-                            cluster.candidate_dirs(), cluster.shard_pool());
-    const double total_heat = std::accumulate(
-        cands_.begin(), cands_.end(), 0.0,
-        [](double acc, const Candidate& c) { return acc + c.heat; });
-    if (total_heat <= 0.0) continue;
-    std::sort(cands_.begin(), cands_.end(), heat_order);
-
     std::size_t queued = 0;
-    for (const Candidate& c : cands_) {
-      if (excess <= 0.0 || queued >= params_.max_exports_per_epoch) break;
-      if (c.heat <= 0.0) break;
-      const double est_load = loads[i] * (c.heat / total_heat);
+    const auto queue_export = [&](const Candidate& c, double est_load) {
+      if (excess <= 0.0 || queued >= params_.max_exports_per_epoch) {
+        return false;
+      }
       // CephFS's find_exports never exports a subtree hotter than what the
       // target importer should receive: it descends into it instead, and a
       // leaf directory of plain files has nothing to descend into — the
@@ -83,7 +74,7 @@ void VanillaBalancer::on_epoch(mds::MdsCluster& cluster,
           break;
         }
       }
-      if (target == nullptr) continue;
+      if (target == nullptr) return true;
       if (cluster.migration().submit(c.ref, target->id)) {
         cluster.trace().record(obs::Component::kBalancer,
                                {.kind = obs::EventKind::kDecision,
@@ -101,7 +92,9 @@ void VanillaBalancer::on_epoch(mds::MdsCluster& cluster,
         excess -= est_load;
         target->room -= est_load;
       }
-    }
+      return true;
+    };
+    walk_heat_share(cands_, cluster, exporter, loads[i], queue_export);
   }
 }
 

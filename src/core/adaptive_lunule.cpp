@@ -42,9 +42,7 @@ void AdaptiveLunuleBalancer::on_epoch(mds::MdsCluster& cluster,
       next = std::clamp(next, params_.min_subtrees, params_.max_subtrees);
       if (next != current_max_subtrees_) {
         current_max_subtrees_ = next;
-        inner_.tune([next](LunuleParams& p) {
-          p.selector.max_subtrees = next;
-        });
+        inner_.set_max_subtrees(next);
       }
       seen_total_ = audit.audited();
       seen_valid_ = audit.valid();

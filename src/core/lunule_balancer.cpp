@@ -4,9 +4,26 @@
 #include <numeric>
 
 #include "balancer/candidates.h"
+#include "balancer/dir_hash.h"
 #include "common/assert.h"
 
 namespace lunule::core {
+
+namespace {
+
+/// The assignment with the largest remaining demand (the first of equals),
+/// or null once every demand is met.  Each selected unit goes to it.
+MigrationAssignment* largest_demand(
+    std::vector<MigrationAssignment>& assignments) {
+  const auto it = std::max_element(assignments.begin(), assignments.end(),
+                                   [](const MigrationAssignment& a,
+                                      const MigrationAssignment& b) {
+                                     return a.amount < b.amount;
+                                   });
+  return it == assignments.end() || it->amount <= 0.0 ? nullptr : &*it;
+}
+
+}  // namespace
 
 LunuleParams LunuleParams::for_cluster(const mds::ClusterParams& cluster) {
   LunuleParams p;
@@ -32,9 +49,27 @@ LunuleBalancer::LunuleBalancer(LunuleParams params)
   LUNULE_CHECK(params_.if_threshold > 0.0 && params_.if_threshold < 1.0);
 }
 
-void LunuleBalancer::tune(
-    const std::function<void(LunuleParams&)>& mutator) {
-  mutator(params_);
+std::string_view LunuleBalancer::name() const {
+  switch (params_.selection) {
+    case SelectionRule::kMIndex:
+      return "Lunule";
+    case SelectionRule::kHeatShare:
+      return "Lunule-Light";
+    case SelectionRule::kHottestShard:
+      return "Lunule-Hash";
+  }
+  LUNULE_CHECK_MSG(false, "unknown selection rule");
+  return {};
+}
+
+void LunuleBalancer::setup(mds::MdsCluster& cluster) {
+  if (params_.selection == SelectionRule::kHottestShard) {
+    balancer::DirHashBalancer().setup(cluster);
+  }
+}
+
+void LunuleBalancer::set_max_subtrees(std::size_t max_subtrees) {
+  params_.selector.max_subtrees = max_subtrees;
   selector_ = SubtreeSelector(params_.selector);
 }
 
@@ -56,7 +91,8 @@ void LunuleBalancer::on_epoch(mds::MdsCluster& cluster,
   // re-planning would double-commit the same imbalance.
   const std::uint64_t backlog = cluster.migration().backlog_inodes();
   const std::uint64_t cap = params_.selector.inode_cap;
-  const std::uint64_t budget = backlog < cap ? cap - backlog : 0;
+  if (backlog >= cap) return;
+  const std::uint64_t budget = cap - backlog;
   if (static_cast<double>(budget) <
       params_.min_pipeline_fraction * static_cast<double>(cap)) {
     return;
@@ -69,7 +105,10 @@ void LunuleBalancer::on_epoch(mds::MdsCluster& cluster,
   monitor_.record_decisions(per_exporter);
 
   // Group assignments per exporter so one selection pass covers all its
-  // importers, then revise (drop) that exporter's stale queued tasks.
+  // importers, then revise (drop) that exporter's stale queued tasks.  The
+  // subtree rules give every exporter the whole free pipeline; Lunule-Hash
+  // spends one budget across all of them.
+  std::uint64_t shard_budget = budget;
   for (const MdsId exporter : last_plan_.exporters) {
     std::vector<MigrationAssignment> mine;
     for (const MigrationAssignment& a : last_plan_.assignments) {
@@ -77,17 +116,24 @@ void LunuleBalancer::on_epoch(mds::MdsCluster& cluster,
     }
     if (mine.empty()) continue;
     cluster.migration().drop_queued(exporter);
-    if (params_.workload_aware) {
-      select_workload_aware(cluster, exporter, std::move(mine), budget);
-    } else {
-      select_heat_based(cluster, exporter,
-                        loads[static_cast<std::size_t>(exporter)],
-                        std::move(mine), budget);
+    switch (params_.selection) {
+      case SelectionRule::kMIndex:
+        select_mindex(cluster, exporter, std::move(mine), budget);
+        break;
+      case SelectionRule::kHeatShare:
+        select_heat_share(cluster, exporter,
+                          loads[static_cast<std::size_t>(exporter)],
+                          std::move(mine), budget);
+        break;
+      case SelectionRule::kHottestShard:
+        select_hottest_shards(cluster, exporter, std::move(mine),
+                              shard_budget);
+        break;
     }
   }
 }
 
-void LunuleBalancer::select_workload_aware(
+void LunuleBalancer::select_mindex(
     mds::MdsCluster& cluster, MdsId exporter,
     std::vector<MigrationAssignment> assignments,
     std::uint64_t inode_budget) {
@@ -110,49 +156,28 @@ void LunuleBalancer::select_workload_aware(
                             .v1 = pick.index.beta,
                             .v2 = pick.index.l_t,
                             .v3 = pick.index.l_s});
-    auto it = std::max_element(assignments.begin(), assignments.end(),
-                               [](const MigrationAssignment& a,
-                                  const MigrationAssignment& b) {
-                                 return a.amount < b.amount;
-                               });
-    if (it == assignments.end() || it->amount <= 0.0) break;
-    if (cluster.migration().submit(pick.ref, it->importer)) {
-      it->amount -= pick.predicted_iops;
+    MigrationAssignment* target = largest_demand(assignments);
+    if (target == nullptr) break;
+    if (cluster.migration().submit(pick.ref, target->importer)) {
+      target->amount -= pick.predicted_iops;
     }
   }
 }
 
-void LunuleBalancer::select_heat_based(
+void LunuleBalancer::select_heat_share(
     mds::MdsCluster& cluster, MdsId exporter, double exporter_load,
     std::vector<MigrationAssignment> assignments,
     std::uint64_t inode_budget) {
-  // CephFS default selection (used by the -Light variant): rank by decayed
-  // heat, estimate each candidate's load as its heat share.
-  balancer::collect_candidates_into(heat_cands_, cluster.tree(), exporter,
-                                    cluster.candidate_dirs(),
-                                    cluster.shard_pool());
-  const double total_heat = std::accumulate(
-      heat_cands_.begin(), heat_cands_.end(), 0.0,
-      [](double acc, const balancer::Candidate& c) { return acc + c.heat; });
-  if (total_heat <= 0.0) return;
-  std::sort(heat_cands_.begin(), heat_cands_.end(), balancer::heat_order);
-  if (inode_budget == 0) inode_budget = params_.selector.inode_cap;
   std::size_t taken = 0;
-  for (const balancer::Candidate& c : heat_cands_) {
-    if (taken >= params_.selector.max_subtrees) break;
-    if (c.heat <= 0.0) break;
-    if (c.inodes > inode_budget) continue;
-    auto it = std::max_element(assignments.begin(), assignments.end(),
-                               [](const MigrationAssignment& a,
-                                  const MigrationAssignment& b) {
-                                 return a.amount < b.amount;
-                               });
-    if (it == assignments.end() || it->amount <= 0.0) break;
-    const double est_load = exporter_load * (c.heat / total_heat);
+  const auto take = [&](const balancer::Candidate& c, double est_load) {
+    if (taken >= params_.selector.max_subtrees) return false;
+    if (c.inodes > inode_budget) return true;
+    MigrationAssignment* target = largest_demand(assignments);
+    if (target == nullptr) return false;
     // CephFS default selection skips subtrees hotter than the target
     // amount (it would descend instead of exporting them whole).
-    if (est_load > it->amount) continue;
-    if (cluster.migration().submit(c.ref, it->importer)) {
+    if (est_load > target->amount) return true;
+    if (cluster.migration().submit(c.ref, target->importer)) {
       cluster.trace().record(obs::Component::kSelector,
                              {.kind = obs::EventKind::kHeatSelection,
                               .a = exporter,
@@ -160,9 +185,40 @@ void LunuleBalancer::select_heat_based(
                               .n0 = static_cast<std::int64_t>(c.ref.dir),
                               .n1 = static_cast<std::int64_t>(c.inodes),
                               .v0 = est_load});
-      it->amount -= est_load;
+      target->amount -= est_load;
       inode_budget -= c.inodes;
       ++taken;
+    }
+    return true;
+  };
+  balancer::walk_heat_share(cands_, cluster, exporter, exporter_load, take);
+}
+
+void LunuleBalancer::select_hottest_shards(
+    mds::MdsCluster& cluster, MdsId exporter,
+    std::vector<MigrationAssignment> assignments,
+    std::uint64_t& inode_budget) {
+  // Rank the exporter's shards by their observed last-epoch load and
+  // re-pin the hottest movable ones until the assigned amounts are covered.
+  balancer::collect_candidates_into(cands_, cluster.tree(), exporter,
+                                    cluster.candidate_dirs(),
+                                    cluster.shard_pool());
+  std::sort(cands_.begin(), cands_.end(),
+            balancer::last_epoch_visits_order);
+  // The cutting windows span kCuttingWindows epochs.
+  const double epoch_seconds = params_.selector.window_seconds /
+                               static_cast<double>(fs::kCuttingWindows);
+  for (const balancer::Candidate& shard : cands_) {
+    const double rate =
+        static_cast<double>(shard.visits_last_epoch) / epoch_seconds;
+    if (rate <= 0.0) break;  // the rest of the list is idle
+    if (rate > params_.selector.hot_skip_iops) continue;  // freeze would abort
+    if (shard.inodes > inode_budget) continue;
+    MigrationAssignment* target = largest_demand(assignments);
+    if (target == nullptr) break;
+    if (cluster.migration().submit(shard.ref, target->importer)) {
+      target->amount -= rate;
+      inode_budget -= shard.inodes;
     }
   }
 }

@@ -1,12 +1,12 @@
 #include "sim/parallel_runner.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <thread>
 
-#include "common/assert.h"
 #include "common/concurrency.h"
+#include "common/worker_pool.h"
 
 namespace lunule::sim {
 
@@ -26,30 +26,18 @@ std::vector<ScenarioResult> run_scenarios(
   want = std::min(want, configs.size());
   ConcurrencyGrant grant(want > 0 ? want - 1 : 0);
 
-  // Work-stealing by atomic counter: each worker claims the next index.
-  // An exception escaping a worker thread would call std::terminate, so
-  // each scenario's exception is captured per index and every worker
-  // drains its remaining claims — one failing config must not silently
-  // discard the others' finished work or leave threads unjoined.
-  std::atomic<std::size_t> next{0};
+  // An exception escaping a scenario is captured per index, so every
+  // config still runs: one failing config must not silently discard the
+  // others' finished work.
   std::vector<std::exception_ptr> errors(configs.size());
-  auto work = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= configs.size()) return;
-      try {
-        results[i] = run_scenario(configs[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
+  WorkerPool pool(grant.granted());
+  pool.run_indexed(configs.size(), [&](std::size_t i) {
+    try {
+      results[i] = run_scenario(configs[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(grant.granted());
-  for (std::size_t w = 0; w < grant.granted(); ++w) pool.emplace_back(work);
-  work();  // the calling thread is always a worker
-  for (std::thread& t : pool) t.join();
+  });
 
   // Multi-failure aggregation: rethrow the first failure by config order
   // (scheduling-independent), but log the others first — a batch where

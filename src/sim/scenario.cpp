@@ -9,7 +9,6 @@
 #include "balancer/mantle.h"
 #include "balancer/vanilla.h"
 #include "common/assert.h"
-#include "core/hash_rebalancer.h"
 #include "core/lunule_balancer.h"
 #include "fs/builder.h"
 #include "fs/dirfrag.h"
@@ -266,21 +265,23 @@ std::unique_ptr<balancer::Balancer> make_balancer(
       return std::make_unique<balancer::VanillaBalancer>();
     case BalancerKind::kGreedySpill:
       return balancer::make_greedy_spill();
-    case BalancerKind::kLunule: {
-      core::LunuleParams p = core::LunuleParams::for_cluster(cluster_params);
-      p.workload_aware = true;
-      return std::make_unique<core::LunuleBalancer>(p);
-    }
+    case BalancerKind::kLunule:
+      return std::make_unique<core::LunuleBalancer>(
+          core::LunuleParams::for_cluster(cluster_params));
     case BalancerKind::kLunuleLight: {
       core::LunuleParams p = core::LunuleParams::for_cluster(cluster_params);
-      p.workload_aware = false;
+      p.selection = core::SelectionRule::kHeatShare;
       return std::make_unique<core::LunuleBalancer>(p);
     }
     case BalancerKind::kDirHash:
       return std::make_unique<balancer::DirHashBalancer>();
-    case BalancerKind::kLunuleHash:
-      return std::make_unique<core::HashRebalancer>(
-          core::HashRebalancerParams::for_cluster(cluster_params));
+    case BalancerKind::kLunuleHash: {
+      core::LunuleParams p = core::LunuleParams::for_cluster(cluster_params);
+      p.selection = core::SelectionRule::kHottestShard;
+      // Lunule-Hash plans whenever the pipeline has room: no free floor.
+      p.min_pipeline_fraction = 0.0;
+      return std::make_unique<core::LunuleBalancer>(p);
+    }
     case BalancerKind::kNone:
       return std::make_unique<balancer::NullBalancer>();
   }

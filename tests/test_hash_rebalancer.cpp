@@ -1,10 +1,11 @@
 // Tests for the generality extension: IF-model re-balancing on a
-// hash-based metadata service.
-#include "core/hash_rebalancer.h"
+// hash-based metadata service (Lunule's hottest-shard selection rule).
+#include "core/lunule_balancer.h"
 
 #include <gtest/gtest.h>
 
 #include "fs/builder.h"
+#include "sim/scenario.h"
 
 namespace lunule::core {
 namespace {
@@ -16,6 +17,14 @@ class HashRebalancerTest : public ::testing::Test {
     cp.n_mds = 4;
     cp.mds_capacity_iops = 1000.0;
     cp.epoch_ticks = 10;
+  }
+
+  /// Lunule-Hash's parameters, as sim::make_balancer derives them.
+  [[nodiscard]] LunuleParams hash_params() const {
+    LunuleParams p = LunuleParams::for_cluster(cp);
+    p.selection = SelectionRule::kHottestShard;
+    p.min_pipeline_fraction = 0.0;
+    return p;
   }
 
   /// Marks a directory's frag as having served `iops` in the last epoch.
@@ -36,7 +45,7 @@ class HashRebalancerTest : public ::testing::Test {
 
 TEST_F(HashRebalancerTest, SetupPinsLikeDirHash) {
   mds::MdsCluster cluster(tree, cp);
-  HashRebalancer hash(HashRebalancerParams::for_cluster(cp));
+  LunuleBalancer hash(hash_params());
   hash.setup(cluster);
   // Every leaf unit ends up pinned; placement covers multiple MDSs.
   std::set<MdsId> owners;
@@ -46,7 +55,7 @@ TEST_F(HashRebalancerTest, SetupPinsLikeDirHash) {
 
 TEST_F(HashRebalancerTest, QuietBelowIfThreshold) {
   mds::MdsCluster cluster(tree, cp);
-  HashRebalancer hash(HashRebalancerParams::for_cluster(cp));
+  LunuleBalancer hash(hash_params());
   hash.setup(cluster);
   hash.on_epoch(cluster, std::vector<Load>{500, 490, 505, 495});
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);
@@ -55,7 +64,7 @@ TEST_F(HashRebalancerTest, QuietBelowIfThreshold) {
 
 TEST_F(HashRebalancerTest, RepinsHotShardsWhenSkewed) {
   mds::MdsCluster cluster(tree, cp);
-  HashRebalancer hash(HashRebalancerParams::for_cluster(cp));
+  LunuleBalancer hash(hash_params());
   hash.setup(cluster);
   // Warm load history so forecasts exist.
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
@@ -75,8 +84,8 @@ TEST_F(HashRebalancerTest, RepinsHotShardsWhenSkewed) {
 
 TEST_F(HashRebalancerTest, SkipsShardsTooHotToFreeze) {
   mds::MdsCluster cluster(tree, cp);
-  HashRebalancerParams p = HashRebalancerParams::for_cluster(cp);
-  HashRebalancer hash(p);
+  const LunuleParams p = hash_params();
+  LunuleBalancer hash(p);
   hash.setup(cluster);
   // One shard far above the freeze-abort threshold, the rest idle.
   DirId hot = kNoDir;
@@ -88,7 +97,7 @@ TEST_F(HashRebalancerTest, SkipsShardsTooHotToFreeze) {
   }
   ASSERT_NE(hot, kNoDir);
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
-  set_observed_load(cluster, hot, p.hot_skip_iops * 4.0);
+  set_observed_load(cluster, hot, p.selector.hot_skip_iops * 4.0);
   hash.on_epoch(cluster, std::vector<Load>{900, 50, 50, 50});
   for (const mds::ExportTask& t : cluster.migration().tasks()) {
     EXPECT_NE(t.subtree.dir, hot);
@@ -97,9 +106,9 @@ TEST_F(HashRebalancerTest, SkipsShardsTooHotToFreeze) {
 
 TEST_F(HashRebalancerTest, RespectsPipelineBudget) {
   mds::MdsCluster cluster(tree, cp);
-  HashRebalancerParams p = HashRebalancerParams::for_cluster(cp);
-  p.inode_cap = 10;  // smaller than any shard (65 inodes each)
-  HashRebalancer hash(p);
+  LunuleParams p = hash_params();
+  p.selector.inode_cap = 10;  // smaller than any shard (65 inodes each)
+  LunuleBalancer hash(p);
   hash.setup(cluster);
   for (const DirId d : dirs) {
     if (tree.auth_of(d) == 0) set_observed_load(cluster, d, 80.0);
@@ -107,6 +116,56 @@ TEST_F(HashRebalancerTest, RespectsPipelineBudget) {
   for (int e = 0; e < 4; ++e) cluster.close_epoch();
   hash.on_epoch(cluster, std::vector<Load>{900, 50, 50, 50});
   EXPECT_EQ(cluster.migration().migrations_submitted(), 0u);
+}
+
+// Lunule-Hash plans whenever the migration pipeline has room: unlike
+// subtree Lunule it keeps no floor of 10% free.  Built the way the
+// simulator builds it, it must still re-pin when a queued export leaves
+// room for one shard but under a tenth of the cap.
+TEST_F(HashRebalancerTest, RepinsWithUnderTenPercentOfPipelineFree) {
+  cp.migration.bandwidth_inodes_per_tick = 50.0;
+  const auto cap = static_cast<std::uint64_t>(
+      cp.migration.bandwidth_inodes_per_tick *
+      static_cast<double>(cp.epoch_ticks) *
+      cp.migration.max_inflight_per_exporter);  // 1,000 inodes
+  const DirId bulk = fs::build_private_dirs(tree, "bulk", 1, 930).front();
+  mds::MdsCluster cluster(tree, cp);
+  const std::unique_ptr<balancer::Balancer> hash =
+      sim::make_balancer(sim::BalancerKind::kLunuleHash, cp);
+  hash->setup(cluster);
+  for (int e = 0; e < 4; ++e) cluster.close_epoch();
+  ASSERT_TRUE(cluster.migration().submit(
+      {.dir = bulk}, static_cast<MdsId>((tree.auth_of(bulk) + 1) % 4)));
+  const std::uint64_t free = cap - cluster.migration().backlog_inodes();
+  ASSERT_LT(free * 10, cap);
+  ASSERT_GE(free, 65u);  // one shard fits
+  for (const DirId d : dirs) {
+    if (tree.auth_of(d) == 0) set_observed_load(cluster, d, 80.0);
+  }
+  const std::uint64_t before = cluster.migration().migrations_submitted();
+  hash->on_epoch(cluster, std::vector<Load>{900, 50, 50, 50});
+  EXPECT_GT(cluster.migration().migrations_submitted(), before);
+}
+
+// Lunule-Hash holds the whole pipeline, not each exporter's part of it,
+// within the cap: every exporter's re-pins draw on one inode budget.
+TEST_F(HashRebalancerTest, ExportersShareOneInodeBudget) {
+  mds::MdsCluster cluster(tree, cp);
+  LunuleParams p = hash_params();
+  p.selector.inode_cap = 130;  // two 65-inode shards
+  LunuleBalancer hash(p);
+  hash.setup(cluster);
+  for (int e = 0; e < 4; ++e) cluster.close_epoch();
+  for (const DirId d : dirs) {
+    if (tree.auth_of(d) <= 1) set_observed_load(cluster, d, 80.0);
+  }
+  hash.on_epoch(cluster, std::vector<Load>{900, 900, 50, 50});
+  ASSERT_EQ(hash.last_plan().exporters.size(), 2u);
+  std::uint64_t inodes = 0;
+  for (const mds::ExportTask& t : cluster.migration().tasks()) {
+    inodes += t.inodes;
+  }
+  EXPECT_EQ(inodes, 130u);
 }
 
 }  // namespace

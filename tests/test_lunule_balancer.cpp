@@ -107,7 +107,7 @@ TEST_F(LunuleBalancerTest, LightVariantUsesHeatSelection) {
   mds::MdsCluster cluster(tree, cp);
   warm_history(cluster);
   LunuleParams p = LunuleParams::for_cluster(cp);
-  p.workload_aware = false;
+  p.selection = SelectionRule::kHeatShare;
   LunuleBalancer light(p);
   EXPECT_EQ(light.name(), "Lunule-Light");
   // Candidates with heat but zero migration index (visited out): the light

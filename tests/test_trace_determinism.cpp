@@ -144,5 +144,54 @@ TEST(TraceDeterminism, TenantLunuleTraceMatchesPinnedDigest) {
   EXPECT_EQ(fnv1a64(r.trace_json), 0x0e15d31dc7ca38f0ull);
 }
 
+// True when some component's event ring holds an event of `kind`.
+bool has_event(const std::string& trace_json, std::string_view kind) {
+  const JsonValue trace = JsonValue::parse(trace_json);
+  for (const auto& [name, component] : trace.at("components").as_object()) {
+    for (const JsonValue& e : component.at("events").as_array()) {
+      if (e.at("kind").as_string() == kind) return true;
+    }
+  }
+  return false;
+}
+
+// Pinned trace digests for the balancers that share Lunule's pipeline or
+// CephFS's heat-share walk.  The constants are these scenarios' digests
+// from the build in which Lunule-Hash was a class of its own and Vanilla,
+// GreedySpill and Lunule-Light each wrote out their own heat walk; the
+// shared code must reproduce them.  Each run must also migrate and leave a
+// decision or heat-selection event, so the digest pins a selection order
+// rather than an idle run.
+void expect_pinned_digest(const ScenarioConfig& cfg, std::uint64_t digest) {
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.trace_json.empty());
+  EXPECT_GT(r.migrations_completed, 0u);
+  EXPECT_TRUE(has_event(r.trace_json, "decision") ||
+              has_event(r.trace_json, "heat_selection"));
+  EXPECT_EQ(fnv1a64(r.trace_json), digest);
+}
+
+TEST(TraceDeterminism, VanillaTraceMatchesPinnedDigest) {
+  expect_pinned_digest(small_config(BalancerKind::kVanilla, 42),
+                       0x26f556a9d66faa62ull);
+}
+
+TEST(TraceDeterminism, GreedySpillTraceMatchesPinnedDigest) {
+  expect_pinned_digest(small_config(BalancerKind::kGreedySpill, 42),
+                       0x2c15b7f765395a33ull);
+}
+
+TEST(TraceDeterminism, LunuleLightTraceMatchesPinnedDigest) {
+  expect_pinned_digest(small_config(BalancerKind::kLunuleLight, 42),
+                       0x95b7ac079393297full);
+}
+
+TEST(TraceDeterminism, LunuleHashTraceMatchesPinnedDigest) {
+  ScenarioConfig cfg = small_config(BalancerKind::kLunuleHash, 42);
+  cfg.workload = WorkloadKind::kWeb;
+  cfg.n_clients = 60;  // 20 Web clients never push IF over the threshold
+  expect_pinned_digest(cfg, 0xc7c5b598fe1dd6a0ull);
+}
+
 }  // namespace
 }  // namespace lunule::sim
