@@ -42,16 +42,7 @@ sim::ScenarioResult run_variant(const bench::BenchOptions& opts,
   auto sim = sim::make_scenario_with_balancer(
       cfg, std::make_unique<core::LunuleBalancer>(p));
   sim->run();
-
-  sim::ScenarioResult r;
-  r.workload = std::string(sim::workload_name(workload));
-  r.balancer = variant.name;
-  r.total_served = sim->cluster().total_served();
-  r.migrated_total = sim->cluster().migration().total_migrated_inodes();
-  r.migrations_completed = sim->cluster().migration().migrations_completed();
-  r.end_tick = sim->end_tick();
-  r.mean_if = sim->metrics().mean_if(3);
-  return r;
+  return sim::result_of(*sim, cfg);
 }
 
 int run(int argc, char** argv) {
@@ -92,22 +83,23 @@ int run(int argc, char** argv) {
        {sim::WorkloadKind::kCnn, sim::WorkloadKind::kZipf}) {
     for (const Variant& v : variants) {
       const sim::ScenarioResult r = run_variant(opts, w, v);
-      table.add_row({r.workload, r.balancer, TablePrinter::fmt(r.mean_if, 3),
+      const double mean_if = r.metrics.mean_if();
+      table.add_row({r.workload, v.name, TablePrinter::fmt(mean_if, 3),
                      TablePrinter::fmt(r.sustained_iops(), 0),
                      TablePrinter::fmt(r.migrated_total)});
       if (w == sim::WorkloadKind::kCnn) {
-        if (std::string(v.name) == "full") cnn_full_if = r.mean_if;
+        if (std::string(v.name) == "full") cnn_full_if = mean_if;
         if (std::string(v.name) == "no-sibling-credits") {
-          cnn_nosib_if = r.mean_if;
+          cnn_nosib_if = mean_if;
         }
       } else {
         if (std::string(v.name) == "full") {
           zipf_full_mig = static_cast<double>(r.migrated_total);
-          zipf_full_if = r.mean_if;
+          zipf_full_if = mean_if;
         }
         if (std::string(v.name) == "no-lag-awareness") {
           zipf_nolag_mig = static_cast<double>(r.migrated_total);
-          zipf_nolag_if = r.mean_if;
+          zipf_nolag_if = mean_if;
         }
       }
     }

@@ -22,13 +22,12 @@
 namespace lunule {
 namespace {
 
-struct Outcome {
-  std::uint64_t migrated = 0;
-  double mean_if = 0.0;
-};
+/// The table's IF mean drops 2 warm-up epochs, one fewer than every other
+/// summary (sim::MetricsCollector::kWarmupEpochs).
+constexpr std::size_t kWarmupEpochs = 2;
 
-Outcome run_case(const bench::BenchOptions& opts, double client_rate,
-                 bool with_urgency) {
+sim::ScenarioResult run_case(const bench::BenchOptions& opts,
+                             double client_rate, bool with_urgency) {
   sim::ScenarioConfig cfg =
       opts.config(sim::WorkloadKind::kZipf, sim::BalancerKind::kLunule);
   cfg.n_clients = 10;
@@ -45,9 +44,7 @@ Outcome run_case(const bench::BenchOptions& opts, double client_rate,
   auto sim = sim::make_scenario_with_balancer(
       cfg, std::make_unique<core::LunuleBalancer>(p));
   sim->run();
-  return Outcome{
-      .migrated = sim->cluster().migration().total_migrated_inodes(),
-      .mean_if = sim->metrics().mean_if(2)};
+  return sim::result_of(*sim, cfg);
 }
 
 int run(int argc, char** argv) {
@@ -56,36 +53,34 @@ int run(int argc, char** argv) {
   sim::ShapeChecker checks;
 
   // Benign: 10 clients at 40 ops/s = 400 IOPS on a 2500-IOPS MDS.
-  const Outcome benign_with = run_case(opts, 40.0, /*with_urgency=*/true);
-  const Outcome benign_without = run_case(opts, 40.0, false);
+  const sim::ScenarioResult benign_with =
+      run_case(opts, 40.0, /*with_urgency=*/true);
+  const sim::ScenarioResult benign_without = run_case(opts, 40.0, false);
   // Harmful: the same 10 clients at full tilt saturate the hot MDS.
-  const Outcome hot_with = run_case(opts, 400.0, true);
-  const Outcome hot_without = run_case(opts, 400.0, false);
+  const sim::ScenarioResult hot_with = run_case(opts, 400.0, true);
+  const sim::ScenarioResult hot_without = run_case(opts, 400.0, false);
 
   TablePrinter table({"scenario", "variant", "migrated inodes", "mean IF"});
-  table.add_row({"benign (16% load)", "with urgency",
-                 TablePrinter::fmt(benign_with.migrated),
-                 TablePrinter::fmt(benign_with.mean_if, 3)});
-  table.add_row({"benign (16% load)", "without urgency",
-                 TablePrinter::fmt(benign_without.migrated),
-                 TablePrinter::fmt(benign_without.mean_if, 3)});
-  table.add_row({"harmful (saturated)", "with urgency",
-                 TablePrinter::fmt(hot_with.migrated),
-                 TablePrinter::fmt(hot_with.mean_if, 3)});
-  table.add_row({"harmful (saturated)", "without urgency",
-                 TablePrinter::fmt(hot_without.migrated),
-                 TablePrinter::fmt(hot_without.mean_if, 3)});
+  const auto add_row = [&table](const char* scenario, const char* variant,
+                                const sim::ScenarioResult& r) {
+    table.add_row({scenario, variant, TablePrinter::fmt(r.migrated_total),
+                   TablePrinter::fmt(r.metrics.mean_if(kWarmupEpochs), 3)});
+  };
+  add_row("benign (16% load)", "with urgency", benign_with);
+  add_row("benign (16% load)", "without urgency", benign_without);
+  add_row("harmful (saturated)", "with urgency", hot_with);
+  add_row("harmful (saturated)", "without urgency", hot_without);
   if (opts.report.csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout, "Urgency-term ablation (Eq. 2)");
   }
 
-  checks.expect(benign_with.migrated == 0,
+  checks.expect(benign_with.migrated_total == 0,
                 "urgency suppresses re-balance under benign imbalance");
-  checks.expect(benign_without.migrated > 0,
+  checks.expect(benign_without.migrated_total > 0,
                 "a CoV-only trigger migrates even when no MDS is stressed");
-  checks.expect(hot_with.migrated > 0,
+  checks.expect(hot_with.migrated_total > 0,
                 "urgency does not suppress genuinely harmful imbalance");
   return bench::finish(checks);
 }

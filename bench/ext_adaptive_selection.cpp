@@ -29,19 +29,8 @@ Cell run_adaptive(const bench::BenchOptions& opts, sim::WorkloadKind w) {
   const auto* handle = balancer.get();
   auto sim = sim::make_scenario_with_balancer(cfg, std::move(balancer));
   sim->run();
-
-  Cell cell;
-  cell.final_budget = handle->current_max_subtrees();
-  cell.result.workload = std::string(sim::workload_name(w));
-  cell.result.balancer = "Lunule-Adaptive";
-  cell.result.mean_if = sim->metrics().mean_if(3);
-  cell.result.total_served = sim->cluster().total_served();
-  cell.result.end_tick = sim->end_tick();
-  cell.result.valid_migration_fraction =
-      sim->cluster().audit().valid_fraction();
-  cell.result.migrations_completed =
-      sim->cluster().migration().migrations_completed();
-  return cell;
+  return Cell{.result = sim::result_of(*sim, cfg),
+              .final_budget = handle->current_max_subtrees()};
 }
 
 int run(int argc, char** argv) {
@@ -57,13 +46,15 @@ int run(int argc, char** argv) {
         sim::run_scenario(opts.config(w, sim::BalancerKind::kLunule));
     const Cell adaptive = run_adaptive(opts, w);
 
+    const double fixed_if = fixed.metrics.mean_if();
+    const double adaptive_if = adaptive.result.metrics.mean_if();
     table.add_row({fixed.workload, fixed.balancer,
-                   TablePrinter::fmt(fixed.mean_if, 3),
+                   TablePrinter::fmt(fixed_if, 3),
                    TablePrinter::fmt(fixed.sustained_iops(), 0),
                    TablePrinter::fmt(fixed.valid_migration_fraction, 2),
                    "-"});
     table.add_row({adaptive.result.workload, adaptive.result.balancer,
-                   TablePrinter::fmt(adaptive.result.mean_if, 3),
+                   TablePrinter::fmt(adaptive_if, 3),
                    TablePrinter::fmt(adaptive.result.sustained_iops(), 0),
                    TablePrinter::fmt(
                        adaptive.result.valid_migration_fraction, 2),
@@ -71,7 +62,7 @@ int run(int argc, char** argv) {
                        static_cast<std::uint64_t>(adaptive.final_budget))});
 
     checks.expect(
-        adaptive.result.mean_if < fixed.mean_if * 1.25,
+        adaptive_if < fixed_if * 1.25,
         adaptive.result.workload +
             ": adaptive selection does not regress balance materially");
     checks.expect(adaptive.result.valid_migration_fraction >=

@@ -74,22 +74,23 @@ int run(int argc, char** argv) {
     cfg.journal.enabled = row.journaled;
     const sim::ScenarioResult r = sim::run_scenario(cfg);
     opts.dump_trace(r);
+    const double reconverge = r.reconverge_seconds();
     table.add_row({row.label,
-                   fmt_reconverge(r.reconverge_seconds),
+                   fmt_reconverge(reconverge),
                    TablePrinter::fmt(r.faults.subtrees),
                    TablePrinter::fmt(r.faults.aborted_migrations),
                    TablePrinter::fmt(r.faults.replay_seconds, 2) + " s",
                    TablePrinter::fmt(r.faults.lost_entries),
-                   TablePrinter::fmt(r.mean_if, 3),
+                   TablePrinter::fmt(r.metrics.mean_if(), 3),
                    TablePrinter::fmt(r.total_served)});
     if (row.journaled) {
-      journal_rec = r.reconverge_seconds;
+      journal_rec = reconverge;
       journal_replay = r.faults.replay_seconds;
     } else {
       switch (row.balancer) {
-        case sim::BalancerKind::kLunule:  lunule_rec = r.reconverge_seconds; break;
-        case sim::BalancerKind::kVanilla: vanilla_rec = r.reconverge_seconds; break;
-        default:                          hash_rec = r.reconverge_seconds; break;
+        case sim::BalancerKind::kLunule:  lunule_rec = reconverge; break;
+        case sim::BalancerKind::kVanilla: vanilla_rec = reconverge; break;
+        default:                          hash_rec = reconverge; break;
       }
     }
   }

@@ -43,18 +43,19 @@ int run(int argc, char** argv) {
     const sim::ScenarioResult r =
         sim::run_scenario(opts.config(sim::WorkloadKind::kWeb, b));
     const double sustained = r.sustained_iops();
+    const double mean_if = r.metrics.mean_if();
     table.add_row({std::string(sim::balancer_name(b)),
-                   TablePrinter::fmt(r.mean_if, 3),
+                   TablePrinter::fmt(mean_if, 3),
                    TablePrinter::fmt(sustained, 0),
                    TablePrinter::fmt(r.total_forwards),
                    TablePrinter::fmt(r.migrated_total)});
     switch (b) {
       case sim::BalancerKind::kDirHash:
-        hash_if = r.mean_if;
+        hash_if = mean_if;
         hash_iops = sustained;
         break;
       case sim::BalancerKind::kLunuleHash:
-        lunule_hash_if = r.mean_if;
+        lunule_hash_if = mean_if;
         lunule_hash_iops = sustained;
         lunule_hash_forwards = r.total_forwards;
         break;

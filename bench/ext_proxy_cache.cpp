@@ -96,7 +96,7 @@ int run(int argc, char** argv) {
                    TablePrinter::fmt(r.clients_done) + "/" +
                        TablePrinter::fmt(r.n_clients),
                    TablePrinter::fmt(tail_jct(r), 0) + " s",
-                   TablePrinter::fmt(r.mean_if)});
+                   TablePrinter::fmt(r.metrics.mean_if())});
   }
 
   const sim::ScenarioResult& base = results[0];

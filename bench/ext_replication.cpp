@@ -57,7 +57,8 @@ int run(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sim::ScenarioResult& r = results[i];
     sustained[i] = r.sustained_iops();
-    table.add_row({variants[i].label, TablePrinter::fmt(r.mean_if, 3),
+    table.add_row({variants[i].label,
+                   TablePrinter::fmt(r.metrics.mean_if(), 3),
                    TablePrinter::fmt(sustained[i], 0),
                    TablePrinter::fmt(r.migrated_total),
                    TablePrinter::fmt(static_cast<std::int64_t>(r.end_tick))});

@@ -21,24 +21,24 @@ int run(int argc, char** argv) {
   {
     const sim::ScenarioResult r = sim::run_scenario(
         opts.config(sim::WorkloadKind::kZipf, sim::BalancerKind::kVanilla));
-    sim::print_series_bundle(std::cout,
-                             "Figure 3(a): per-MDS IOPS, Zipf, Vanilla",
-                             r.per_mds_iops, opts.report);
+    sim::print_per_mds_iops(std::cout,
+                            "Figure 3(a): per-MDS IOPS, Zipf, Vanilla",
+                            r.metrics, opts.report);
     // Ping-pong signal: some MDS both exceeds 60% of the cluster-mean peak
     // and later drops below 25% of its own peak while the run is still hot.
     bool ping_pong = false;
-    for (std::size_t m = 0; m < r.per_mds_iops.count(); ++m) {
-      const auto& series = r.per_mds_iops.at(m);
-      const double peak = series.maximum();
+    for (std::size_t m = 0; m < r.metrics.ranks(); ++m) {
+      const std::vector<double> series = r.metrics.rank_iops(m);
+      const double peak = max_value(series);
       if (peak < 100.0) continue;
       // Scan the middle half of the run for a deep valley after the peak.
       std::size_t peak_at = 0;
       for (std::size_t i = 0; i < series.size(); ++i) {
-        if (series.at(i) == peak) peak_at = i;
+        if (series[i] == peak) peak_at = i;
       }
       for (std::size_t i = peak_at + 1; i + series.size() / 4 < series.size();
            ++i) {
-        if (series.at(i) < 0.25 * peak) {
+        if (series[i] < 0.25 * peak) {
           ping_pong = true;
           break;
         }
@@ -53,9 +53,9 @@ int run(int argc, char** argv) {
   {
     const sim::ScenarioResult r = sim::run_scenario(
         opts.config(sim::WorkloadKind::kCnn, sim::BalancerKind::kVanilla));
-    sim::print_series_bundle(std::cout,
-                             "Figure 3(b): per-MDS IOPS, CNN, Vanilla",
-                             r.per_mds_iops, opts.report);
+    sim::print_per_mds_iops(std::cout,
+                            "Figure 3(b): per-MDS IOPS, CNN, Vanilla",
+                            r.metrics, opts.report);
     // Hot-MDS dominance: the busiest MDS carries most of the cluster's
     // work over the whole run.
     std::uint64_t total = 0;

@@ -21,7 +21,7 @@ double dead_fraction(const sim::ScenarioResult& r) {
   // run produced on non-origin MDSs: if migration had been useful, served
   // work would have spread.  We use the simpler signal: how much of the
   // migrated volume happened after the midpoint while imbalance persisted.
-  const auto& mig = r.migrated_inodes.values();
+  const std::vector<double> mig = r.metrics.migrated_inodes();
   if (mig.empty() || mig.back() == 0.0) return 0.0;
   const double mid = mig[mig.size() / 2];
   return (mig.back() - mid) / mig.back();
@@ -39,10 +39,11 @@ int run(int argc, char** argv) {
   const sim::ScenarioResult cnn_lunule = sim::run_scenario(
       opts.config(sim::WorkloadKind::kCnn, sim::BalancerKind::kLunule));
 
-  sim::print_series_columns(
-      std::cout, "Figure 4: cumulative migrated inodes, Vanilla",
-      {&zipf.migrated_inodes, &cnn.migrated_inodes}, {"Zipf", "CNN"},
-      static_cast<double>(10), opts.report);
+  const std::vector<double> zipf_mig = zipf.metrics.migrated_inodes();
+  const std::vector<double> cnn_mig = cnn.metrics.migrated_inodes();
+  sim::print_series(std::cout, "Figure 4: cumulative migrated inodes, Vanilla",
+                    {{"Zipf", zipf_mig}, {"CNN", cnn_mig}},
+                    zipf.metrics.epoch_seconds(), /*digits=*/3, opts.report);
 
   std::cout << "Zipf: " << zipf.migrated_total << " inodes in "
             << zipf.migrations_completed << " migrations\n"

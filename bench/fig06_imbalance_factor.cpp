@@ -40,29 +40,33 @@ int run(int argc, char** argv) {
   }
   const std::vector<sim::ScenarioResult> all = sim::run_scenarios(configs);
 
+  // Every cell runs with the bench's epoch length.
+  const double epoch_seconds = all.front().metrics.epoch_seconds();
   std::size_t cell = 0;
   for (const sim::WorkloadKind w : workloads) {
     std::map<sim::BalancerKind, sim::ScenarioResult> results;
-    std::vector<const TimeSeries*> series;
-    std::vector<std::string> names;
+    std::vector<std::vector<double>> if_values;
     for (const sim::BalancerKind b : balancers) {
-      results.emplace(b, all[cell++]);
-      names.emplace_back(sim::balancer_name(b));
+      const sim::ScenarioResult& r = all[cell++];
+      results.emplace(b, r);
+      if_values.push_back(r.metrics.if_values());
     }
-    for (const sim::BalancerKind b : balancers) {
-      series.push_back(&results.at(b).if_series);
+    std::vector<sim::SeriesColumn> columns;
+    for (std::size_t i = 0; i < if_values.size(); ++i) {
+      columns.push_back({sim::balancer_name(balancers[i]), if_values[i]});
     }
-    sim::print_series_columns(
+    sim::print_series(
         std::cout,
         "Figure 6: IF over time, " + std::string(sim::workload_name(w)),
-        series, names, /*seconds_per_sample=*/10.0, opts.report);
+        columns, epoch_seconds, /*digits=*/3, opts.report);
 
-    const double vanilla = results.at(sim::BalancerKind::kVanilla).mean_if;
-    const double greedy =
-        results.at(sim::BalancerKind::kGreedySpill).mean_if;
-    const double light =
-        results.at(sim::BalancerKind::kLunuleLight).mean_if;
-    const double lunule = results.at(sim::BalancerKind::kLunule).mean_if;
+    const auto mean_if = [&](sim::BalancerKind b) {
+      return results.at(b).metrics.mean_if();
+    };
+    const double vanilla = mean_if(sim::BalancerKind::kVanilla);
+    const double greedy = mean_if(sim::BalancerKind::kGreedySpill);
+    const double light = mean_if(sim::BalancerKind::kLunuleLight);
+    const double lunule = mean_if(sim::BalancerKind::kLunule);
     const double best_baseline = std::min(vanilla, greedy);
     summary.add_row(
         {std::string(sim::workload_name(w)), TablePrinter::fmt(vanilla, 3),

@@ -41,22 +41,25 @@ int run(int argc, char** argv) {
   const std::vector<sim::ScenarioResult> all = sim::run_scenarios(configs);
   for (const sim::ScenarioResult& r : all) opts.dump_trace(r);
 
+  // Every cell runs with the bench's epoch length.
+  const double epoch_seconds = all.front().metrics.epoch_seconds();
   std::size_t cell = 0;
   for (const sim::WorkloadKind w : workloads) {
     std::map<sim::BalancerKind, sim::ScenarioResult> results;
-    std::vector<const TimeSeries*> series;
-    std::vector<std::string> names;
+    std::vector<std::vector<double>> aggregate;
     for (const sim::BalancerKind b : balancers) {
-      results.emplace(b, all[cell++]);
-      names.emplace_back(sim::balancer_name(b));
+      const sim::ScenarioResult& r = all[cell++];
+      results.emplace(b, r);
+      aggregate.push_back(r.metrics.aggregate_iops());
     }
-    for (const sim::BalancerKind b : balancers) {
-      series.push_back(&results.at(b).aggregate_iops);
+    std::vector<sim::SeriesColumn> columns;
+    for (std::size_t i = 0; i < aggregate.size(); ++i) {
+      columns.push_back({sim::balancer_name(balancers[i]), aggregate[i]});
     }
-    sim::print_series_columns(
+    sim::print_series(
         std::cout,
         "Figure 7: aggregate IOPS, " + std::string(sim::workload_name(w)),
-        series, names, /*seconds_per_sample=*/10.0, opts.report);
+        columns, epoch_seconds, /*digits=*/3, opts.report);
 
     const auto sustained = [&](sim::BalancerKind b) {
       return results.at(b).sustained_iops();

@@ -22,18 +22,22 @@ int run(int argc, char** argv) {
   const sim::ScenarioResult lunule = sim::run_scenario(
       opts.config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule));
 
-  sim::print_series_columns(std::cout,
-                            "Figure 9: IF over time, mixed workload",
-                            {&vanilla.if_series, &lunule.if_series},
-                            {"Vanilla", "Lunule"}, 10.0, opts.report);
-  std::cout << "Vanilla: mean IF " << vanilla.mean_if << ", run "
+  const std::vector<double> vanilla_if = vanilla.metrics.if_values();
+  const std::vector<double> lunule_if = lunule.metrics.if_values();
+  const double vanilla_mean = vanilla.metrics.mean_if();
+  const double lunule_mean = lunule.metrics.mean_if();
+  sim::print_series(std::cout, "Figure 9: IF over time, mixed workload",
+                    {{"Vanilla", vanilla_if}, {"Lunule", lunule_if}},
+                    vanilla.metrics.epoch_seconds(), /*digits=*/3,
+                    opts.report);
+  std::cout << "Vanilla: mean IF " << vanilla_mean << ", run "
             << vanilla.end_tick << " s\n"
-            << "Lunule : mean IF " << lunule.mean_if << ", run "
+            << "Lunule : mean IF " << lunule_mean << ", run "
             << lunule.end_tick << " s\n";
 
-  checks.expect(lunule.mean_if < vanilla.mean_if,
+  checks.expect(lunule_mean < vanilla_mean,
                 "Mixed: Lunule mean IF below Vanilla");
-  checks.expect(lunule.mean_if < 0.35,
+  checks.expect(lunule_mean < 0.35,
                 "Mixed: Lunule keeps the cluster near balance");
   checks.expect(lunule.end_tick <= vanilla.end_tick,
                 "Mixed: Lunule's curve is shorter (workloads finish "
@@ -41,11 +45,11 @@ int run(int argc, char** argv) {
   // Compare spikes after the initial one-hot transient (both systems
   // start with the whole namespace on MDS-1, so epoch 0 is ~1 for both).
   const std::size_t skip = std::min<std::size_t>(
-      10, std::min(vanilla.if_series.size(), lunule.if_series.size()) / 2);
+      10, std::min(vanilla_if.size(), lunule_if.size()) / 2);
   const double vanilla_spike =
-      max_value(vanilla.if_series.values().subspan(skip));
+      max_value(std::span<const double>(vanilla_if).subspan(skip));
   const double lunule_spike =
-      max_value(lunule.if_series.values().subspan(skip));
+      max_value(std::span<const double>(lunule_if).subspan(skip));
   checks.expect(vanilla_spike > 1.5 * lunule_spike,
                 "Mixed: Vanilla shows much larger IF spikes after warm-up");
   return bench::finish(checks);

@@ -13,12 +13,12 @@ namespace lunule {
 namespace {
 
 /// Mean over the first `frac` of a series.
-double head_mean(const TimeSeries& s, double frac) {
+double head_mean(const std::vector<double>& s, double frac) {
   const auto take = static_cast<std::size_t>(
       static_cast<double>(s.size()) * frac);
   if (take == 0) return 0.0;
   double acc = 0.0;
-  for (std::size_t i = 0; i < take; ++i) acc += s.at(i);
+  for (std::size_t i = 0; i < take; ++i) acc += s[i];
   return acc / static_cast<double>(take);
 }
 
@@ -32,17 +32,17 @@ int run(int argc, char** argv) {
   const sim::ScenarioResult lunule = sim::run_scenario(
       opts.config(sim::WorkloadKind::kMixed, sim::BalancerKind::kLunule));
 
-  sim::print_series_bundle(std::cout,
-                           "Figure 10(a): per-MDS IOPS, mixed, Vanilla",
-                           vanilla.per_mds_iops, opts.report);
-  sim::print_series_bundle(std::cout,
-                           "Figure 10(b): per-MDS IOPS, mixed, Lunule",
-                           lunule.per_mds_iops, opts.report);
+  sim::print_per_mds_iops(std::cout,
+                          "Figure 10(a): per-MDS IOPS, mixed, Vanilla",
+                          vanilla.metrics, opts.report);
+  sim::print_per_mds_iops(std::cout,
+                          "Figure 10(b): per-MDS IOPS, mixed, Lunule",
+                          lunule.metrics, opts.report);
 
   // Early-run clustered throughput comparison (paper: 48k vs 30k IOPS in
   // the first 50 minutes).
-  const double v_head = head_mean(vanilla.aggregate_iops, 0.3);
-  const double l_head = head_mean(lunule.aggregate_iops, 0.3);
+  const double v_head = head_mean(vanilla.metrics.aggregate_iops(), 0.3);
+  const double l_head = head_mean(lunule.metrics.aggregate_iops(), 0.3);
   std::cout << "Early-run aggregate IOPS: Vanilla " << v_head << ", Lunule "
             << l_head << " (" << l_head / v_head << "x)\n";
   // The paper reports 1.6x during the first 50 minutes; our closed-loop

@@ -57,6 +57,23 @@ std::unique_ptr<sim::Simulation> open_ended_zipf(
   return sim_ptr;
 }
 
+/// Mean aggregate IOPS over each of `phases` equal slices of the run.
+std::vector<double> phase_means(const sim::MetricsCollector& m,
+                                std::size_t phases) {
+  const std::vector<double> aggregate = m.aggregate_iops();
+  const std::size_t epochs_per_phase = aggregate.size() / phases;
+  std::vector<double> means;
+  for (std::size_t p = 0; p < phases; ++p) {
+    double acc = 0.0;
+    for (std::size_t e = p * epochs_per_phase;
+         e < (p + 1) * epochs_per_phase; ++e) {
+      acc += aggregate[e];
+    }
+    means.push_back(acc / static_cast<double>(epochs_per_phase));
+  }
+  return means;
+}
+
 int run_expansion(const bench::BenchOptions& opts,
                   sim::ShapeChecker& checks) {
   const Tick phase = opts.ticks / 3;
@@ -67,23 +84,12 @@ int run_expansion(const bench::BenchOptions& opts,
                     [](sim::Simulation& s) { s.cluster().add_server(); });
   sim_ptr->run();
 
-  const auto& m = sim_ptr->metrics();
-  sim::print_series_bundle(std::cout,
-                           "Figure 12(a): per-MDS IOPS, MDS added at each "
-                           "phase boundary",
-                           m.per_mds_iops(), opts.report);
+  sim::print_per_mds_iops(std::cout,
+                          "Figure 12(a): per-MDS IOPS, MDS added at each "
+                          "phase boundary",
+                          sim_ptr->metrics(), opts.report);
 
-  // Phase-average aggregate throughput.
-  const std::size_t epochs_per_phase = m.epochs() / 3;
-  double phase_avg[3] = {0, 0, 0};
-  for (std::size_t p = 0; p < 3; ++p) {
-    double acc = 0.0;
-    for (std::size_t e = p * epochs_per_phase;
-         e < (p + 1) * epochs_per_phase; ++e) {
-      acc += m.aggregate_iops().at(e);
-    }
-    phase_avg[p] = acc / static_cast<double>(epochs_per_phase);
-  }
+  const std::vector<double> phase_avg = phase_means(sim_ptr->metrics(), 3);
   std::cout << "Aggregate IOPS per phase: " << phase_avg[0] << " -> "
             << phase_avg[1] << " -> " << phase_avg[2] << "\n";
   checks.expect(phase_avg[1] > 1.05 * phase_avg[0],
@@ -114,22 +120,12 @@ int run_client_growth(const bench::BenchOptions& opts,
   });
   sim_ptr->run();
 
-  const auto& m = sim_ptr->metrics();
-  sim::print_series_bundle(std::cout,
-                           "Figure 12(b): per-MDS IOPS, +10 clients per "
-                           "phase",
-                           m.per_mds_iops(), opts.report);
+  sim::print_per_mds_iops(std::cout,
+                          "Figure 12(b): per-MDS IOPS, +10 clients per "
+                          "phase",
+                          sim_ptr->metrics(), opts.report);
 
-  const std::size_t epochs_per_phase = m.epochs() / 4;
-  double phase_avg[4] = {0, 0, 0, 0};
-  for (std::size_t p = 0; p < 4; ++p) {
-    double acc = 0.0;
-    for (std::size_t e = p * epochs_per_phase;
-         e < (p + 1) * epochs_per_phase; ++e) {
-      acc += m.aggregate_iops().at(e);
-    }
-    phase_avg[p] = acc / static_cast<double>(epochs_per_phase);
-  }
+  const std::vector<double> phase_avg = phase_means(sim_ptr->metrics(), 4);
   std::cout << "Aggregate IOPS per phase: " << phase_avg[0] << " / "
             << phase_avg[1] << " / " << phase_avg[2] << " / "
             << phase_avg[3] << "\n"
@@ -139,7 +135,7 @@ int run_client_growth(const bench::BenchOptions& opts,
   checks.expect(migrated_phase1 == 0,
                 "12b: no re-balance in phase 1 — 10 clients leave every "
                 "MDS lightly loaded (urgency tolerates benign imbalance)");
-  for (int p = 1; p < 4; ++p) {
+  for (std::size_t p = 1; p < 4; ++p) {
     checks.expect(phase_avg[p] > phase_avg[p - 1] * 1.1,
                   "12b: throughput grows phase " + std::to_string(p) +
                       " -> " + std::to_string(p + 1) +

@@ -37,18 +37,17 @@ int run(int argc, char** argv) {
     cfg.n_clients = 8 * n;  // grow offered load with the cluster
     cfg.client_rate = 1200.0;
     cfg.stop_when_done = false;
-    const sim::ScenarioResult r = sim::run_scenario(cfg);
-    if (n == 1) base_peak = r.peak_aggregate_iops;
+    const double peak = sim::run_scenario(cfg).metrics.peak_aggregate_iops();
+    if (n == 1) base_peak = peak;
     const double ideal = base_peak * static_cast<double>(n);
     scaling.add_row(
         {TablePrinter::fmt(static_cast<std::uint64_t>(n)),
          TablePrinter::fmt(static_cast<std::uint64_t>(cfg.n_clients)),
-         TablePrinter::fmt(r.peak_aggregate_iops, 0),
-         TablePrinter::fmt(r.peak_aggregate_iops / static_cast<double>(n),
-                           0),
+         TablePrinter::fmt(peak, 0),
+         TablePrinter::fmt(peak / static_cast<double>(n), 0),
          TablePrinter::fmt(ideal, 0),
-         TablePrinter::fmt(100.0 * r.peak_aggregate_iops / ideal, 1) + "%"});
-    peaks.push_back(r.peak_aggregate_iops);
+         TablePrinter::fmt(100.0 * peak / ideal, 1) + "%"});
+    peaks.push_back(peak);
     sizes.push_back(static_cast<double>(n));
   }
   if (opts.report.csv) {
@@ -82,7 +81,7 @@ int run(int argc, char** argv) {
     if (b == sim::BalancerKind::kVanilla) vanilla_iops = sustained;
     web.add_row({std::string(sim::balancer_name(b)),
                  TablePrinter::fmt(sustained, 0),
-                 TablePrinter::fmt(r.mean_if, 3),
+                 TablePrinter::fmt(r.metrics.mean_if(), 3),
                  TablePrinter::fmt(r.total_forwards)});
   }
   if (opts.report.csv) {

@@ -13,7 +13,6 @@
 #include "fs/dirfrag.h"
 #include "fs/file_state.h"
 #include "mds/messages.h"
-#include "sim/json_export.h"
 
 namespace lunule {
 namespace {
@@ -51,11 +50,7 @@ int run(int argc, char** argv) {
     cfg.max_ticks = 600;
     auto sim = sim::make_scenario(cfg);
     sim->run();
-    if (cfg.capture_trace) {
-      sim::ScenarioResult traced;
-      traced.trace_json = sim::trace_to_json(sim->cluster().trace());
-      opts.dump_trace(traced);
-    }
+    if (cfg.capture_trace) opts.dump_trace(sim::result_of(*sim, cfg));
     const auto* lunule =
         dynamic_cast<const core::LunuleBalancer*>(&sim->balancer());
     LUNULE_CHECK(lunule != nullptr);

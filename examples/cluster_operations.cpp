@@ -72,14 +72,15 @@ int main(int argc, char** argv) {
 
   sim::ReportOptions ropts;
   ropts.buckets = 12;
-  sim::print_series_bundle(std::cout, "per-MDS IOPS across the three phases",
-                           sim.metrics().per_mds_iops(), ropts);
+  sim::print_per_mds_iops(std::cout, "per-MDS IOPS across the three phases",
+                          sim.metrics(), ropts);
   std::cout << "\ncumulative migrated inodes: "
             << sim.cluster().migration().total_migrated_inodes() << " in "
             << sim.cluster().migration().migrations_completed()
             << " migrations ("
             << sim.cluster().migration().migrations_aborted()
             << " aborted)\n"
-            << "final IF: " << sim.metrics().if_series().back() << "\n";
+            << "final IF: " << sim.metrics().rows().back().imbalance_factor
+            << "\n";
   return 0;
 }

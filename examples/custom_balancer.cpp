@@ -11,7 +11,6 @@
 // Mantle policy is limited by the selection stage it cannot customize.
 //
 //   ./custom_balancer [--scale=X] [--ticks=N]
-#include <algorithm>
 #include <iostream>
 
 #include "balancer/policy_lang.h"
@@ -42,39 +41,22 @@ int main(int argc, char** argv) {
 
   TablePrinter table(
       {"Balancer", "mean IF", "sustained IOPS", "completion (s)"});
+  const auto add_row = [&table](const sim::ScenarioResult& r) {
+    table.add_row({r.balancer, TablePrinter::fmt(r.metrics.mean_if(), 3),
+                   TablePrinter::fmt(r.sustained_iops(), 0),
+                   TablePrinter::fmt(static_cast<std::int64_t>(r.end_tick))});
+  };
 
   for (const auto kind :
        {sim::BalancerKind::kGreedySpill, sim::BalancerKind::kLunule}) {
     cfg.balancer = kind;
-    const sim::ScenarioResult r = sim::run_scenario(cfg);
-    table.add_row({r.balancer, TablePrinter::fmt(r.mean_if, 3),
-                   TablePrinter::fmt(r.sustained_iops(), 0),
-                   TablePrinter::fmt(static_cast<std::int64_t>(r.end_tick))});
+    add_row(sim::run_scenario(cfg));
   }
-  {
-    // Custom Mantle policy: build the scenario with a null balancer and
-    // drive the policy from scheduled per-epoch hooks.
-    cfg.balancer = sim::BalancerKind::kNone;
-    auto sim = sim::make_scenario(cfg);
-    auto policy = make_threshold_spill();
-    // Epoch hook: invoke the custom policy after every metrics epoch.
-    for (Tick t = cfg.epoch_ticks - 1; t < cfg.max_ticks;
-         t += cfg.epoch_ticks) {
-      sim->schedule(t, [&policy](sim::Simulation& s) {
-        const std::vector<Load> loads = s.cluster().current_loads();
-        policy->on_epoch(s.cluster(), loads);
-      });
-    }
-    sim->run();
-    const double sustained =
-        static_cast<double>(sim->cluster().total_served()) /
-        std::max<double>(1.0, static_cast<double>(sim->end_tick()));
-    table.add_row({"threshold-spill (custom)",
-                   TablePrinter::fmt(sim->metrics().mean_if(3), 3),
-                   TablePrinter::fmt(sustained, 0),
-                   TablePrinter::fmt(
-                       static_cast<std::int64_t>(sim->end_tick()))});
-  }
+  // The custom policy plugs into the scenario like any built-in balancer:
+  // the simulation calls its on_epoch at every epoch close.
+  auto sim = sim::make_scenario_with_balancer(cfg, make_threshold_spill());
+  sim->run();
+  add_row(sim::result_of(*sim, cfg));
 
   table.print(std::cout, "Custom Mantle policy vs built-in balancers "
                          "(mixed workload)");

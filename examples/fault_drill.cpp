@@ -11,6 +11,7 @@
 //
 //   ./fault_drill [--ticks=N] [--seed=N]
 #include <iostream>
+#include <vector>
 
 #include "common/flags.h"
 #include "sim/report.h"
@@ -57,11 +58,13 @@ int main(int argc, char** argv) {
 
   sim::ReportOptions ropts;
   ropts.buckets = 12;
-  sim::print_series_bundle(std::cout, "per-MDS IOPS through the drill",
-                           r.per_mds_iops, ropts);
-  sim::print_series_columns(std::cout, "imbalance factor (alive ranks)",
-                            {&r.if_series}, {"IF"},
-                            static_cast<double>(cfg.epoch_ticks), ropts);
+  sim::print_per_mds_iops(std::cout, "per-MDS IOPS through the drill",
+                          r.metrics, ropts);
+  const std::vector<double> ifs = r.metrics.if_values();
+  sim::print_series(std::cout, "imbalance factor (alive ranks)",
+                    {{"IF", ifs}}, r.metrics.epoch_seconds(), /*digits=*/3,
+                    ropts);
+  const double reconverge = r.reconverge_seconds();
 
   std::cout << "\nfaults injected:      " << r.faults.applied
             << " (skipped: " << r.faults.skipped << ")\n"
@@ -69,10 +72,10 @@ int main(int argc, char** argv) {
             << "migrations aborted:   " << r.faults.aborted_migrations
             << " by faults\n"
             << "re-convergence:       "
-            << (r.reconverge_seconds < 0.0
+            << (reconverge < 0.0
                     ? std::string("not within the window")
-                    : std::to_string(static_cast<long long>(
-                          r.reconverge_seconds)) + " s after the crash")
+                    : std::to_string(static_cast<long long>(reconverge)) +
+                          " s after the crash")
             << "\n"
             << "journal appends:      " << r.journal.appends << " ("
             << r.journal.bytes_written / (1024 * 1024) << " MB, "

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "sim/report.h"
@@ -59,8 +60,9 @@ int main(int argc, char** argv) {
     sim::ScenarioResult r = sim::run_scenario(cfg);
     std::cout << "--- " << r.balancer << " ---\n"
               << "  run length          : " << r.end_tick << " s (simulated)\n"
-              << "  mean imbalance IF   : " << r.mean_if << "\n"
-              << "  peak aggregate IOPS : " << r.peak_aggregate_iops << "\n"
+              << "  mean imbalance IF   : " << r.metrics.mean_if() << "\n"
+              << "  peak aggregate IOPS : " << r.metrics.peak_aggregate_iops()
+              << "\n"
               << "  total served        : " << r.total_served << "\n"
               << "  migrated inodes     : " << r.migrated_total << " in "
               << r.migrations_completed << " migrations\n"
@@ -68,12 +70,13 @@ int main(int argc, char** argv) {
               << r.n_clients << "\n\n";
     if (verbose) {
       sim::ReportOptions opts;
-      sim::print_series_bundle(std::cout, r.balancer + ": per-MDS IOPS",
-                               r.per_mds_iops, opts);
-      sim::print_series_columns(
-          std::cout, r.balancer + ": IF / migrated",
-          {&r.if_series, &r.migrated_inodes}, {"IF", "migrated"},
-          static_cast<double>(cfg.epoch_ticks), opts);
+      sim::print_per_mds_iops(std::cout, r.balancer + ": per-MDS IOPS",
+                              r.metrics, opts);
+      const std::vector<double> ifs = r.metrics.if_values();
+      const std::vector<double> migrated = r.metrics.migrated_inodes();
+      sim::print_series(std::cout, r.balancer + ": IF / migrated",
+                        {{"IF", ifs}, {"migrated", migrated}},
+                        r.metrics.epoch_seconds(), /*digits=*/3, opts);
     }
     if (!trace_path.empty()) {
       std::string path = trace_path;
@@ -88,7 +91,7 @@ int main(int argc, char** argv) {
     }
     results.push_back(std::move(r));
   }
-  if (results[1].mean_if < results[0].mean_if) {
+  if (results[1].metrics.mean_if() < results[0].metrics.mean_if()) {
     std::cout << "Lunule achieved the better balance (lower mean IF), as in\n"
                  "Figs. 6-7 of the SC '21 paper.\n";
   } else {

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
         static_cast<double>(sim.cluster().total_served()) /
         std::max<double>(1.0, static_cast<double>(sim.end_tick()));
     table.add_row({std::string(sim::balancer_name(kind)),
-                   TablePrinter::fmt(sim.metrics().mean_if(3), 3),
+                   TablePrinter::fmt(sim.metrics().mean_if(), 3),
                    TablePrinter::fmt(sustained, 0),
                    TablePrinter::fmt(static_cast<std::int64_t>(sim.end_tick())),
                    TablePrinter::fmt(sim.cluster().total_forwards())});

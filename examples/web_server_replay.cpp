@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         sim::BalancerKind::kLunule}) {
     cfg.balancer = kind;
     const sim::ScenarioResult r = sim::run_scenario(cfg);
-    table.add_row({r.balancer, TablePrinter::fmt(r.mean_if, 3),
+    table.add_row({r.balancer, TablePrinter::fmt(r.metrics.mean_if(), 3),
                    TablePrinter::fmt(r.sustained_iops(), 0),
                    TablePrinter::fmt(r.total_forwards),
                    TablePrinter::fmt(static_cast<std::int64_t>(r.end_tick))});

@@ -52,69 +52,31 @@ Candidate whole_dir_candidate(fs::NamespaceTree& tree, DirId d, MdsId auth) {
   return c;
 }
 
-/// Appends the units of `d` whose authority passes `owned`.  Authority is
+/// Appends the units of `d` that `owner` has authority over.  Authority is
 /// resolved first, so a unit on another rank is neither rolled forward nor
 /// summed: lazy advancement yields the same fragment state whenever the
 /// roll happens, so skipping the read changes nothing observable.
-template <typename Owned>
-void collect_dir_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
-                    DirId d, Owned owned) {
+void collect_dir(std::vector<Candidate>& out, fs::NamespaceTree& tree,
+                 DirId d, MdsId owner) {
   const fs::Directory& dir = tree.dir(d);
   if (d == tree.root() || !is_leaf_unit(dir)) return;
   if (tree.fragmented(d)) {
     for (FragId f = 0; f < static_cast<FragId>(tree.frag_count(d)); ++f) {
       const fs::SubtreeRef ref{.dir = d, .frag = f};
-      const MdsId auth = tree.auth_of_subtree(ref);
-      if (owned(auth)) out.push_back(frag_candidate(tree, ref, auth));
+      if (tree.auth_of_subtree(ref) == owner) {
+        out.push_back(frag_candidate(tree, ref, owner));
+      }
     }
     return;
   }
-  const MdsId auth = tree.auth_of(d);
-  if (owned(auth)) out.push_back(whole_dir_candidate(tree, d, auth));
+  if (tree.auth_of(d) == owner) {
+    out.push_back(whole_dir_candidate(tree, d, owner));
+  }
 }
 
 /// Directories per parallel collection chunk; chunk outputs concatenate in
 /// chunk order, so the result equals the serial ascending scan.
 constexpr std::size_t kCollectChunk = 512;
-
-template <typename Owned>
-void collect_if(std::vector<Candidate>& out, fs::NamespaceTree& tree,
-                Owned owned, const std::vector<DirId>* live_dirs,
-                WorkerPool* pool) {
-  out.clear();
-  const std::size_t n =
-      live_dirs != nullptr ? live_dirs->size() : tree.dir_count();
-  auto dir_at = [&](std::size_t k) {
-    return live_dirs != nullptr ? (*live_dirs)[k] : static_cast<DirId>(k);
-  };
-  if (pool == nullptr || pool->workers() == 0 || n < 2 * kCollectChunk) {
-    // `live_dirs` is sorted ascending, so enumeration order matches the
-    // whole-namespace scan restricted to the live set.
-    for (std::size_t k = 0; k < n; ++k) {
-      collect_dir_if(out, tree, dir_at(k), owned);
-    }
-    return;
-  }
-  // Parallel path: chunks of distinct directories touch disjoint fragment
-  // state (lazy advancement is per-dir) and auth_of is concurrency-safe;
-  // concatenating the per-chunk vectors in chunk order reproduces the
-  // serial enumeration byte for byte.
-  const std::size_t chunks = (n + kCollectChunk - 1) / kCollectChunk;
-  std::vector<std::vector<Candidate>> per_chunk(chunks);
-  pool->run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kCollectChunk;
-    const std::size_t hi = std::min(n, lo + kCollectChunk);
-    for (std::size_t k = lo; k < hi; ++k) {
-      collect_dir_if(per_chunk[c], tree, dir_at(k), owned);
-    }
-  });
-  std::size_t total = 0;
-  for (const auto& chunk : per_chunk) total += chunk.size();
-  out.reserve(total);
-  for (auto& chunk : per_chunk) {
-    for (Candidate& c : chunk) out.push_back(std::move(c));
-  }
-}
 
 }  // namespace
 
@@ -135,9 +97,39 @@ void collect_candidates_into(std::vector<Candidate>& out,
                              fs::NamespaceTree& tree, MdsId owner,
                              const std::vector<DirId>* live_dirs,
                              WorkerPool* pool) {
-  collect_if(
-      out, tree, [owner](MdsId auth) { return auth == owner; }, live_dirs,
-      pool);
+  out.clear();
+  const std::size_t n =
+      live_dirs != nullptr ? live_dirs->size() : tree.dir_count();
+  auto dir_at = [&](std::size_t k) {
+    return live_dirs != nullptr ? (*live_dirs)[k] : static_cast<DirId>(k);
+  };
+  if (pool == nullptr || pool->workers() == 0 || n < 2 * kCollectChunk) {
+    // `live_dirs` is sorted ascending, so enumeration order matches the
+    // whole-namespace scan restricted to the live set.
+    for (std::size_t k = 0; k < n; ++k) {
+      collect_dir(out, tree, dir_at(k), owner);
+    }
+    return;
+  }
+  // Parallel path: chunks of distinct directories touch disjoint fragment
+  // state (lazy advancement is per-dir) and auth_of is concurrency-safe;
+  // concatenating the per-chunk vectors in chunk order reproduces the
+  // serial enumeration byte for byte.
+  const std::size_t chunks = (n + kCollectChunk - 1) / kCollectChunk;
+  std::vector<std::vector<Candidate>> per_chunk(chunks);
+  pool->run_indexed(chunks, [&](std::size_t c) {
+    const std::size_t lo = c * kCollectChunk;
+    const std::size_t hi = std::min(n, lo + kCollectChunk);
+    for (std::size_t k = lo; k < hi; ++k) {
+      collect_dir(per_chunk[c], tree, dir_at(k), owner);
+    }
+  });
+  std::size_t total = 0;
+  for (const auto& chunk : per_chunk) total += chunk.size();
+  out.reserve(total);
+  for (auto& chunk : per_chunk) {
+    for (Candidate& c : chunk) out.push_back(std::move(c));
+  }
 }
 
 void walk_heat_share(
@@ -156,14 +148,6 @@ void walk_heat_share(
     if (c.heat <= 0.0) break;  // the rest are cold
     if (!visit(c, owner_load * (c.heat / total_heat))) break;
   }
-}
-
-std::vector<Candidate> collect_all_candidates(fs::NamespaceTree& tree) {
-  std::vector<Candidate> out;
-  collect_if(
-      out, tree, [](MdsId) { return true; }, /*live_dirs=*/nullptr,
-      /*pool=*/nullptr);
-  return out;
 }
 
 Candidate make_candidate(fs::NamespaceTree& tree,

@@ -146,11 +146,6 @@ void walk_heat_share(
     double owner_load,
     const std::function<bool(const Candidate& unit, double est_load)>& visit);
 
-/// Enumerates the migratable units of the whole namespace regardless of
-/// current authority.
-[[nodiscard]] std::vector<Candidate> collect_all_candidates(
-    fs::NamespaceTree& tree);
-
 /// Builds the candidate for one specific unit (used after splitting).
 [[nodiscard]] Candidate make_candidate(fs::NamespaceTree& tree,
                                        const fs::SubtreeRef& ref);

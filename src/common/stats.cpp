@@ -53,6 +53,25 @@ double sum(std::span<const double> xs) {
   return acc;
 }
 
+std::vector<double> resample(std::span<const double> xs,
+                             std::size_t buckets) {
+  LUNULE_CHECK(buckets > 0);
+  std::vector<double> out;
+  out.reserve(buckets);
+  if (xs.empty()) return out;
+  const double stride =
+      static_cast<double>(xs.size()) / static_cast<double>(buckets);
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const auto lo = static_cast<std::size_t>(static_cast<double>(b) * stride);
+    auto hi = static_cast<std::size_t>(static_cast<double>(b + 1) * stride);
+    hi = std::max(hi, lo + 1);
+    hi = std::min(hi, xs.size());
+    if (lo >= xs.size()) break;
+    out.push_back(mean(xs.subspan(lo, hi - lo)));
+  }
+  return out;
+}
+
 double percentile(std::span<const double> xs, double p) {
   LUNULE_CHECK(!xs.empty());
   LUNULE_CHECK(p >= 0.0 && p <= 100.0);

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 namespace lunule {
 
@@ -28,6 +29,11 @@ namespace lunule {
 [[nodiscard]] double min_value(std::span<const double> xs);
 [[nodiscard]] double max_value(std::span<const double> xs);
 [[nodiscard]] double sum(std::span<const double> xs);
+
+/// Downsamples a series into `buckets` bucket means (empty for an empty
+/// series); report tables print long per-epoch series this way.
+[[nodiscard]] std::vector<double> resample(std::span<const double> xs,
+                                           std::size_t buckets);
 
 /// Linear-interpolated percentile of an *unsorted* input, p in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> xs, double p);

@@ -638,6 +638,33 @@ MdsCluster::FailoverStats MdsCluster::set_down(MdsId m) {
     return best;
   };
 
+  // Hands one orphaned unit (a whole directory or one fragment) to a
+  // survivor: re-pin, tally, journal the import and trace the takeover.
+  auto take_over = [&](const fs::SubtreeRef& ref) {
+    const MdsId to = pick_survivor();
+    const std::uint64_t moved = tree_.exclusive_inodes(ref);
+    if (ref.is_frag()) {
+      tree_.set_frag_auth(ref.dir, ref.frag, to);
+    } else {
+      tree_.set_auth(ref.dir, to);
+    }
+    taken[static_cast<std::size_t>(to)] += moved;
+    ++stats.subtrees;
+    stats.inodes += moved;
+    if (journaling()) {
+      journals_[static_cast<std::size_t>(to)].append(
+          make_entry(journal::EntryType::kImportStart, now_, epoch_, ref.dir,
+                     ref.frag, m));
+    }
+    trace_->record(obs::Component::kFaults,
+                   {.kind = obs::EventKind::kTakeover,
+                    .a = to,
+                    .b = m,
+                    .n0 = static_cast<std::int64_t>(ref.dir),
+                    .n1 = ref.frag,
+                    .v0 = static_cast<double>(moved)});
+  };
+
   // Only pinned directories can reference the dead rank; iterate a snapshot
   // of the pin indexes (ascending, like the old whole-namespace scan) since
   // the reassignments below mutate pins as we go.
@@ -650,48 +677,9 @@ MdsCluster::FailoverStats MdsCluster::set_down(MdsId m) {
                    frag_pinned.end(), std::back_inserter(pinned_snapshot));
   }
   for (const DirId d : pinned_snapshot) {
-    if (tree_.explicit_auth(d) == m) {
-      const MdsId to = pick_survivor();
-      const std::uint64_t moved =
-          tree_.exclusive_inodes(fs::SubtreeRef{.dir = d});
-      tree_.set_auth(d, to);
-      taken[static_cast<std::size_t>(to)] += moved;
-      ++stats.subtrees;
-      stats.inodes += moved;
-      if (journaling()) {
-        journals_[static_cast<std::size_t>(to)].append(
-            make_entry(journal::EntryType::kImportStart, now_, epoch_, d,
-                       kWholeDir, m));
-      }
-      trace_->record(obs::Component::kFaults,
-                     {.kind = obs::EventKind::kTakeover,
-                      .a = to,
-                      .b = m,
-                      .n0 = static_cast<std::int64_t>(d),
-                      .n1 = kWholeDir,
-                      .v0 = static_cast<double>(moved)});
-    }
+    if (tree_.explicit_auth(d) == m) take_over({.dir = d});
     for (FragId f = 0; f < static_cast<FragId>(tree_.frag_count(d)); ++f) {
-      if (tree_.frag(d, f).auth_pin != m) continue;
-      const MdsId to = pick_survivor();
-      const std::uint64_t moved =
-          tree_.exclusive_inodes(fs::SubtreeRef{.dir = d, .frag = f});
-      tree_.set_frag_auth(d, f, to);
-      taken[static_cast<std::size_t>(to)] += moved;
-      ++stats.subtrees;
-      stats.inodes += moved;
-      if (journaling()) {
-        journals_[static_cast<std::size_t>(to)].append(
-            make_entry(journal::EntryType::kImportStart, now_, epoch_, d, f,
-                       m));
-      }
-      trace_->record(obs::Component::kFaults,
-                     {.kind = obs::EventKind::kTakeover,
-                      .a = to,
-                      .b = m,
-                      .n0 = static_cast<std::int64_t>(d),
-                      .n1 = f,
-                      .v0 = static_cast<double>(moved)});
+      if (tree_.frag(d, f).auth_pin == m) take_over({.dir = d, .frag = f});
     }
   }
   tree_.simplify_auth();

@@ -107,17 +107,19 @@ void JsonWriter::value(bool b) {
   os_ << (b ? "true" : "false");
 }
 
-void write_series(JsonWriter& w, const TimeSeries& series) {
+namespace {
+
+/// One per-epoch column as {"name": ..., "values": [...]}.
+void write_series(JsonWriter& w, std::string_view name,
+                  const std::vector<double>& values) {
   w.begin_object();
-  w.field("name", std::string_view(series.name()));
+  w.field("name", name);
   w.key("values");
   w.begin_array();
-  for (const double v : series.values()) w.value(v);
+  for (const double v : values) w.value(v);
   w.end_array();
   w.end_object();
 }
-
-namespace {
 
 // One key list per component totals struct: each exported member is named
 // once, here, and write_result names no total itself.
@@ -171,21 +173,22 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
   w.field("workload", std::string_view(r.workload));
   w.field("balancer", std::string_view(r.balancer));
   w.field("end_tick", static_cast<std::int64_t>(r.end_tick));
-  w.field("epoch_seconds", r.per_mds_iops.seconds_per_sample());
+  const MetricsCollector& m = r.metrics;
+  w.field("epoch_seconds", m.epoch_seconds());
   w.field("total_served", r.total_served);
   w.field("total_forwards", r.total_forwards);
   w.field("migrated_inodes", r.migrated_total);
   w.field("migrations_completed", r.migrations_completed);
   w.field("clients_done", static_cast<std::uint64_t>(r.clients_done));
   w.field("n_clients", static_cast<std::uint64_t>(r.n_clients));
-  w.field("mean_if", r.mean_if);
-  w.field("peak_aggregate_iops", r.peak_aggregate_iops);
+  w.field("mean_if", m.mean_if());
+  w.field("peak_aggregate_iops", m.peak_aggregate_iops());
   w.field("mean_stall_fraction", r.mean_stall_fraction);
   w.field("valid_migration_fraction", r.valid_migration_fraction);
   w.field("migrations_audited", r.migrations_audited);
   w.field("wasted_migration_inodes", r.wasted_migration_inodes);
   w.field("first_crash_tick", static_cast<std::int64_t>(r.first_crash_tick));
-  w.field("reconverge_seconds", r.reconverge_seconds);
+  w.field("reconverge_seconds", r.reconverge_seconds());
   w.field("migration_retries_exhausted", r.migration_retries_exhausted);
   w.field("rank_seconds", r.rank_seconds);
   w.field("drain_seconds", r.drain_seconds);
@@ -203,17 +206,17 @@ void write_result(std::ostream& os, const ScenarioResult& r) {
 
   w.key("per_mds_iops");
   w.begin_array();
-  for (std::size_t i = 0; i < r.per_mds_iops.count(); ++i) {
-    write_series(w, r.per_mds_iops.at(i));
+  for (std::size_t i = 0; i < m.ranks(); ++i) {
+    write_series(w, mds_name(i), m.rank_iops(i));
   }
   w.end_array();
 
   w.key("if_series");
-  write_series(w, r.if_series);
+  write_series(w, "IF", m.if_values());
   w.key("aggregate_iops");
-  write_series(w, r.aggregate_iops);
+  write_series(w, "aggregate_iops", m.aggregate_iops());
   w.key("migrated_series");
-  write_series(w, r.migrated_inodes);
+  write_series(w, "migrated_inodes", m.migrated_inodes());
 
   w.key("total_served_per_mds");
   w.begin_array();

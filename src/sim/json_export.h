@@ -62,9 +62,6 @@ class JsonWriter {
   std::string needs_comma_;  // stack of 0/1 flags
 };
 
-/// Serializes one time series as {"name": ..., "values": [...]}.
-void write_series(JsonWriter& w, const TimeSeries& series);
-
 /// Serializes a whole result, including all per-MDS series, the IF /
 /// aggregate / migrated series, totals and job-completion times.
 void write_result(std::ostream& os, const ScenarioResult& result);

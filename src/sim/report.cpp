@@ -3,32 +3,37 @@
 #include <algorithm>
 #include <ostream>
 
-#include "common/assert.h"
+#include "common/stats.h"
 
 namespace lunule::sim {
 
-void print_series_bundle(std::ostream& os, const std::string& title,
-                         const SeriesBundle& bundle,
-                         const ReportOptions& opts) {
+void print_series(std::ostream& os, const std::string& title,
+                  const std::vector<SeriesColumn>& columns,
+                  double epoch_seconds, int digits,
+                  const ReportOptions& opts) {
+  std::size_t length = 0;
+  for (const SeriesColumn& c : columns) {
+    length = std::max(length, c.values.size());
+  }
+  const std::size_t buckets =
+      std::min(opts.buckets, std::max<std::size_t>(1, length));
+
   std::vector<std::string> headers{"t(min)"};
-  std::vector<std::vector<double>> columns;
-  const std::size_t length = bundle.length();
-  const std::size_t buckets = std::min(opts.buckets, std::max<std::size_t>(
-                                                         1, length));
-  for (std::size_t i = 0; i < bundle.count(); ++i) {
-    headers.push_back(bundle.at(i).name());
-    columns.push_back(bundle.at(i).resampled(buckets));
+  std::vector<std::vector<double>> resampled;
+  resampled.reserve(columns.size());
+  for (const SeriesColumn& c : columns) {
+    headers.emplace_back(c.name);
+    resampled.push_back(resample(c.values, buckets));
   }
   TablePrinter table(std::move(headers));
-  const double bucket_seconds =
-      static_cast<double>(length) / static_cast<double>(buckets) *
-      bundle.seconds_per_sample();
+  const double bucket_seconds = static_cast<double>(length) /
+                                static_cast<double>(buckets) * epoch_seconds;
   for (std::size_t b = 0; b < buckets; ++b) {
     std::vector<std::string> row;
     row.push_back(TablePrinter::fmt(
         static_cast<double>(b + 1) * bucket_seconds / 60.0, 1));
-    for (const auto& col : columns) {
-      row.push_back(b < col.size() ? TablePrinter::fmt(col[b], 1)
+    for (const auto& col : resampled) {
+      row.push_back(b < col.size() ? TablePrinter::fmt(col[b], digits)
                                    : std::string("-"));
     }
     table.add_row(std::move(row));
@@ -40,47 +45,21 @@ void print_series_bundle(std::ostream& os, const std::string& title,
   }
 }
 
-void print_series_columns(std::ostream& os, const std::string& title,
-                          const std::vector<const TimeSeries*>& series,
-                          const std::vector<std::string>& names,
-                          double seconds_per_sample,
-                          const ReportOptions& opts) {
-  LUNULE_CHECK(series.size() == names.size());
-  std::size_t length = 0;
-  for (const TimeSeries* s : series) length = std::max(length, s->size());
-  const std::size_t buckets =
-      std::min(opts.buckets, std::max<std::size_t>(1, length));
-
-  std::vector<std::string> headers{"t(min)"};
-  headers.insert(headers.end(), names.begin(), names.end());
-  TablePrinter table(std::move(headers));
-
-  std::vector<std::vector<double>> columns;
-  columns.reserve(series.size());
-  for (const TimeSeries* s : series) {
-    // Resample each series over its own duration so curves of different
-    // lengths (faster/slower runs) align by progress, like the paper's
-    // time-axis plots that simply end earlier for faster systems.
-    columns.push_back(s->resampled(buckets));
+void print_per_mds_iops(std::ostream& os, const std::string& title,
+                        const MetricsCollector& metrics,
+                        const ReportOptions& opts) {
+  std::vector<std::string> names;
+  std::vector<std::vector<double>> iops;
+  for (std::size_t m = 0; m < metrics.ranks(); ++m) {
+    names.push_back(mds_name(m));
+    iops.push_back(metrics.rank_iops(m));
   }
-  const double bucket_seconds = static_cast<double>(length) /
-                                static_cast<double>(buckets) *
-                                seconds_per_sample;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    std::vector<std::string> row;
-    row.push_back(TablePrinter::fmt(
-        static_cast<double>(b + 1) * bucket_seconds / 60.0, 1));
-    for (const auto& col : columns) {
-      row.push_back(b < col.size() ? TablePrinter::fmt(col[b], 3)
-                                   : std::string("-"));
-    }
-    table.add_row(std::move(row));
+  std::vector<SeriesColumn> columns;
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    columns.push_back({names[m], iops[m]});
   }
-  if (opts.csv) {
-    table.print_csv(os);
-  } else {
-    table.print(os, title);
-  }
+  print_series(os, title, columns, metrics.epoch_seconds(), /*digits=*/1,
+               opts);
 }
 
 void ShapeChecker::expect(bool ok, const std::string& what) {

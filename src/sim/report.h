@@ -7,11 +7,13 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.h"
-#include "common/time_series.h"
+#include "sim/metrics.h"
 
 namespace lunule::sim {
 
@@ -20,19 +22,26 @@ struct ReportOptions {
   std::size_t buckets = 12;  // time buckets for series tables
 };
 
-/// Prints a bundle of series sharing one time axis (e.g. one per MDS).
-void print_series_bundle(std::ostream& os, const std::string& title,
-                         const SeriesBundle& bundle,
-                         const ReportOptions& opts);
+/// One table column: a value per epoch under a header name.
+struct SeriesColumn {
+  std::string_view name;
+  std::span<const double> values;
+};
 
-/// Prints several independent single series side by side (e.g. the IF curve
-/// of each balancer).  Series may have different lengths; shorter ones are
-/// padded with blanks.
-void print_series_columns(std::ostream& os, const std::string& title,
-                          const std::vector<const TimeSeries*>& series,
-                          const std::vector<std::string>& names,
-                          double seconds_per_sample,
-                          const ReportOptions& opts);
+/// Prints per-epoch columns side by side, one row per time bucket.  Each
+/// column is resampled over its own length, so curves of different
+/// lengths (faster/slower runs) align by progress, like the paper's
+/// time-axis plots that simply end earlier for faster systems; the time
+/// axis spans the longest column.  Values print with `digits` decimals.
+void print_series(std::ostream& os, const std::string& title,
+                  const std::vector<SeriesColumn>& columns,
+                  double epoch_seconds, int digits,
+                  const ReportOptions& opts);
+
+/// Per-MDS IOPS of one run: a column per rank, named MDS-1 ... MDS-n.
+void print_per_mds_iops(std::ostream& os, const std::string& title,
+                        const MetricsCollector& metrics,
+                        const ReportOptions& opts);
 
 /// Emits a PASS/FAIL line for one qualitative shape check; the bench's exit
 /// status aggregates them.

@@ -574,78 +574,60 @@ std::unique_ptr<Simulation> make_scenario_with_balancer(
   return sim;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  std::unique_ptr<Simulation> sim = make_scenario(cfg);
-  sim->run();
-
+ScenarioResult result_of(const Simulation& sim, const ScenarioConfig& cfg) {
+  const mds::MdsCluster& cluster = sim.cluster();
   ScenarioResult r;
   r.workload = std::string(workload_name(cfg.workload));
-  r.balancer = std::string(balancer_name(cfg.balancer));
-  r.per_mds_iops = sim->metrics().per_mds_iops();
-  r.if_series = sim->metrics().if_series();
-  r.aggregate_iops = sim->metrics().aggregate_iops();
-  r.migrated_inodes = sim->metrics().migrated_inodes();
-  for (std::size_t m = 0; m < sim->cluster().size(); ++m) {
+  r.balancer = std::string(sim.balancer().name());
+  r.metrics = sim.metrics();
+  for (std::size_t m = 0; m < cluster.size(); ++m) {
     r.total_served_per_mds.push_back(
-        sim->cluster().server(static_cast<MdsId>(m)).total_served());
+        cluster.server(static_cast<MdsId>(m)).total_served());
   }
-  r.jct_seconds = sim->job_completion_seconds();
+  r.jct_seconds = sim.job_completion_seconds();
   double stall_total = 0.0;
-  for (const auto& c : sim->clients()) {
+  for (const auto& c : sim.clients()) {
     r.op_latency.merge(c->op_latency());
     stall_total += c->stall_fraction();
   }
   r.mean_stall_fraction =
-      sim->clients().empty()
+      sim.clients().empty()
           ? 0.0
-          : stall_total / static_cast<double>(sim->clients().size());
-  r.total_served = sim->cluster().total_served();
-  r.total_forwards = sim->cluster().total_forwards();
-  r.migrated_total = sim->cluster().migration().total_migrated_inodes();
-  r.migrations_completed = sim->cluster().migration().migrations_completed();
-  r.valid_migration_fraction = sim->cluster().audit().valid_fraction();
-  r.migrations_audited = sim->cluster().audit().audited();
-  r.wasted_migration_inodes = sim->cluster().audit().wasted_inodes();
-  r.clients_done = sim->clients_done();
-  r.n_clients = sim->clients().size();
-  r.end_tick = sim->end_tick();
-  r.mean_if = sim->metrics().mean_if(/*skip=*/3);
-  r.peak_aggregate_iops = sim->metrics().peak_aggregate_iops();
-  r.migration_retries_exhausted =
-      sim->cluster().migration().retries_exhausted();
-  r.journal = sim->cluster().journal_totals();
-  r.elasticity = sim->cluster().elasticity();
+          : stall_total / static_cast<double>(sim.clients().size());
+  r.total_served = cluster.total_served();
+  r.total_forwards = cluster.total_forwards();
+  r.migrated_total = cluster.migration().total_migrated_inodes();
+  r.migrations_completed = cluster.migration().migrations_completed();
+  r.valid_migration_fraction = cluster.audit().valid_fraction();
+  r.migrations_audited = cluster.audit().audited();
+  r.wasted_migration_inodes = cluster.audit().wasted_inodes();
+  r.clients_done = sim.clients_done();
+  r.n_clients = sim.clients().size();
+  r.end_tick = sim.end_tick();
+  r.migration_retries_exhausted = cluster.migration().retries_exhausted();
+  r.journal = cluster.journal_totals();
+  r.elasticity = cluster.elasticity();
   if (const auto* tier =
-          dynamic_cast<const proxy::ProxyCacheTier*>(sim->cache_tier())) {
+          dynamic_cast<const proxy::ProxyCacheTier*>(sim.cache_tier())) {
     r.proxy = tier->totals();
   }
-  if (const faults::FaultInjector* inj = sim->fault_injector()) {
+  if (const faults::FaultInjector* inj = sim.fault_injector()) {
     r.faults = inj->totals();
-    r.first_crash_tick = cfg.faults.first_crash_tick();
-    if (r.first_crash_tick >= 0) {
-      // Re-convergence: the first epoch closing after the crash whose
-      // observed IF is back under the Lunule trigger threshold.
-      const double threshold = core::LunuleParams{}.if_threshold;
-      const auto vals = r.if_series.values();
-      const auto crash_epoch = static_cast<std::size_t>(
-          r.first_crash_tick / cfg.epoch_ticks);
-      for (std::size_t e = crash_epoch; e < vals.size(); ++e) {
-        if (vals[e] > threshold) continue;
-        r.reconverge_seconds = static_cast<double>(
-            static_cast<Tick>(e + 1) * cfg.epoch_ticks - r.first_crash_tick);
-        break;
-      }
-    }
   }
-  r.rank_seconds = sim->rank_seconds();
-  if (const mds::Autoscaler* as = sim->autoscaler()) {
+  r.first_crash_tick = cfg.faults.first_crash_tick();
+  r.rank_seconds = sim.rank_seconds();
+  if (const mds::Autoscaler* as = sim.autoscaler()) {
     r.drain_seconds = static_cast<double>(as->stats().drain_epochs) *
                       static_cast<double>(cfg.epoch_ticks);
   }
-  if (cfg.capture_trace) {
-    r.trace_json = trace_to_json(sim->cluster().trace());
-  }
+  if (cfg.capture_trace) r.trace_json = trace_to_json(cluster.trace());
   return r;
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& cfg) {
+  const std::unique_ptr<Simulation> sim = make_scenario(cfg);
+  sim->run();
+  return result_of(*sim, cfg);
 }
 
 }  // namespace lunule::sim

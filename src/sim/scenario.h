@@ -182,11 +182,12 @@ void validate_scenario_config(const ScenarioConfig& cfg);
 
 struct ScenarioResult {
   std::string workload;
+  /// The balancer's own name (Balancer::name()).
   std::string balancer;
-  SeriesBundle per_mds_iops;
-  TimeSeries if_series;
-  TimeSeries aggregate_iops;
-  TimeSeries migrated_inodes;
+  /// Every closed epoch, carried whole: the figure series (per-MDS IOPS,
+  /// IF, aggregate IOPS, migrated inodes), mean IF and peak aggregate IOPS
+  /// are folds over its rows.
+  MetricsCollector metrics;
   std::vector<std::uint64_t> total_served_per_mds;
   std::vector<double> jct_seconds;  // completed clients only
   /// Per-operation completion latency (ticks), merged over all clients.
@@ -206,14 +207,8 @@ struct ScenarioResult {
   std::size_t clients_done = 0;
   std::size_t n_clients = 0;
   Tick end_tick = 0;
-  double mean_if = 0.0;
-  double peak_aggregate_iops = 0.0;
   /// Tick of the plan's earliest crash / permanent loss (-1 = none).
   Tick first_crash_tick = -1;
-  /// Seconds from the first crash until the observed IF first returns
-  /// below the Lunule trigger threshold (-1 = no crash, or never
-  /// re-converged within the run).
-  double reconverge_seconds = -1.0;
   /// Migration tasks dropped for good after exhausting forced-abort
   /// retries (each leaves a terminal migration_retries_exhausted event).
   std::uint64_t migration_retries_exhausted = 0;
@@ -243,6 +238,13 @@ struct ScenarioResult {
     return total_served + proxy.reads_absorbed;
   }
 
+  /// Seconds from the first crash until the observed IF first returns
+  /// below the Lunule trigger threshold (-1 = no crash, or never
+  /// re-converged within the run).
+  [[nodiscard]] double reconverge_seconds() const {
+    return metrics.reconverge_seconds(first_crash_tick);
+  }
+
   /// Sustained throughput: ops served per simulated second of the run
   /// (robust against different run lengths: faster balancers finish the
   /// fixed job sooner).
@@ -252,7 +254,14 @@ struct ScenarioResult {
   }
 };
 
-/// Runs a scenario to completion and extracts the reporting summary.
+/// The reporting summary of a finished simulation built from `cfg` by
+/// make_scenario or make_scenario_with_balancer.  The result is named
+/// after the simulation's own balancer (Balancer::name(), which equals
+/// balancer_name(cfg.balancer) for every built-in kind).
+[[nodiscard]] ScenarioResult result_of(const Simulation& sim,
+                                       const ScenarioConfig& cfg);
+
+/// Runs a scenario to completion: make_scenario, run, result_of.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& cfg);
 
 }  // namespace lunule::sim

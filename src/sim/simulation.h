@@ -96,6 +96,9 @@ class Simulation {
   [[nodiscard]] mds::MdsCluster& cluster() { return *cluster_; }
   [[nodiscard]] const mds::MdsCluster& cluster() const { return *cluster_; }
   [[nodiscard]] balancer::Balancer& balancer() { return *balancer_; }
+  [[nodiscard]] const balancer::Balancer& balancer() const {
+    return *balancer_;
+  }
   [[nodiscard]] const MetricsCollector& metrics() const { return metrics_; }
   [[nodiscard]] const std::vector<std::unique_ptr<workloads::Client>>&
   clients() const {

@@ -8,24 +8,6 @@
 
 namespace lunule::workloads {
 
-namespace {
-
-/// Extracts "fileN" -> N; nullopt otherwise.
-std::optional<FileIndex> parse_file_component(std::string_view name) {
-  if (name.rfind("file", 0) != 0) return std::nullopt;
-  name.remove_prefix(4);
-  if (name.empty()) return std::nullopt;
-  FileIndex value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(name.data(), name.data() + name.size(), value);
-  if (ec != std::errc{} || ptr != name.data() + name.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-}  // namespace
-
 std::optional<LogEntry> parse_log_line(std::string_view line) {
   // host ident user [timestamp] "METHOD path PROTO" status bytes ...
   const std::size_t quote_open = line.find('"');
@@ -154,36 +136,6 @@ ImportedLog import_log(std::istream& is) {
       ++out.distinct_files;
     }
     out.records.push_back(TraceRecord{.dir = dir, .file = idx});
-  }
-  return out;
-}
-
-ParsedLog parse_log(std::istream& is, const fs::NamespaceTree& tree) {
-  ParsedLog out;
-  const fs::PathResolver resolver(tree);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::optional<LogEntry> entry = parse_log_line(line);
-    if (!entry) {
-      ++out.malformed_lines;
-      continue;
-    }
-    // Split into directory path + "fileN" leaf.
-    const std::size_t last_slash = entry->path.find_last_of('/');
-    const std::string_view dir_path =
-        last_slash == 0 ? std::string_view("/")
-                        : std::string_view(entry->path).substr(0, last_slash);
-    const std::string_view leaf =
-        std::string_view(entry->path).substr(last_slash + 1);
-    const std::optional<FileIndex> file = parse_file_component(leaf);
-    const auto resolved = resolver.resolve(dir_path);
-    if (!file || !resolved ||
-        *file >= tree.dir(resolved->dir).file_count()) {
-      ++out.unresolved_paths;
-      continue;
-    }
-    out.records.push_back(TraceRecord{.dir = resolved->dir, .file = *file});
   }
   return out;
 }

@@ -3,11 +3,10 @@
 // The paper's Web workload "replays a web access trace ... in the Apache
 // access log format" (Table 1).  This module closes that loop for the
 // simulator: it can *emit* a synthetic trace as Common-Log-Format text and
-// *parse* CLF text back into replayable trace records, mapping each
-// request's URL path onto the simulated document tree.  The Web scenario's
-// internal generator produces the same distribution directly; this module
-// exists so users can feed their own real logs to the simulator
-// (`examples/web_server_replay.cpp --log=<file>` style tooling) and so the
+// *import* CLF text as a namespace plus replayable trace records, one per
+// request.  The Web scenario's internal generator produces the same
+// distribution directly; this module exists so users can feed their own
+// real logs to the simulator (examples/replay_apache_log.cpp) and so the
 // generator round-trips through the on-disk format under test.
 //
 // Supported line shape (Common Log Format; the combined format's trailing
@@ -47,19 +46,6 @@ struct LogEntry {
 /// Writes a whole trace as CLF text.
 void write_log(std::ostream& os, const fs::NamespaceTree& tree,
                const WebTrace& trace);
-
-/// Result of mapping a log back onto the namespace.
-struct ParsedLog {
-  std::vector<TraceRecord> records;
-  std::size_t malformed_lines = 0;   // unparsable text
-  std::size_t unresolved_paths = 0;  // parsed but not present in the tree
-};
-
-/// Parses CLF text and resolves every request path against the tree.  The
-/// last path component must be "file<N>" with N within the directory's
-/// population; other requests count as unresolved.
-[[nodiscard]] ParsedLog parse_log(std::istream& is,
-                                  const fs::NamespaceTree& tree);
 
 /// A namespace and trace imported from a log of *arbitrary* URL paths
 /// (no "fileN" convention required): every distinct directory path becomes

@@ -3,7 +3,11 @@
 #include "workloads/apache_log.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "fs/builder.h"
 
@@ -55,27 +59,27 @@ TEST_F(ApacheLogRoundTrip, FormatThenParseRecoversEveryRecord) {
   std::stringstream log;
   write_log(log, tree, *trace);
 
-  const ParsedLog parsed = parse_log(log, tree);
-  EXPECT_EQ(parsed.malformed_lines, 0u);
-  EXPECT_EQ(parsed.unresolved_paths, 0u);
-  ASSERT_EQ(parsed.records.size(), trace->records().size());
-  for (std::size_t i = 0; i < parsed.records.size(); ++i) {
-    EXPECT_EQ(parsed.records[i].dir, trace->records()[i].dir) << i;
-    EXPECT_EQ(parsed.records[i].file, trace->records()[i].file) << i;
+  const ImportedLog imported = import_log(log);
+  EXPECT_EQ(imported.malformed_lines, 0u);
+  ASSERT_EQ(imported.records.size(), trace->records().size());
+  // The imported tree names no files: a leaf is the file index import_log
+  // gave it.  Each original (dir, fileN) must map to one imported file, and
+  // no two originals to the same one.
+  using Leaf = std::pair<DirId, FileIndex>;
+  std::map<Leaf, Leaf> imported_leaf;
+  std::set<Leaf> taken;
+  for (std::size_t i = 0; i < imported.records.size(); ++i) {
+    const TraceRecord& want = trace->records()[i];
+    const TraceRecord& got = imported.records[i];
+    EXPECT_EQ(imported.tree->path_of(got.dir), tree.path_of(want.dir)) << i;
+    const auto [it, first] = imported_leaf.emplace(
+        Leaf{want.dir, want.file}, Leaf{got.dir, got.file});
+    EXPECT_EQ(it->second, Leaf(got.dir, got.file)) << i;
+    if (first) {
+      EXPECT_TRUE(taken.insert(it->second).second) << i;
+    }
   }
-}
-
-TEST_F(ApacheLogRoundTrip, UnknownPathsAreCountedNotCrashed) {
-  std::stringstream log;
-  log << R"(h - - [t] "GET /web/section0/dir0/file5 HTTP/1.1" 200 1)" << "\n"
-      << R"(h - - [t] "GET /nope/file1 HTTP/1.1" 200 1)" << "\n"
-      << R"(h - - [t] "GET /web/section0/dir0/file999 HTTP/1.1" 200 1)" << "\n"
-      << R"(h - - [t] "GET /web/section0/dir0/notafile HTTP/1.1" 200 1)" << "\n"
-      << "complete garbage\n";
-  const ParsedLog parsed = parse_log(log, tree);
-  EXPECT_EQ(parsed.records.size(), 1u);
-  EXPECT_EQ(parsed.unresolved_paths, 3u);
-  EXPECT_EQ(parsed.malformed_lines, 1u);
+  EXPECT_EQ(imported.distinct_files, imported_leaf.size());
 }
 
 TEST_F(ApacheLogRoundTrip, FormattedLinesAreWellFormed) {

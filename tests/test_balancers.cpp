@@ -47,8 +47,9 @@ TEST_F(BalancerTest, CandidatesEnumerateLeafUnitsOfOwner) {
 
 TEST_F(BalancerTest, CandidatesPerFragWhenFragmented) {
   tree.fragment_dir(dirs[0], 2);
-  const auto all = collect_all_candidates(tree);
-  // dirs[0] contributes 4 frag units, the other 9 one unit each.
+  // Every unit is on rank 0: dirs[0] contributes 4 frag units, the other
+  // 9 one unit each.
+  const auto all = collect_candidates(tree, 0);
   EXPECT_EQ(all.size(), 13u);
 }
 

@@ -1,14 +1,15 @@
-// Tests for ring buffer, time series, table printer, and flags.
+// Tests for ring buffer, series resampling, table printer, and flags.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/ring_buffer.h"
+#include "common/stats.h"
 #include "common/table.h"
-#include "common/time_series.h"
 
 namespace lunule {
 namespace {
@@ -72,46 +73,21 @@ TEST(RingBuffer, WindowSumIsTheNewestFirstSum) {
   expect_window_sum_is_newest_first_sum<std::uint32_t, 7>(near_max);
 }
 
-TEST(TimeSeries, AveragesAndMaximum) {
-  TimeSeries s("x");
-  EXPECT_DOUBLE_EQ(s.average(), 0.0);
-  EXPECT_DOUBLE_EQ(s.maximum(), 0.0);
-  s.push(1);
-  s.push(3);
-  s.push(8);
-  EXPECT_DOUBLE_EQ(s.average(), 4.0);
-  EXPECT_DOUBLE_EQ(s.maximum(), 8.0);
-  EXPECT_DOUBLE_EQ(s.tail_average(2), 5.5);
-  EXPECT_DOUBLE_EQ(s.tail_average(99), 4.0);
-}
-
+// Report tables print long per-epoch series as bucket means (resample).
 TEST(TimeSeries, ResampleAveragesBuckets) {
-  TimeSeries s("x");
-  for (int i = 0; i < 8; ++i) s.push(i);  // 0..7
-  const auto r = s.resampled(4);
+  std::vector<double> s;
+  for (int i = 0; i < 8; ++i) s.push_back(i);  // 0..7
+  const auto r = resample(s, 4);
   ASSERT_EQ(r.size(), 4u);
   EXPECT_DOUBLE_EQ(r[0], 0.5);
   EXPECT_DOUBLE_EQ(r[3], 6.5);
 }
 
 TEST(TimeSeries, ResampleMoreBucketsThanSamples) {
-  TimeSeries s("x");
-  s.push(2);
-  s.push(4);
-  const auto r = s.resampled(5);
+  const std::vector<double> s{2, 4};
+  const auto r = resample(s, 5);
   EXPECT_LE(r.size(), 5u);
   EXPECT_FALSE(r.empty());
-}
-
-TEST(SeriesBundle, FindAndLength) {
-  SeriesBundle b(10.0);
-  b.add("a").push(1);
-  b.add("b");
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_NE(b.find("a"), nullptr);
-  EXPECT_EQ(b.find("zzz"), nullptr);
-  EXPECT_EQ(b.length(), 1u);
-  EXPECT_DOUBLE_EQ(b.seconds_per_sample(), 10.0);
 }
 
 TEST(TablePrinter, AlignsAndCounts) {

@@ -389,7 +389,24 @@ TEST(FaultScenario, FaultFreeRunsReportNeutralValues) {
   const sim::ScenarioResult r = sim::run_scenario(cfg);
   EXPECT_EQ(r.faults.applied, 0u);
   EXPECT_EQ(r.first_crash_tick, -1);
-  EXPECT_DOUBLE_EQ(r.reconverge_seconds, -1.0);
+  EXPECT_DOUBLE_EQ(r.reconverge_seconds(), -1.0);
+}
+
+TEST(FaultScenario, ReconvergeSecondsAfterACrash) {
+  // Vanilla, rank 1 down for ticks 60-139: the alive-rank IF stays above
+  // the Lunule trigger threshold until epoch 16 (ticks 160-169) closes,
+  // 110 s after the crash.
+  sim::ScenarioConfig cfg;
+  cfg.workload = sim::WorkloadKind::kZipf;
+  cfg.balancer = sim::BalancerKind::kVanilla;
+  cfg.n_clients = 24;
+  cfg.scale = 0.2;
+  cfg.max_ticks = 300;
+  cfg.seed = 7;
+  cfg.faults.crash(1, 60, 80);
+  const sim::ScenarioResult r = sim::run_scenario(cfg);
+  EXPECT_EQ(r.first_crash_tick, 60);
+  EXPECT_DOUBLE_EQ(r.reconverge_seconds(), 110.0);
 }
 
 TEST(FaultScenario, MigrationRetryKnobsFlowIntoTheEngine) {

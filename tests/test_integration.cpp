@@ -26,7 +26,7 @@ TEST(Integration, LunuleBeatsVanillaOnScanWorkload) {
       run_scenario(base(WorkloadKind::kCnn, BalancerKind::kVanilla));
   const ScenarioResult lunule =
       run_scenario(base(WorkloadKind::kCnn, BalancerKind::kLunule));
-  EXPECT_LT(lunule.mean_if, vanilla.mean_if);
+  EXPECT_LT(lunule.metrics.mean_if(), vanilla.metrics.mean_if());
   EXPECT_LE(lunule.end_tick, vanilla.end_tick);
 }
 
@@ -35,7 +35,7 @@ TEST(Integration, GreedySpillIsTheWorstBalancerOnScans) {
       run_scenario(base(WorkloadKind::kNlp, BalancerKind::kGreedySpill));
   const ScenarioResult lunule =
       run_scenario(base(WorkloadKind::kNlp, BalancerKind::kLunule));
-  EXPECT_GT(greedy.mean_if, lunule.mean_if);
+  EXPECT_GT(greedy.metrics.mean_if(), lunule.metrics.mean_if());
 }
 
 TEST(Integration, DirHashHasEvenInodesButMoreForwards) {
@@ -95,9 +95,9 @@ TEST(Integration, MoreMdsMoreThroughputOnMd) {
   cfg.stop_when_done = false;
   cfg.max_ticks = 500;
   cfg.n_mds = 1;
-  const double t1 = run_scenario(cfg).peak_aggregate_iops;
+  const double t1 = run_scenario(cfg).metrics.peak_aggregate_iops();
   cfg.n_mds = 4;
-  const double t4 = run_scenario(cfg).peak_aggregate_iops;
+  const double t4 = run_scenario(cfg).metrics.peak_aggregate_iops();
   EXPECT_GT(t4, 2.0 * t1);
 }
 
@@ -111,7 +111,7 @@ TEST(Integration, BalancedRunsServeMoreThanImbalancedOnes) {
   cfg.balancer = BalancerKind::kLunule;
   const ScenarioResult lunule = run_scenario(cfg);
   EXPECT_GT(lunule.total_served, none.total_served);
-  EXPECT_LT(lunule.mean_if, none.mean_if);
+  EXPECT_LT(lunule.metrics.mean_if(), none.metrics.mean_if());
 }
 
 }  // namespace

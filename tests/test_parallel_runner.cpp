@@ -53,7 +53,9 @@ TEST(ParallelRunner, MatchesSequentialExecution) {
     const ScenarioResult sequential = run_scenario(configs[i]);
     EXPECT_EQ(parallel[i].total_served, sequential.total_served) << i;
     EXPECT_EQ(parallel[i].migrated_total, sequential.migrated_total) << i;
-    EXPECT_DOUBLE_EQ(parallel[i].mean_if, sequential.mean_if) << i;
+    EXPECT_DOUBLE_EQ(parallel[i].metrics.mean_if(),
+                     sequential.metrics.mean_if())
+        << i;
   }
 }
 

@@ -2,61 +2,77 @@
 #include "sim/report.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <sstream>
+#include <vector>
+
+#include "fs/namespace_tree.h"
+#include "mds/cluster.h"
 
 namespace lunule::sim {
 namespace {
 
-SeriesBundle sample_bundle() {
-  SeriesBundle bundle(10.0);
-  bundle.add("MDS-1");
-  bundle.add("MDS-2");
+/// Two ranks over 24 epochs of 10 s: MDS-1 ramps, MDS-2 stays flat.
+MetricsCollector sample_run() {
+  fs::NamespaceTree tree;
+  mds::ClusterParams params;
+  params.n_mds = 2;
+  const mds::MdsCluster cluster(tree, params);
+  MetricsCollector m(10.0, core::IfParams{});
   for (int i = 0; i < 24; ++i) {
-    bundle.at(0).push(100.0 + i);
-    bundle.at(1).push(50.0);
+    const std::vector<Load> loads{100.0 + i, 50.0};
+    m.on_epoch(cluster, loads);
   }
-  return bundle;
+  return m;
 }
 
 TEST(Report, SeriesBundleTablePrintsBuckets) {
-  const SeriesBundle bundle = sample_bundle();
   std::ostringstream os;
   ReportOptions opts;
   opts.buckets = 4;
-  print_series_bundle(os, "demo", bundle, opts);
+  print_per_mds_iops(os, "demo", sample_run(), opts);
   const std::string out = os.str();
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_NE(out.find("MDS-1"), std::string::npos);
   EXPECT_NE(out.find("MDS-2"), std::string::npos);
   // 4 bucket rows + header + 3 rules.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1 + 4 + 1 + 3);
+  // The last bucket ends at 24 epochs x 10 s = 4 minutes.
+  EXPECT_NE(out.find("4.0"), std::string::npos);
 }
 
 TEST(Report, SeriesBundleCsvMode) {
-  const SeriesBundle bundle = sample_bundle();
   std::ostringstream os;
   ReportOptions opts;
   opts.buckets = 2;
   opts.csv = true;
-  print_series_bundle(os, "demo", bundle, opts);
+  print_per_mds_iops(os, "demo", sample_run(), opts);
   const std::string out = os.str();
   EXPECT_EQ(out.rfind("t(min),MDS-1,MDS-2", 0), 0u);  // CSV header first
   EXPECT_EQ(out.find("demo"), std::string::npos);     // no title in CSV
+  // Bucket means of MDS-1's ramp, one decimal.
+  EXPECT_NE(out.find("2.0,105.5,50.0"), std::string::npos);
+  EXPECT_NE(out.find("4.0,117.5,50.0"), std::string::npos);
 }
 
 TEST(Report, SeriesColumnsAlignsDifferentLengths) {
-  TimeSeries longer("long");
-  TimeSeries shorter("short");
-  for (int i = 0; i < 20; ++i) longer.push(i);
-  for (int i = 0; i < 5; ++i) shorter.push(i);
+  std::vector<double> longer;
+  std::vector<double> shorter;
+  for (int i = 0; i < 20; ++i) longer.push_back(i);
+  for (int i = 0; i < 5; ++i) shorter.push_back(i);
   std::ostringstream os;
   ReportOptions opts;
   opts.buckets = 5;
-  print_series_columns(os, "cols", {&longer, &shorter}, {"long", "short"},
-                       10.0, opts);
+  opts.csv = true;
+  print_series(os, "cols", {{"long", longer}, {"short", shorter}}, 10.0,
+               /*digits=*/3, opts);
   const std::string out = os.str();
-  EXPECT_NE(out.find("long"), std::string::npos);
-  EXPECT_NE(out.find("short"), std::string::npos);
+  EXPECT_EQ(out.rfind("t(min),long,short", 0), 0u);
+  // Each column is resampled over its own length; the time axis spans the
+  // longer one (20 epochs x 10 s = 200 s).
+  EXPECT_NE(out.find("0.7,1.500,0.000"), std::string::npos);
+  EXPECT_NE(out.find("3.3,17.500,4.000"), std::string::npos);
 }
 
 TEST(Report, ShapeCheckerAggregatesResults) {
@@ -77,10 +93,9 @@ TEST(Report, ShapeCheckerAggregatesResults) {
 }
 
 TEST(Report, EmptyBundlePrintsNothingFatal) {
-  SeriesBundle empty(10.0);
-  empty.add("only");
   std::ostringstream os;
-  print_series_bundle(os, "empty", empty, ReportOptions{});
+  print_series(os, "empty", {{"only", {}}}, 10.0, /*digits=*/1,
+               ReportOptions{});
   EXPECT_FALSE(os.str().empty());  // header still renders
 }
 

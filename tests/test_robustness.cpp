@@ -31,7 +31,8 @@ TEST_P(SeedSweep, LunuleBeatsVanillaOnNlpBalance) {
       cfg_for(WorkloadKind::kNlp, BalancerKind::kVanilla, seed),
       cfg_for(WorkloadKind::kNlp, BalancerKind::kLunule, seed),
   });
-  EXPECT_LT(results[1].mean_if, results[0].mean_if) << "seed " << seed;
+  EXPECT_LT(results[1].metrics.mean_if(), results[0].metrics.mean_if())
+      << "seed " << seed;
   EXPECT_GT(results[1].total_served, results[0].total_served)
       << "seed " << seed;
 }
@@ -42,7 +43,8 @@ TEST_P(SeedSweep, GreedySpillNeverBeatsLunuleOnZipf) {
       cfg_for(WorkloadKind::kZipf, BalancerKind::kGreedySpill, seed),
       cfg_for(WorkloadKind::kZipf, BalancerKind::kLunule, seed),
   });
-  EXPECT_GT(results[0].mean_if, results[1].mean_if) << "seed " << seed;
+  EXPECT_GT(results[0].metrics.mean_if(), results[1].metrics.mean_if())
+      << "seed " << seed;
 }
 
 TEST_P(SeedSweep, UrgencyGateIsSeedIndependent) {

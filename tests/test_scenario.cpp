@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/json_export.h"
+
 namespace lunule::sim {
 namespace {
 
@@ -31,18 +33,41 @@ TEST_P(MatrixSweep, BuildsRunsAndConserves) {
   std::uint64_t sum = 0;
   for (const std::uint64_t s : r.total_served_per_mds) sum += s;
   EXPECT_EQ(sum, r.total_served);
-  // Metric series lengths are consistent.
-  EXPECT_EQ(r.if_series.size(), r.aggregate_iops.size());
-  EXPECT_EQ(r.per_mds_iops.at(0).size(), r.if_series.size());
-  // The IF metric stays in range for every epoch.
-  for (const double f : r.if_series.values()) {
-    EXPECT_GE(f, 0.0);
-    EXPECT_LE(f, 1.0 + 1e-9);
+  // Every epoch row covers the whole (fixed) cluster.
+  ASSERT_GT(r.metrics.epochs(), 0u);
+  for (const EpochSample& row : r.metrics.rows()) {
+    EXPECT_EQ(row.loads.size(), r.total_served_per_mds.size());
+    // The IF metric stays in range for every epoch.
+    EXPECT_GE(row.imbalance_factor, 0.0);
+    EXPECT_LE(row.imbalance_factor, 1.0 + 1e-9);
   }
   // Migrated-inode series is monotone (cumulative).
-  const auto& mig = r.migrated_inodes.values();
+  const std::vector<double> mig = r.metrics.migrated_inodes();
   for (std::size_t i = 1; i < mig.size(); ++i) {
     EXPECT_GE(mig[i], mig[i - 1]);
+  }
+}
+
+// A kind-built balancer handed to make_scenario_with_balancer and read
+// through result_of reports exactly what run_scenario reports, name and
+// trace included.
+TEST(Scenario, ResultOfMatchesRunScenarioForEveryKind) {
+  for (const BalancerKind kind :
+       {BalancerKind::kVanilla, BalancerKind::kGreedySpill,
+        BalancerKind::kLunule, BalancerKind::kLunuleLight,
+        BalancerKind::kDirHash, BalancerKind::kLunuleHash,
+        BalancerKind::kNone}) {
+    ScenarioConfig cfg = small(WorkloadKind::kZipf, kind);
+    cfg.capture_trace = true;
+    auto sim = make_scenario_with_balancer(
+        cfg, make_balancer(kind, cluster_params_for(cfg)));
+    sim->run();
+    const ScenarioResult custom = result_of(*sim, cfg);
+    const ScenarioResult built_in = run_scenario(cfg);
+    EXPECT_EQ(custom.balancer, balancer_name(kind));
+    EXPECT_EQ(to_json(custom), to_json(built_in)) << balancer_name(kind);
+    EXPECT_EQ(custom.trace_json, built_in.trace_json)
+        << balancer_name(kind);
   }
 }
 

@@ -43,8 +43,9 @@ void expect_same(const sim::ScenarioResult& a, const sim::ScenarioResult& b,
   EXPECT_EQ(a.clients_done, b.clients_done);
   EXPECT_EQ(a.end_tick, b.end_tick);
   EXPECT_EQ(a.total_served_per_mds, b.total_served_per_mds);
-  EXPECT_DOUBLE_EQ(a.mean_if, b.mean_if);
-  EXPECT_DOUBLE_EQ(a.peak_aggregate_iops, b.peak_aggregate_iops);
+  EXPECT_DOUBLE_EQ(a.metrics.mean_if(), b.metrics.mean_if());
+  EXPECT_DOUBLE_EQ(a.metrics.peak_aggregate_iops(),
+                   b.metrics.peak_aggregate_iops());
   EXPECT_EQ(a.faults.subtrees, b.faults.subtrees);
   EXPECT_EQ(a.faults.replayed_entries, b.faults.replayed_entries);
 }

@@ -53,7 +53,7 @@ TEST(Simulation, RunsToMaxTicksOtherwise) {
   EXPECT_EQ(sim->end_tick(), 40);
   // 40 ticks at 5 ticks/epoch => 8 epochs collected.
   EXPECT_EQ(sim->metrics().epochs(), 8u);
-  EXPECT_EQ(sim->metrics().per_mds_iops().count(), 2u);
+  EXPECT_EQ(sim->metrics().ranks(), 2u);
 }
 
 TEST(Simulation, ScheduledEventsFire) {
@@ -72,22 +72,47 @@ TEST(Simulation, EventCanExpandCluster) {
   sim->schedule(10, [](Simulation& s) { s.cluster().add_server(); });
   sim->run();
   EXPECT_EQ(sim->cluster().size(), 3u);
-  // Metrics grew a series for the new MDS, zero-padded to full length.
-  EXPECT_EQ(sim->metrics().per_mds_iops().count(), 3u);
-  EXPECT_EQ(sim->metrics().per_mds_iops().at(2).size(),
-            sim->metrics().per_mds_iops().at(0).size());
+  // Epochs 0 and 1 (ticks 0-9) closed before MDS-3 joined: their rows hold
+  // two ranks, and the new rank's column reads 0 there.
+  const MetricsCollector& m = sim->metrics();
+  ASSERT_EQ(m.epochs(), 8u);
+  EXPECT_EQ(m.ranks(), 3u);
+  for (std::size_t e = 0; e < m.epochs(); ++e) {
+    EXPECT_EQ(m.rows()[e].loads.size(), e < 2 ? 2u : 3u) << e;
+  }
+  const std::vector<double> joined = m.rank_iops(2);
+  ASSERT_EQ(joined.size(), m.epochs());
+  EXPECT_EQ(joined[0], 0.0);
+  EXPECT_EQ(joined[1], 0.0);
+  EXPECT_GT(m.rank_iops(0)[0], 0.0);  // the early epochs did carry load
+}
+
+TEST(Simulation, LateRankColumnKeepsItsEpochs) {
+  fs::NamespaceTree tree;
+  mds::ClusterParams cp;
+  cp.n_mds = 3;
+  const mds::MdsCluster cluster(tree, cp);
+  MetricsCollector m(5.0, core::IfParams{.mds_capacity = 100.0});
+  m.on_epoch(cluster, std::vector<Load>{4.0, 2.0});
+  m.on_epoch(cluster, std::vector<Load>{6.0, 2.0});
+  m.on_epoch(cluster, std::vector<Load>{3.0, 2.0, 7.0});
+  m.on_epoch(cluster, std::vector<Load>{1.0, 2.0, 9.0});
+  EXPECT_EQ(m.ranks(), 3u);
+  EXPECT_EQ(m.rank_iops(2), (std::vector<double>{0.0, 0.0, 7.0, 9.0}));
+  EXPECT_EQ(m.rank_iops(0), (std::vector<double>{4.0, 6.0, 3.0, 1.0}));
+  EXPECT_EQ(m.aggregate_iops(), (std::vector<double>{6.0, 8.0, 12.0, 12.0}));
+  EXPECT_DOUBLE_EQ(m.peak_aggregate_iops(), 12.0);
 }
 
 TEST(Simulation, MetricsAggregateMatchesSumOfPerMds) {
   auto sim = tiny_sim(40, /*stop_when_done=*/false);
   sim->run();
   const auto& m = sim->metrics();
+  const std::vector<double> aggregate = m.aggregate_iops();
   for (std::size_t e = 0; e < m.epochs(); ++e) {
     double total = 0.0;
-    for (std::size_t i = 0; i < m.per_mds_iops().count(); ++i) {
-      total += m.per_mds_iops().at(i).at(e);
-    }
-    EXPECT_NEAR(m.aggregate_iops().at(e), total, 1e-9);
+    for (std::size_t i = 0; i < m.ranks(); ++i) total += m.rank_iops(i)[e];
+    EXPECT_NEAR(aggregate[e], total, 1e-9);
   }
 }
 
@@ -103,7 +128,7 @@ TEST(Scenario, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_served, b.total_served);
   EXPECT_EQ(a.migrated_total, b.migrated_total);
   EXPECT_EQ(a.end_tick, b.end_tick);
-  EXPECT_DOUBLE_EQ(a.mean_if, b.mean_if);
+  EXPECT_DOUBLE_EQ(a.metrics.mean_if(), b.metrics.mean_if());
 }
 
 TEST(Scenario, SeedChangesOutcomeDetails) {
