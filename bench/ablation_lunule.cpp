@@ -39,10 +39,10 @@ sim::ScenarioResult run_variant(const bench::BenchOptions& opts,
   core::LunuleParams p =
       core::LunuleParams::for_cluster(sim::cluster_params_for(cfg));
   variant.tweak(p, cfg);
-  auto sim = sim::make_scenario_with_balancer(
-      cfg, std::make_unique<core::LunuleBalancer>(p));
+  auto sim =
+      sim::make_scenario(cfg, std::make_unique<core::LunuleBalancer>(p));
   sim->run();
-  return sim::result_of(*sim, cfg);
+  return sim::result_of(*sim);
 }
 
 int run(int argc, char** argv) {

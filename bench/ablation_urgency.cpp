@@ -22,10 +22,6 @@
 namespace lunule {
 namespace {
 
-/// The table's IF mean drops 2 warm-up epochs, one fewer than every other
-/// summary (sim::MetricsCollector::kWarmupEpochs).
-constexpr std::size_t kWarmupEpochs = 2;
-
 sim::ScenarioResult run_case(const bench::BenchOptions& opts,
                              double client_rate, bool with_urgency) {
   sim::ScenarioConfig cfg =
@@ -41,10 +37,10 @@ sim::ScenarioResult run_case(const bench::BenchOptions& opts,
     // "linear model" behaviour the paper abandons.
     p.if_params.mds_capacity = 1e-6;
   }
-  auto sim = sim::make_scenario_with_balancer(
-      cfg, std::make_unique<core::LunuleBalancer>(p));
+  auto sim =
+      sim::make_scenario(cfg, std::make_unique<core::LunuleBalancer>(p));
   sim->run();
-  return sim::result_of(*sim, cfg);
+  return sim::result_of(*sim);
 }
 
 int run(int argc, char** argv) {
@@ -64,7 +60,7 @@ int run(int argc, char** argv) {
   const auto add_row = [&table](const char* scenario, const char* variant,
                                 const sim::ScenarioResult& r) {
     table.add_row({scenario, variant, TablePrinter::fmt(r.migrated_total),
-                   TablePrinter::fmt(r.metrics.mean_if(kWarmupEpochs), 3)});
+                   TablePrinter::fmt(r.metrics.mean_if(), 3)});
   };
   add_row("benign (16% load)", "with urgency", benign_with);
   add_row("benign (16% load)", "without urgency", benign_without);

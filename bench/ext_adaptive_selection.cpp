@@ -27,9 +27,9 @@ Cell run_adaptive(const bench::BenchOptions& opts, sim::WorkloadKind w) {
   p.base = core::LunuleParams::for_cluster(sim::cluster_params_for(cfg));
   auto balancer = std::make_unique<core::AdaptiveLunuleBalancer>(p);
   const auto* handle = balancer.get();
-  auto sim = sim::make_scenario_with_balancer(cfg, std::move(balancer));
+  auto sim = sim::make_scenario(cfg, std::move(balancer));
   sim->run();
-  return Cell{.result = sim::result_of(*sim, cfg),
+  return Cell{.result = sim::result_of(*sim),
               .final_budget = handle->current_max_subtrees()};
 }
 

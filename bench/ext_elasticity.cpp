@@ -92,42 +92,33 @@ struct RunResult {
 
 RunResult run_shape(const bench::BenchOptions& opts,
                     const std::vector<Wave>& waves, bool elastic) {
-  auto tree = std::make_unique<fs::NamespaceTree>();
-  const auto dirs = fs::build_private_dirs(
-      *tree, "job", static_cast<std::uint32_t>(waves.size()), kFilesPerDir);
-
-  mds::ClusterParams cp;
-  cp.n_mds = kPoolRanks;
-  cp.mds_capacity_iops = 2500.0;
-  cp.migration.hot_abort_iops = 2500.0 / 8.0;
+  sim::ScenarioConfig cfg;
+  cfg.n_mds = kPoolRanks;
+  cfg.n_clients = waves.size();
+  cfg.max_ticks = opts.ticks;
+  cfg.seed = opts.seed;
   // Both deployments journal: the fixed pool pays the steady-state append
   // cost, the elastic pool additionally pays a cold-start replay window
   // per activation — the comparison charges elasticity its full price.
-  cp.journal.enabled = true;
-  if (elastic) cp.initial_active = kFloorRanks;
-  auto cluster = std::make_unique<mds::MdsCluster>(*tree, cp);
-
-  sim::Simulation::Options so;
-  so.max_ticks = opts.ticks;
-  so.stop_when_done = true;
+  cfg.journal.enabled = true;
   if (elastic) {
-    so.autoscaler.enabled = true;
-    so.autoscaler.initial_active = kFloorRanks;
-    so.autoscaler.min_ranks = kFloorRanks;
-    so.autoscaler.max_ranks = kPoolRanks;
+    // The pool starts at its floor; ranks past it are cold standbys.
+    cfg.autoscaler.enabled = true;
+    cfg.autoscaler.min_ranks = kFloorRanks;
+    cfg.autoscaler.max_ranks = kPoolRanks;
     // Agile policy: one-epoch streaks and no cooldown, so the pool tracks
     // a wave within tens of seconds instead of minutes.
-    so.autoscaler.hysteresis_epochs = 1;
-    so.autoscaler.cooldown_epochs = 0;
+    cfg.autoscaler.hysteresis_epochs = 1;
+    cfg.autoscaler.cooldown_epochs = 0;
   }
-  auto sim_ptr = std::make_unique<sim::Simulation>(
-      std::move(tree), std::move(cluster), nullptr,
-      sim::make_balancer(sim::BalancerKind::kLunule, cp), so,
-      core::IfParams{.mds_capacity = cp.mds_capacity_iops});
+  auto tree = std::make_unique<fs::NamespaceTree>();
+  const auto dirs = fs::build_private_dirs(
+      *tree, "job", static_cast<std::uint32_t>(waves.size()), kFilesPerDir);
+  auto sim_ptr = std::make_unique<sim::Simulation>(cfg, std::move(tree));
 
   auto sampler = std::make_shared<ZipfSampler>(
       kFilesPerDir, zipf_exponent_for(0.2, 0.8, kFilesPerDir));
-  Rng rng(opts.seed);
+  Rng rng(cfg.seed);
   for (std::size_t c = 0; c < waves.size(); ++c) {
     workloads::ClientParams p;
     p.max_ops_per_tick = kClientRate;

@@ -22,27 +22,21 @@ namespace {
 std::unique_ptr<sim::Simulation> open_ended_zipf(
     const bench::BenchOptions& opts, std::size_t n_mds,
     std::size_t n_clients, Tick start_phase, double client_rate = 150.0) {
+  sim::ScenarioConfig cfg;
+  cfg.n_mds = n_mds;
+  cfg.n_clients = n_clients;
+  cfg.max_ticks = opts.ticks;
+  cfg.stop_when_done = false;
+  cfg.seed = opts.seed;
   auto tree = std::make_unique<fs::NamespaceTree>();
   const std::uint32_t files = 1000;
   const auto dirs = fs::build_private_dirs(
       *tree, "zipf", static_cast<std::uint32_t>(n_clients), files);
-  mds::ClusterParams cp;
-  cp.n_mds = n_mds;
-  cp.mds_capacity_iops = 2500.0;
-  cp.migration.hot_abort_iops = 2500.0 / 8.0;
-  auto cluster = std::make_unique<mds::MdsCluster>(*tree, cp);
-
-  sim::Simulation::Options so;
-  so.max_ticks = opts.ticks;
-  so.stop_when_done = false;
-  auto sim_ptr = std::make_unique<sim::Simulation>(
-      std::move(tree), std::move(cluster), nullptr,
-      sim::make_balancer(sim::BalancerKind::kLunule, cp), so,
-      core::IfParams{.mds_capacity = cp.mds_capacity_iops});
+  auto sim_ptr = std::make_unique<sim::Simulation>(cfg, std::move(tree));
 
   auto sampler = std::make_shared<ZipfSampler>(
       files, zipf_exponent_for(0.2, 0.8, files));
-  Rng rng(opts.seed);
+  Rng rng(cfg.seed);
   for (std::size_t c = 0; c < n_clients; ++c) {
     workloads::ClientParams p;
     p.max_ops_per_tick = client_rate;

@@ -7,7 +7,6 @@
 #include "fs/builder.h"
 #include "fs/path_resolver.h"
 #include "mds/cluster.h"
-#include "mds/memory_model.h"
 #include "sim/scenario.h"
 
 namespace lunule {
@@ -112,16 +111,6 @@ void BM_MigrationEngineTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationEngineTick);
-
-void BM_MemoryCensus(benchmark::State& state) {
-  fs::NamespaceTree tree;
-  fs::build_imagenet_like(tree, "cnn", 1000, 128);
-  const mds::MemoryParams params;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mds::memory_census(tree, 5, params));
-  }
-}
-BENCHMARK(BM_MemoryCensus);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   // Whole-scenario throughput: simulated op-events per wall second.

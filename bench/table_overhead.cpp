@@ -50,7 +50,7 @@ int run(int argc, char** argv) {
     cfg.max_ticks = 600;
     auto sim = sim::make_scenario(cfg);
     sim->run();
-    if (cfg.capture_trace) opts.dump_trace(sim::result_of(*sim, cfg));
+    if (cfg.capture_trace) opts.dump_trace(sim::result_of(*sim));
     const auto* lunule =
         dynamic_cast<const core::LunuleBalancer*>(&sim->balancer());
     LUNULE_CHECK(lunule != nullptr);

@@ -22,24 +22,19 @@ int main(int argc, char** argv) {
   const Tick ticks = flags.get_int("ticks", 1200);
   flags.check_unused();
 
-  // Build the simulation by hand to show the library's lower-level API.
-  auto tree = std::make_unique<fs::NamespaceTree>();
+  // Build the namespace and the clients by hand to show the library's
+  // lower-level API; the engine itself comes from the config.
   constexpr std::uint32_t kFiles = 1000;
   constexpr std::uint32_t kClients = 60;
+  sim::ScenarioConfig cfg;
+  cfg.balancer = sim::BalancerKind::kLunule;
+  cfg.n_mds = 3;
+  cfg.n_clients = kClients;
+  cfg.max_ticks = ticks;
+  cfg.stop_when_done = false;
+  auto tree = std::make_unique<fs::NamespaceTree>();
   const auto dirs = fs::build_private_dirs(*tree, "zipf", kClients, kFiles);
-
-  mds::ClusterParams cp;
-  cp.n_mds = 3;
-  cp.mds_capacity_iops = 2500.0;
-  cp.migration.hot_abort_iops = cp.mds_capacity_iops / 8.0;
-  auto cluster = std::make_unique<mds::MdsCluster>(*tree, cp);
-
-  sim::Simulation::Options opts;
-  opts.max_ticks = ticks;
-  opts.stop_when_done = false;
-  sim::Simulation sim(std::move(tree), std::move(cluster), nullptr,
-                      sim::make_balancer(sim::BalancerKind::kLunule, cp),
-                      opts, core::IfParams{.mds_capacity = 2500.0});
+  sim::Simulation sim(cfg, std::move(tree));
 
   auto sampler = std::make_shared<ZipfSampler>(
       kFiles, zipf_exponent_for(0.2, 0.8, kFiles));

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
   }
   // The custom policy plugs into the scenario like any built-in balancer:
   // the simulation calls its on_epoch at every epoch close.
-  auto sim = sim::make_scenario_with_balancer(cfg, make_threshold_spill());
+  auto sim = sim::make_scenario(cfg, make_threshold_spill());
   sim->run();
-  add_row(sim::result_of(*sim, cfg));
+  add_row(sim::result_of(*sim));
 
   table.print(std::cout, "Custom Mantle policy vs built-in balancers "
                          "(mixed workload)");

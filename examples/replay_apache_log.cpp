@@ -88,17 +88,12 @@ int main(int argc, char** argv) {
         workloads::WebTrace::from_records(std::move(run_log.records),
                                           run_log.distinct_files));
 
-    mds::ClusterParams cp;
-    cp.n_mds = 5;
-    cp.mds_capacity_iops = 2500.0;
-    cp.migration.hot_abort_iops = cp.mds_capacity_iops / 8.0;
-    auto cluster =
-        std::make_unique<mds::MdsCluster>(*run_log.tree, cp);
-    sim::Simulation::Options opts;
-    opts.max_ticks = max_ticks;
-    sim::Simulation sim(std::move(run_log.tree), std::move(cluster), nullptr,
-                        sim::make_balancer(kind, cp), opts,
-                        core::IfParams{.mds_capacity = cp.mds_capacity_iops});
+    sim::ScenarioConfig cfg;
+    cfg.balancer = kind;
+    cfg.n_mds = 5;
+    cfg.n_clients = n_clients;
+    cfg.max_ticks = max_ticks;
+    sim::Simulation sim(cfg, std::move(run_log.tree));
 
     Rng rng(7);
     // Each client replays several passes' worth of its trace share so the

@@ -2,15 +2,17 @@
 # Byte-identity check for changes that must not move any simulation output
 # (performance and simplification work): builds <ref> and the working tree
 # with the same build type, runs every bench/ binary except the micro_*
-# google-benchmark timers on both, and diffs their stdout and exit status.
+# google-benchmark timers and every examples/ binary (at its tier-1 smoke
+# arguments from examples/CMakeLists.txt) on both, and diffs their stdout
+# and exit status.
 #
 #   scripts/bench_identity.sh <ref>          e.g. scripts/bench_identity.sh HEAD~1
 #
 # <ref> is checked out in a temporary git worktree under build-identity/
 # (gitignored, like every build*/ directory) and removed again on exit.
-# Both sides build as RelWithDebInfo, the repo's default, and the benches
-# run one at a time.  Exits 0 when every bench matches, 1 when any
-# differs, 2 on usage or build errors.  Not part of CI: it doubles the
+# Both sides build as RelWithDebInfo, the repo's default, and the
+# binaries run one at a time.  Exits 0 when every binary matches, 1 when
+# any differs, 2 on usage or build errors.  Not part of CI: it doubles the
 # build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,13 +53,27 @@ mapfile -t benches < <(
   { ls bench/*.cpp; ls "$REF_SRC"/bench/*.cpp; } |
     xargs -n1 basename | sed 's/\.cpp$//' |
     grep -v '^micro_' | sort -u)
-# Only bench targets are needed; benches and the library share one build.
+# Examples of either side, each run with the working tree's smoke
+# arguments (the COMMAND of its add_test), so both sides see the same
+# command line.
+mapfile -t examples < <(
+  { ls examples/*.cpp; ls "$REF_SRC"/examples/*.cpp; } |
+    xargs -n1 basename | sed 's/\.cpp$//' | sort -u)
+smoke_args() {  # <example>
+  tr '\n' ' ' <examples/CMakeLists.txt |
+    grep -oE "COMMAND $1( [^)]*)?\)" | sed -E "s/^COMMAND $1//; s/\)\$//"
+}
+# Only bench and example targets are needed; they share one build with
+# the library.
 build() {  # <source dir> <build dir>
   cmake -S "$1" -B "$2" "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >"$2.configure.log" 2>&1 || { cat "$2.configure.log" >&2; exit 2; }
   local targets=()
   for b in "${benches[@]}"; do
     [[ -f $1/bench/$b.cpp ]] && targets+=(--target "$b")
+  done
+  for e in "${examples[@]}"; do
+    [[ -f $1/examples/$e.cpp ]] && targets+=(--target "$e")
   done
   cmake --build "$2" -j "$(nproc)" "${targets[@]}" >"$2.build.log" 2>&1 ||
     { tail -50 "$2.build.log" >&2; exit 2; }
@@ -66,16 +82,26 @@ echo "bench_identity: building $1 ($ref_sha) and the working tree"
 build "$REF_SRC" "$OUT/ref"
 build . "$OUT/work"
 
+run_one() {  # <binary> <output stem> [args...]
+  local bin=$1 stem=$2
+  shift 2
+  if [[ -x $bin ]]; then
+    local rc=0
+    "$bin" "$@" >"$stem.out" 2>"$stem.err" || rc=$?
+    echo "exit status: $rc" >>"$stem.out"
+  else
+    echo "missing" >"$stem.out"
+  fi
+}
 run_side() {  # <build dir> <output dir>
-  mkdir -p "$2"
+  mkdir -p "$2/examples"
   for b in "${benches[@]}"; do
-    if [[ -x $1/bench/$b ]]; then
-      local rc=0
-      "$1/bench/$b" >"$2/$b.out" 2>"$2/$b.err" || rc=$?
-      echo "exit status: $rc" >>"$2/$b.out"
-    else
-      echo "missing" >"$2/$b.out"
-    fi
+    run_one "$1/bench/$b" "$2/$b"
+  done
+  for e in "${examples[@]}"; do
+    local args
+    read -r -a args <<<"$(smoke_args "$e")"
+    run_one "$1/examples/$e" "$2/examples/$e" "${args[@]}"
   done
 }
 rm -rf "$OUT/out"
@@ -83,7 +109,7 @@ run_side "$OUT/ref" "$OUT/out/ref"
 run_side "$OUT/work" "$OUT/out/work"
 
 status=0
-for b in "${benches[@]}"; do
+for b in "${benches[@]}" "${examples[@]/#/examples/}"; do
   if cmp -s "$OUT/out/ref/$b.out" "$OUT/out/work/$b.out"; then
     echo "identical  $b"
   else
@@ -92,5 +118,6 @@ for b in "${benches[@]}"; do
     status=1
   fi
 done
-echo "bench_identity: ${#benches[@]} benches, outputs in $OUT/out/{ref,work}"
+echo "bench_identity: ${#benches[@]} benches, ${#examples[@]} examples," \
+  "outputs in $OUT/out/{ref,work}"
 exit $status

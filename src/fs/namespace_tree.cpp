@@ -182,7 +182,6 @@ void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
   dirs_[d].frag_pin_count_ = pins;
   if (old_pins == 0 && pins > 0) frag_pinned_dirs_.insert(d);
   if (old_pins > 0 && pins == 0) frag_pinned_dirs_.erase(d);
-  bump_generation();
   if (fragment_hook_) fragment_hook_(d, old_bits, bits);
 }
 
@@ -232,8 +231,7 @@ void NamespaceTree::set_auth(DirId d, MdsId m) {
       old_eff == m ? 0 : exclusive_inodes(SubtreeRef{d, kWholeDir});
   index_explicit_auth(d, explicit_auth_[d], m);
   explicit_auth_[d] = m;
-  bump_generation();
-  bump_dir_auth_generation();
+  invalidate_auth_cache();
   census_move(old_eff, m, moved);
 }
 
@@ -243,8 +241,7 @@ void NamespaceTree::clear_auth(DirId d) {
   const std::uint64_t owned = exclusive_inodes(SubtreeRef{d, kWholeDir});
   index_explicit_auth(d, explicit_auth_[d], kNoMds);
   explicit_auth_[d] = kNoMds;
-  bump_generation();
-  bump_dir_auth_generation();
+  invalidate_auth_cache();
   census_move(old_eff, auth_of(d), owned);
 }
 
@@ -257,9 +254,7 @@ void NamespaceTree::set_frag_auth(DirId d, FragId f, MdsId m) {
   count_frag_pin(d, fr.auth_pin, m);
   fr.auth_pin = m;
   // Fragment pins override but never alter what the directory inherits, so
-  // the dir-level resolution cache stays valid; only the public generation
-  // (client location caches) moves.
-  bump_generation();
+  // the dir-level resolution cache stays valid.
   census_move(old_eff, new_eff, fr.file_count);
 }
 
@@ -364,7 +359,6 @@ void NamespaceTree::simplify_auth() {
   std::set_union(pinned_dirs_.begin(), pinned_dirs_.end(),
                  frag_pinned_dirs_.begin(), frag_pinned_dirs_.end(),
                  std::back_inserter(snapshot));
-  bool changed = false;
   for (const DirId d : snapshot) {
     if (d == root()) continue;  // the root pin is never redundant
     if (explicit_auth_[d] != kNoMds) {
@@ -373,9 +367,7 @@ void NamespaceTree::simplify_auth() {
       if (explicit_auth_[d] == inherited) {
         index_explicit_auth(d, explicit_auth_[d], kNoMds);
         explicit_auth_[d] = kNoMds;
-        changed = true;
-        bump_generation();
-        bump_dir_auth_generation();
+        invalidate_auth_cache();
       }
     }
     if (dirs_[d].frag_pin_count_ == 0) continue;
@@ -384,11 +376,9 @@ void NamespaceTree::simplify_auth() {
       if (frag.auth_pin != kNoMds && frag.auth_pin == resolved) {
         count_frag_pin(d, frag.auth_pin, kNoMds);
         frag.auth_pin = kNoMds;
-        changed = true;
       }
     }
   }
-  if (changed) bump_generation();
 }
 
 std::uint64_t NamespaceTree::exclusive_inodes(const SubtreeRef& ref) const {

@@ -105,9 +105,6 @@ class NamespaceTree {
   /// Cache-free resolution by walking the pin chain (the invariant
   /// checker's oracle for the cache).
   [[nodiscard]] MdsId resolve_auth_uncached(DirId d) const;
-  /// Bumped whenever any pin changes; clients use it to invalidate their
-  /// location caches.
-  [[nodiscard]] std::uint64_t auth_generation() const { return auth_gen_; }
 
   /// Moves the authority of a migratable unit to `to`, returning the number
   /// of inodes transferred (the unit's exclusive inode count).  This is the
@@ -216,9 +213,8 @@ class NamespaceTree {
   }
 
  private:
-  void bump_generation() { ++auth_gen_; }
   /// Directory-level pins changed: the flat resolution cache is stale.
-  void bump_dir_auth_generation() { ++dir_auth_gen_; }
+  void invalidate_auth_cache() { ++dir_auth_gen_; }
   void add_inodes_to_ancestors(DirId d, std::uint64_t count);
   void index_explicit_auth(DirId d, MdsId old_pin, MdsId new_pin);
   void count_frag_pin(DirId d, MdsId old_pin, MdsId new_pin);
@@ -239,7 +235,6 @@ class NamespaceTree {
   /// becomes a hole).
   std::vector<FragStats> frag_arena_;
 
-  std::uint64_t auth_gen_ = 1;
   /// Invalidation clock of the flat cache; bumped only by directory-level
   /// pin changes (frag pins never alter what a directory inherits).
   std::uint64_t dir_auth_gen_ = 1;

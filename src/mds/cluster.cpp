@@ -483,7 +483,6 @@ void MdsCluster::merge_lanes(std::span<TickLane> lanes) {
       }
     }
     recorder_->merge_lane(lane.recorder);
-    trace_->merge_shard_events(lane.events);
     for (const auto& [d, count] : lane.created) {
       tree_.account_created_files(d, count);
     }

@@ -79,9 +79,6 @@ struct TickLane {
   std::vector<std::uint32_t> forwards;
   /// Escrowed recorder effects (sibling credits, touched marks).
   RecorderLane recorder;
-  /// Escrowed flight-recorder events (the shared rings may not be pushed
-  /// into from concurrent rank streams).
-  obs::ShardEventBuffer events;
   /// Deferred create accounting per directory: ancestor inode counts and
   /// the placement census are settled at merge (consecutive creates into
   /// the same directory coalesce).
@@ -93,7 +90,6 @@ struct TickLane {
     forwards.assign(n_ranks, 0);
     recorder.credits.clear();
     recorder.touched.clear();
-    events.clear();
     created.clear();
   }
 };
@@ -122,8 +118,8 @@ class MdsCluster {
   void charge_forward(MdsId m, TickLane* lane = nullptr);
 
   /// Drains per-rank lanes in ascending rank order (serial phase of the
-  /// sharded engine): counters, forwards, recorder effects, trace events
-  /// and create accounting, one lane at a time.
+  /// sharded engine): counters, forwards, recorder effects and create
+  /// accounting, one lane at a time.
   void merge_lanes(std::span<TickLane> lanes);
 
   /// Worker pool for intra-tick parallel phases (epoch-close fold,

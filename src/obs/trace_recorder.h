@@ -4,10 +4,12 @@
 // Ownership and threading: every MdsCluster owns exactly one TraceRecorder,
 // and a cluster is only ever driven by one thread (parallel_runner runs
 // whole simulations per thread), so recording needs no synchronization —
-// the "lock-free-ish" design is simply share-nothing.  The cluster advances
-// the recorder's clock (epoch at close, tick at begin_tick); components
-// record events without knowing the time, which keeps instrumentation to a
-// one-liner and guarantees all events of one tick carry the same stamp.
+// the "lock-free-ish" design is simply share-nothing.  The sharded tick
+// engine's parallel rank streams record no events; every event comes from
+// a serial phase.  The cluster advances the recorder's clock (epoch at
+// close, tick at begin_tick); components record events without knowing the
+// time, which keeps instrumentation to a one-liner and guarantees all
+// events of one tick carry the same stamp.
 //
 // Cost model: when tracing is disabled, record() is a single branch — the
 // event payload is still evaluated at the call site, so instrumentation
@@ -20,8 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/counter_registry.h"
 #include "obs/trace_ring.h"
@@ -40,29 +40,6 @@ enum class Component : std::uint8_t {
 inline constexpr std::size_t kComponentCount = 6;
 
 [[nodiscard]] std::string_view component_name(Component c);
-
-/// Escrow buffer for events produced inside a shard phase of the sharded
-/// tick engine.  The recorder itself is share-nothing per cluster, so
-/// concurrent rank streams must not push into its rings directly; they
-/// append here instead, and the serial merge drains the buffers in
-/// ascending rank order — the ring then holds one canonical event sequence
-/// independent of shard count or worker scheduling.
-class ShardEventBuffer {
- public:
-  void record(Component component, const TraceEvent& event) {
-    items_.emplace_back(component, event);
-  }
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  void clear() { items_.clear(); }
-  [[nodiscard]] const std::vector<std::pair<Component, TraceEvent>>& items()
-      const {
-    return items_;
-  }
-
- private:
-  std::vector<std::pair<Component, TraceEvent>> items_;
-};
 
 class TraceRecorder {
  public:
@@ -88,16 +65,6 @@ class TraceRecorder {
     event.epoch = epoch_;
     event.tick = tick_;
     rings_[static_cast<std::size_t>(component)].push(event);
-  }
-
-  /// Drains a shard phase's escrowed events into the rings, stamping them
-  /// with the recorder's (serial-phase) clock.  Callers drain buffers in
-  /// ascending rank order to keep the merged sequence canonical.
-  void merge_shard_events(ShardEventBuffer& buffer) {
-    for (const auto& [component, event] : buffer.items()) {
-      record(component, event);
-    }
-    buffer.clear();
   }
 
   [[nodiscard]] const TraceRing& ring(Component c) const {

@@ -2,17 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
-#include "balancer/dir_hash.h"
-#include "balancer/mantle.h"
-#include "balancer/vanilla.h"
 #include "common/assert.h"
-#include "core/lunule_balancer.h"
 #include "fs/builder.h"
-#include "fs/dirfrag.h"
-#include "proxy/proxy_cache.h"
 #include "sim/json_export.h"
 #include "workloads/flash_crowd.h"
 #include "workloads/mdtest.h"
@@ -95,14 +87,6 @@ std::uint64_t scaled64(std::uint64_t v, double scale) {
   if (v == 0) return 0;  // 0 means open-ended; scaling does not apply
   return std::max<std::uint64_t>(
       16, static_cast<std::uint64_t>(std::llround(static_cast<double>(v) * scale)));
-}
-
-/// Throws the std::invalid_argument validate_scenario_config reports.
-template <typename T>
-[[noreturn]] void reject_knob(const char* knob, T value, const char* want) {
-  std::ostringstream os;
-  os << "ScenarioConfig: " << knob << " = " << value << ", expected " << want;
-  throw std::invalid_argument(os.str());
 }
 
 workloads::ClientParams client_params(const ScenarioConfig& cfg, Rng& rng) {
@@ -210,244 +194,13 @@ void add_tenant_clients(Simulation& s, const ScenarioConfig& cfg, Rng& rng,
 
 }  // namespace
 
-std::string_view workload_name(WorkloadKind k) {
-  switch (k) {
-    case WorkloadKind::kCnn:   return "CNN";
-    case WorkloadKind::kNlp:   return "NLP";
-    case WorkloadKind::kWeb:   return "Web";
-    case WorkloadKind::kZipf:  return "Zipf";
-    case WorkloadKind::kMd:    return "MD";
-    case WorkloadKind::kMixed: return "Mixed";
-    case WorkloadKind::kFlashCrowd: return "FlashCrowd";
-    case WorkloadKind::kTenant:     return "MultiTenant";
-  }
-  return "?";
-}
-
-std::string_view balancer_name(BalancerKind k) {
-  switch (k) {
-    case BalancerKind::kVanilla:     return "Vanilla";
-    case BalancerKind::kGreedySpill: return "GreedySpill";
-    case BalancerKind::kLunule:      return "Lunule";
-    case BalancerKind::kLunuleLight: return "Lunule-Light";
-    case BalancerKind::kDirHash:     return "Dir-Hash";
-    case BalancerKind::kLunuleHash:  return "Lunule-Hash";
-    case BalancerKind::kNone:        return "none";
-  }
-  return "?";
-}
-
-std::optional<WorkloadKind> workload_kind_from_name(std::string_view name) {
-  for (const WorkloadKind k :
-       {WorkloadKind::kCnn, WorkloadKind::kNlp, WorkloadKind::kWeb,
-        WorkloadKind::kZipf, WorkloadKind::kMd, WorkloadKind::kMixed,
-        WorkloadKind::kFlashCrowd, WorkloadKind::kTenant}) {
-    if (workload_name(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
-std::optional<BalancerKind> balancer_kind_from_name(std::string_view name) {
-  for (const BalancerKind k :
-       {BalancerKind::kVanilla, BalancerKind::kGreedySpill,
-        BalancerKind::kLunule, BalancerKind::kLunuleLight,
-        BalancerKind::kDirHash, BalancerKind::kLunuleHash,
-        BalancerKind::kNone}) {
-    if (balancer_name(k) == name) return k;
-  }
-  return std::nullopt;
-}
-
-std::unique_ptr<balancer::Balancer> make_balancer(
-    BalancerKind kind, const mds::ClusterParams& cluster_params) {
-  switch (kind) {
-    case BalancerKind::kVanilla:
-      return std::make_unique<balancer::VanillaBalancer>();
-    case BalancerKind::kGreedySpill:
-      return balancer::make_greedy_spill();
-    case BalancerKind::kLunule:
-      return std::make_unique<core::LunuleBalancer>(
-          core::LunuleParams::for_cluster(cluster_params));
-    case BalancerKind::kLunuleLight: {
-      core::LunuleParams p = core::LunuleParams::for_cluster(cluster_params);
-      p.selection = core::SelectionRule::kHeatShare;
-      return std::make_unique<core::LunuleBalancer>(p);
-    }
-    case BalancerKind::kDirHash:
-      return std::make_unique<balancer::DirHashBalancer>();
-    case BalancerKind::kLunuleHash: {
-      core::LunuleParams p = core::LunuleParams::for_cluster(cluster_params);
-      p.selection = core::SelectionRule::kHottestShard;
-      // Lunule-Hash plans whenever the pipeline has room: no free floor.
-      p.min_pipeline_fraction = 0.0;
-      return std::make_unique<core::LunuleBalancer>(p);
-    }
-    case BalancerKind::kNone:
-      return std::make_unique<balancer::NullBalancer>();
-  }
-  LUNULE_CHECK_MSG(false, "unknown balancer kind");
-  return nullptr;
-}
-
-void validate_scenario_config(const ScenarioConfig& cfg) {
-  const auto positive = [](const char* knob, double v) {
-    if (!(v > 0.0 && std::isfinite(v))) reject_knob(knob, v, "> 0");
-  };
-  if (cfg.n_mds < 1) reject_knob("n_mds", cfg.n_mds, ">= 1");
-  if (cfg.replicate_threshold_iops > 0.0 &&
-      cfg.n_mds > fs::kMaxReplicaRanks) {
-    reject_knob("n_mds", cfg.n_mds, "<= 64 with read replication on");
-  }
-  if (cfg.n_clients < 1) reject_knob("n_clients", cfg.n_clients, ">= 1");
-  positive("mds_capacity_iops", cfg.mds_capacity_iops);
-  positive("scale", cfg.scale);
-  if (cfg.data_enabled) positive("data_capacity", cfg.data_capacity);
-  if (cfg.epoch_ticks < 1) reject_knob("epoch_ticks", cfg.epoch_ticks, ">= 1");
-  if (cfg.client_start_spread < 0) {
-    reject_knob("client_start_spread", cfg.client_start_spread, ">= 0");
-  }
-  if (!(cfg.sibling_credit_prob >= 0.0 && cfg.sibling_credit_prob <= 1.0)) {
-    reject_knob("sibling_credit_prob", cfg.sibling_credit_prob, "in [0, 1]");
-  }
-  if (cfg.migration_max_retries < 0) {
-    reject_knob("migration_max_retries", cfg.migration_max_retries, ">= 0");
-  }
-  if (cfg.migration_retry_backoff_ticks < 0) {
-    reject_knob("migration_retry_backoff_ticks",
-                cfg.migration_retry_backoff_ticks, ">= 0");
-  }
-  if (cfg.sharded_ticks < 0) {
-    reject_knob("sharded_ticks", cfg.sharded_ticks, ">= 0");
-  }
-  cfg.faults.validate(cfg.n_mds, cfg.max_ticks);
-
-  // An enabled section must also pass the LUNULE_CHECKs of the component
-  // it builds (MdsJournal, Autoscaler, ProxyCacheTier).  Those abort, so
-  // they are mirrored here as catchable errors.
-  const auto require = [](bool ok, const char* knob, auto v, const char* want) {
-    if (!ok) reject_knob(knob, v, want);
-  };
-  if (const journal::JournalParams& j = cfg.journal; j.enabled) {
-    require(j.segment_entries >= 1, "journal.segment_entries",
-            j.segment_entries, ">= 1");
-    require(j.flush_interval_ticks >= 1, "journal.flush_interval_ticks",
-            j.flush_interval_ticks, ">= 1");
-    require(j.max_unflushed_entries >= 1, "journal.max_unflushed_entries",
-            j.max_unflushed_entries, ">= 1");
-    require(j.append_cost_ops >= 0.0, "journal.append_cost_ops",
-            j.append_cost_ops, ">= 0");
-    require(j.flush_cost_ops >= 0.0, "journal.flush_cost_ops",
-            j.flush_cost_ops, ">= 0");
-    require(j.replay_entries_per_second > 0.0,
-            "journal.replay_entries_per_second", j.replay_entries_per_second,
-            "> 0");
-    require(j.replay_base_seconds >= 0.0, "journal.replay_base_seconds",
-            j.replay_base_seconds, ">= 0");
-    require(j.replay_capacity_penalty >= 0.0 && j.replay_capacity_penalty < 1.0,
-            "journal.replay_capacity_penalty", j.replay_capacity_penalty,
-            "in [0, 1)");
-    require(j.history_decay_per_epoch > 0.0 && j.history_decay_per_epoch <= 1.0,
-            "journal.history_decay_per_epoch", j.history_decay_per_epoch,
-            "in (0, 1]");
-    require(j.async_high_water_entries >= 1,
-            "journal.async_high_water_entries", j.async_high_water_entries,
-            ">= 1");
-  }
-  if (const mds::AutoscalerParams& a = cfg.autoscaler; a.enabled) {
-    require(a.min_ranks >= 1, "autoscaler.min_ranks", a.min_ranks, ">= 1");
-    require(a.scale_up_utilization > 0.0 && a.scale_up_utilization <= 1.0,
-            "autoscaler.scale_up_utilization", a.scale_up_utilization,
-            "in (0, 1]");
-    require(a.scale_down_utilization >= 0.0 &&
-                a.scale_down_utilization < a.scale_up_utilization,
-            "autoscaler.scale_down_utilization", a.scale_down_utilization,
-            "in [0, scale_up_utilization)");
-    require(a.saturation_utilization > 0.0 && a.saturation_utilization <= 1.0,
-            "autoscaler.saturation_utilization", a.saturation_utilization,
-            "in (0, 1]");
-    require(a.hysteresis_epochs >= 1, "autoscaler.hysteresis_epochs",
-            a.hysteresis_epochs, ">= 1");
-    require(a.cooldown_epochs >= 0, "autoscaler.cooldown_epochs",
-            a.cooldown_epochs, ">= 0");
-  }
-  if (const proxy::ProxyParams& p = cfg.proxy; p.enabled) {
-    require(p.lease_ticks >= 1, "proxy.lease_ticks", p.lease_ticks, ">= 1");
-    require(p.promote_threshold_iops > 0.0, "proxy.promote_threshold_iops",
-            p.promote_threshold_iops, "> 0");
-    require(p.max_promoted >= 1, "proxy.max_promoted", p.max_promoted,
-            ">= 1");
-  }
-}
-
-mds::ClusterParams cluster_params_for(const ScenarioConfig& cfg) {
-  mds::ClusterParams cp;
-  cp.n_mds = cfg.n_mds;
-  cp.mds_capacity_iops = cfg.mds_capacity_iops;
-  cp.epoch_ticks = cfg.epoch_ticks;
-  cp.seed = cfg.seed;
-  // The freeze-abort threshold tracks the MDS capacity: a subtree eating
-  // more than ~1/8 of an MDS cannot be frozen for export.
-  cp.migration.hot_abort_iops = cfg.mds_capacity_iops / 8.0;
-  cp.migration.max_retries = cfg.migration_max_retries;
-  cp.migration.retry_backoff_ticks = cfg.migration_retry_backoff_ticks;
-  cp.journal = cfg.journal;
-  cp.recorder.sibling_credit_prob = cfg.sibling_credit_prob;
-  cp.replicate_threshold_iops = cfg.replicate_threshold_iops;
-  cp.unreplicate_threshold_iops = cfg.replicate_threshold_iops / 8.0;
-  if (cfg.autoscaler.enabled) {
-    // Elastic pool: start with the configured active set (default: the
-    // floor), clamped into [min_ranks, n_mds]; the rest are cold standbys.
-    std::size_t init = cfg.autoscaler.initial_active != 0
-                           ? cfg.autoscaler.initial_active
-                           : cfg.autoscaler.min_ranks;
-    const std::size_t lo = std::min(cfg.autoscaler.min_ranks, cfg.n_mds);
-    cp.initial_active = std::clamp(init, lo, cfg.n_mds);
-  }
-  return cp;
-}
-
-std::unique_ptr<Simulation> make_scenario(const ScenarioConfig& cfg) {
-  // The balancer derives its parameters from cfg: validate before that.
-  validate_scenario_config(cfg);
-  return make_scenario_with_balancer(
-      cfg, make_balancer(cfg.balancer, cluster_params_for(cfg)));
-}
-
-std::unique_ptr<Simulation> make_scenario_with_balancer(
-    const ScenarioConfig& cfg,
-    std::unique_ptr<balancer::Balancer> balancer) {
-  LUNULE_CHECK(balancer != nullptr);
+std::unique_ptr<Simulation> make_scenario(
+    const ScenarioConfig& cfg, std::unique_ptr<balancer::Balancer> balancer) {
   // Throws before any state is built — callers (the parallel runner in
   // particular) can catch it.
-  validate_scenario_config(cfg);
-  Rng rng(cfg.seed);
-
-  auto tree = std::make_unique<fs::NamespaceTree>();
-  const mds::ClusterParams cp = cluster_params_for(cfg);
-  auto cluster = std::make_unique<mds::MdsCluster>(*tree, cp);
-
-  std::unique_ptr<mds::DataPath> data;
-  if (cfg.data_enabled) {
-    data = std::make_unique<mds::DataPath>(cfg.data_capacity);
-  }
-
-  Simulation::Options opts;
-  opts.max_ticks = cfg.max_ticks;
-  opts.epoch_ticks = cfg.epoch_ticks;
-  opts.stop_when_done = cfg.stop_when_done;
-  opts.sharded_ticks = cfg.sharded_ticks;
-  opts.autoscaler = cfg.autoscaler;
-
-  core::IfParams if_params;
-  if_params.mds_capacity = cfg.mds_capacity_iops;
-
   auto sim = std::make_unique<Simulation>(
-      std::move(tree), std::move(cluster), std::move(data),
-      std::move(balancer), opts, if_params);
-  // Event recording is opt-in; counters (the invariant checker's ground
-  // truth) stay on regardless.
-  sim->cluster().trace().set_enabled(cfg.capture_trace);
-  if (!cfg.faults.empty()) sim->set_fault_plan(cfg.faults);
+      cfg, std::make_unique<fs::NamespaceTree>(), std::move(balancer));
+  Rng rng(cfg.seed);
   fs::NamespaceTree& t = sim->tree();
 
   switch (cfg.workload) {
@@ -567,14 +320,11 @@ std::unique_ptr<Simulation> make_scenario_with_balancer(
       break;
     }
   }
-  if (cfg.proxy.enabled) {
-    sim->set_cache_tier(
-        std::make_unique<proxy::ProxyCacheTier>(sim->tree(), cfg.proxy));
-  }
   return sim;
 }
 
-ScenarioResult result_of(const Simulation& sim, const ScenarioConfig& cfg) {
+ScenarioResult result_of(const Simulation& sim) {
+  const ScenarioConfig& cfg = sim.config();
   const mds::MdsCluster& cluster = sim.cluster();
   ScenarioResult r;
   r.workload = std::string(workload_name(cfg.workload));
@@ -607,8 +357,7 @@ ScenarioResult result_of(const Simulation& sim, const ScenarioConfig& cfg) {
   r.migration_retries_exhausted = cluster.migration().retries_exhausted();
   r.journal = cluster.journal_totals();
   r.elasticity = cluster.elasticity();
-  if (const auto* tier =
-          dynamic_cast<const proxy::ProxyCacheTier*>(sim.cache_tier())) {
+  if (const proxy::ProxyCacheTier* tier = sim.proxy_tier()) {
     r.proxy = tier->totals();
   }
   if (const faults::FaultInjector* inj = sim.fault_injector()) {
@@ -627,7 +376,7 @@ ScenarioResult result_of(const Simulation& sim, const ScenarioConfig& cfg) {
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   const std::unique_ptr<Simulation> sim = make_scenario(cfg);
   sim->run();
-  return result_of(*sim, cfg);
+  return result_of(*sim);
 }
 
 }  // namespace lunule::sim

@@ -8,23 +8,47 @@
 
 namespace lunule::sim {
 
-Simulation::Simulation(std::unique_ptr<fs::NamespaceTree> tree,
-                       std::unique_ptr<mds::MdsCluster> cluster,
-                       std::unique_ptr<mds::DataPath> data,
-                       std::unique_ptr<balancer::Balancer> balancer,
-                       Options options, core::IfParams if_params)
-    : tree_(std::move(tree)),
-      cluster_(std::move(cluster)),
-      data_(std::move(data)),
+namespace {
+
+/// The constructor's first initializer: nothing is built from an invalid
+/// config.
+const ScenarioConfig& validated(const ScenarioConfig& cfg) {
+  validate_scenario_config(cfg);
+  return cfg;
+}
+
+}  // namespace
+
+Simulation::Simulation(const ScenarioConfig& cfg,
+                       std::unique_ptr<fs::NamespaceTree> tree,
+                       std::unique_ptr<balancer::Balancer> balancer)
+    : cfg_(validated(cfg)),
+      tree_(std::move(tree)),
       balancer_(std::move(balancer)),
-      options_(options),
-      metrics_(static_cast<double>(options.epoch_ticks), if_params) {
+      metrics_(static_cast<double>(cfg_.epoch_ticks),
+               core::IfParams{.mds_capacity = cfg_.mds_capacity_iops}) {
   LUNULE_CHECK(tree_ != nullptr);
-  LUNULE_CHECK(cluster_ != nullptr);
-  LUNULE_CHECK(balancer_ != nullptr);
-  LUNULE_CHECK(options_.epoch_ticks >= 1);
-  if (options_.autoscaler.enabled) {
-    autoscaler_ = std::make_unique<mds::Autoscaler>(options_.autoscaler);
+  cluster_ =
+      std::make_unique<mds::MdsCluster>(*tree_, cluster_params_for(cfg_));
+  // Event recording is opt-in; counters (the invariant checker's ground
+  // truth) stay on regardless.
+  cluster_->trace().set_enabled(cfg_.capture_trace);
+  if (balancer_ == nullptr) {
+    balancer_ = make_balancer(cfg_.balancer, cluster_->params());
+  }
+  if (cfg_.data_enabled) {
+    data_ = std::make_unique<mds::DataPath>(cfg_.data_capacity);
+  }
+  if (!cfg_.faults.empty()) {
+    injector_ =
+        std::make_unique<faults::FaultInjector>(*cluster_, cfg_.faults);
+  }
+  if (cfg_.proxy.enabled) {
+    proxy_ = std::make_unique<proxy::ProxyCacheTier>(*tree_, cfg_.proxy);
+    cluster_->set_cache_tier(proxy_.get());
+  }
+  if (cfg_.autoscaler.enabled) {
+    autoscaler_ = std::make_unique<mds::Autoscaler>(cfg_.autoscaler);
   }
 }
 
@@ -34,19 +58,6 @@ void Simulation::add_client(std::unique_ptr<workloads::Client> client) {
 
 void Simulation::schedule(Tick t, std::function<void(Simulation&)> fn) {
   events_.emplace(t, std::move(fn));
-}
-
-void Simulation::set_cache_tier(std::unique_ptr<mds::CacheTier> tier) {
-  LUNULE_CHECK(now_ == 0);
-  cache_tier_ = std::move(tier);
-  cluster_->set_cache_tier(cache_tier_.get());
-}
-
-void Simulation::set_fault_plan(const faults::FaultPlan& plan) {
-  LUNULE_CHECK(now_ == 0);
-  injector_ =
-      plan.empty() ? nullptr
-                   : std::make_unique<faults::FaultInjector>(*cluster_, plan);
 }
 
 std::size_t Simulation::clients_done() const {
@@ -122,13 +133,13 @@ void Simulation::run() {
   // phases (epoch-close fold, candidate collection).
   std::optional<ConcurrencyGrant> grant;
   std::unique_ptr<WorkerPool> pool;
-  if (options_.sharded_ticks >= 1) {
-    grant.emplace(static_cast<std::size_t>(options_.sharded_ticks) - 1);
+  if (cfg_.sharded_ticks >= 1) {
+    grant.emplace(static_cast<std::size_t>(cfg_.sharded_ticks) - 1);
     pool = std::make_unique<WorkerPool>(grant->granted());
     cluster_->set_shard_pool(pool.get());
   }
 
-  for (now_ = 0; now_ < options_.max_ticks; ++now_) {
+  for (now_ = 0; now_ < cfg_.max_ticks; ++now_) {
     // Fire events scheduled for this tick.
     auto range = events_.equal_range(now_);
     for (auto it = range.first; it != range.second; ++it) {
@@ -159,7 +170,7 @@ void Simulation::run() {
     // pools are compared on.
     rank_seconds_ += cluster_->alive_count();
 
-    if ((now_ + 1) % options_.epoch_ticks == 0) {
+    if ((now_ + 1) % cfg_.epoch_ticks == 0) {
       const std::vector<Load> loads = cluster_->close_epoch();
       // Conservation audit of the just-closed epoch — before the balancer
       // reacts, so a violation is attributed to the epoch that produced it.
@@ -182,16 +193,9 @@ void Simulation::run() {
       // closed-epoch loads and the balancer keeps first claim on the
       // migration pipeline.
       if (autoscaler_) autoscaler_->on_epoch(*cluster_, loads);
-      if (options_.stop_on_memory_limit &&
-          mds::memory_census(*tree_, cluster_->size(), options_.memory)
-              .over_limit) {
-        stopped_on_memory_ = true;
-        ++now_;
-        break;
-      }
     }
 
-    if (options_.stop_when_done && events_.empty() &&
+    if (cfg_.stop_when_done && events_.empty() &&
         (!injector_ || injector_->done()) &&
         clients_done() == clients_.size()) {
       ++now_;

@@ -7,6 +7,10 @@
 // collected, and the balancer gets its chance to react — exactly the
 // paper's 10-second re-balance cadence.
 //
+// A Simulation is configured by one ScenarioConfig: the cluster, data
+// path, IF metric, autoscaler, fault injector and proxy tier are all
+// derived from it at construction, so no knob is set in two places.
+//
 // Scheduled events support the dynamic experiments: adding an MDS at
 // minute 10/20 (Fig. 12a) or launching extra client waves (Fig. 12b).
 #pragma once
@@ -19,52 +23,28 @@
 #include "balancer/balancer.h"
 #include "common/types.h"
 #include "faults/fault_injector.h"
-#include "faults/fault_plan.h"
 #include "fs/namespace_tree.h"
 #include "mds/autoscaler.h"
-#include "mds/cache_tier.h"
 #include "mds/cluster.h"
 #include "mds/data_path.h"
-#include "mds/memory_model.h"
 #include "obs/invariant_checker.h"
+#include "proxy/proxy_cache.h"
 #include "sim/metrics.h"
+#include "sim/scenario_config.h"
 #include "workloads/client.h"
 
 namespace lunule::sim {
 
 class Simulation {
  public:
-  struct Options {
-    Tick max_ticks = 2400;
-    int epoch_ticks = 10;
-    /// Stop as soon as every client's job completed.
-    bool stop_when_done = true;
-    /// When set, the run ends as soon as any MDS exceeds its memory budget
-    /// (checked at every epoch close) — how the paper's MDtest experiments
-    /// ended after ~15 minutes.
-    bool stop_on_memory_limit = false;
-    mds::MemoryParams memory;
-    /// Tick-engine selection.  0 (default) runs the legacy serial client
-    /// loop.  S >= 1 runs the sharded engine: clients are partitioned by
-    /// the rank their next operation binds to, rank streams execute on up
-    /// to S threads with per-rank effect lanes, lanes merge in ascending
-    /// rank order, and clients the binding could not place (or that paused
-    /// mid-stream) finish in a serial deferred pass.  The schedule is
-    /// canonical — results and traces are byte-identical for every S >= 1
-    /// and any number of actually-granted worker threads.
-    int sharded_ticks = 0;
-    /// Elastic MDS pool: when `autoscaler.enabled`, an Autoscaler runs at
-    /// every epoch boundary (right after the balancer) and may grow or
-    /// shrink the serving rank set.  Off by default — disabled runs are
-    /// byte-identical to a fixed pool.
-    mds::AutoscalerParams autoscaler;
-  };
-
-  Simulation(std::unique_ptr<fs::NamespaceTree> tree,
-             std::unique_ptr<mds::MdsCluster> cluster,
-             std::unique_ptr<mds::DataPath> data,  // may be nullptr
-             std::unique_ptr<balancer::Balancer> balancer, Options options,
-             core::IfParams if_params);
+  /// Validates `cfg` (std::invalid_argument before anything is built) and
+  /// builds the engine over `tree`, which may already hold a namespace:
+  /// the cluster from cluster_params_for(cfg), plus the data path, fault
+  /// injector, autoscaler and proxy tier its enabled sections ask for.
+  /// A null `balancer` means make_balancer(cfg.balancer, ...).
+  Simulation(const ScenarioConfig& cfg,
+             std::unique_ptr<fs::NamespaceTree> tree,
+             std::unique_ptr<balancer::Balancer> balancer = nullptr);
 
   /// Registers a client before or during the run.
   void add_client(std::unique_ptr<workloads::Client> client);
@@ -72,23 +52,18 @@ class Simulation {
   /// Schedules `fn` to fire at the beginning of tick `t`.
   void schedule(Tick t, std::function<void(Simulation&)> fn);
 
-  /// Installs a fault schedule.  Must be called before run(); the plan is
-  /// applied at tick boundaries, before the cluster opens each tick.
-  void set_fault_plan(const faults::FaultPlan& plan);
-
-  /// Installs a cache tier (e.g. proxy::ProxyCacheTier) and wires it into
-  /// the cluster.  Must be called before run().  Without one, behavior and
-  /// traces are byte-identical to the tier-free engine.
-  void set_cache_tier(std::unique_ptr<mds::CacheTier> tier);
-  [[nodiscard]] mds::CacheTier* cache_tier() const {
-    return cache_tier_.get();
+  /// The config this simulation was built from.
+  [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
+  /// The proxy cache tier (null unless cfg.proxy.enabled).
+  [[nodiscard]] const proxy::ProxyCacheTier* proxy_tier() const {
+    return proxy_.get();
   }
-  /// The injector driving the installed plan (null without one).
+  /// The injector driving cfg.faults (null for a fault-free plan).
   [[nodiscard]] const faults::FaultInjector* fault_injector() const {
     return injector_.get();
   }
 
-  /// Runs until max_ticks or, with stop_when_done, job completion.
+  /// Runs until cfg.max_ticks or, with cfg.stop_when_done, job completion.
   void run();
 
   // -- Accessors -----------------------------------------------------------
@@ -106,8 +81,6 @@ class Simulation {
   }
   [[nodiscard]] Tick now() const { return now_; }
   [[nodiscard]] Tick end_tick() const { return end_tick_; }
-  /// True if the run ended because an MDS exceeded its memory budget.
-  [[nodiscard]] bool stopped_on_memory() const { return stopped_on_memory_; }
   [[nodiscard]] std::size_t clients_done() const;
 
   /// Completion times (seconds) of all finished clients.
@@ -127,16 +100,17 @@ class Simulation {
   /// parallel rank streams, lane merge, serial deferred pass).
   void run_clients_sharded(WorkerPool& pool);
 
+  /// Validated first: every other member is derived from it.
+  ScenarioConfig cfg_;
   std::unique_ptr<fs::NamespaceTree> tree_;
   std::unique_ptr<mds::MdsCluster> cluster_;
   std::unique_ptr<mds::DataPath> data_;
   std::unique_ptr<balancer::Balancer> balancer_;
-  Options options_;
   MetricsCollector metrics_;
   std::vector<std::unique_ptr<workloads::Client>> clients_;
   std::multimap<Tick, std::function<void(Simulation&)>> events_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<mds::CacheTier> cache_tier_;
+  std::unique_ptr<proxy::ProxyCacheTier> proxy_;
   std::unique_ptr<mds::Autoscaler> autoscaler_;
   obs::InvariantChecker invariants_;
   std::uint64_t rank_seconds_ = 0;
@@ -146,7 +120,6 @@ class Simulation {
   std::vector<std::uint8_t> deferred_;
   Tick now_ = 0;
   Tick end_tick_ = 0;
-  bool stopped_on_memory_ = false;
 };
 
 }  // namespace lunule::sim

@@ -60,7 +60,7 @@ TEST(AdaptiveLunule, EndToEndScenarioRuns) {
   cfg.n_clients = 20;
   cfg.scale = 0.05;
   cfg.max_ticks = 600;
-  auto sim = sim::make_scenario_with_balancer(
+  auto sim = sim::make_scenario(
       cfg, std::make_unique<AdaptiveLunuleBalancer>(
                params_for(sim::cluster_params_for(cfg))));
   sim->run();

@@ -1,7 +1,7 @@
-// Tests for the process-wide concurrency budget, the worker pool, and the
-// per-shard trace-event escrow — the three primitives the sharded tick
-// engine is built on — and for the two epoch-path loops that run on the
-// pool: candidate collection and the access recorder's fold.
+// Tests for the process-wide concurrency budget and the worker pool — the
+// two primitives the sharded tick engine is built on — and for the two
+// epoch-path loops that run on the pool: candidate collection and the
+// access recorder's fold.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/worker_pool.h"
 #include "mds/access_recorder.h"
-#include "obs/trace_recorder.h"
 
 namespace lunule {
 namespace {
@@ -120,41 +119,6 @@ TEST(WorkerPool, SmallestIndexExceptionRethrows) {
   std::atomic<int> ran{0};
   pool.run_indexed(5, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 5);
-}
-
-// -- ShardEventBuffer ------------------------------------------------------
-
-TEST(ShardEventBuffer, MergePreservesBufferOrderAndStampsSerialClock) {
-  obs::TraceRecorder recorder(/*ring_capacity=*/64);
-  obs::ShardEventBuffer lane_a;
-  obs::ShardEventBuffer lane_b;
-  obs::TraceEvent e;
-  e.kind = obs::EventKind::kDirfragSplit;
-  e.n0 = 10;
-  lane_a.record(obs::Component::kCluster, e);
-  e.n0 = 11;
-  lane_a.record(obs::Component::kCluster, e);
-  e.n0 = 12;
-  lane_b.record(obs::Component::kCluster, e);
-  EXPECT_EQ(lane_a.size(), 2u);
-  EXPECT_FALSE(lane_b.empty());
-
-  // Fixed-rank-order merge: lane a fully drains before lane b, and every
-  // event is stamped with the recorder's serial-phase clock, not whatever
-  // the shard saw.
-  recorder.set_clock(/*epoch=*/5, /*tick=*/42);
-  recorder.merge_shard_events(lane_a);
-  recorder.merge_shard_events(lane_b);
-  EXPECT_TRUE(lane_a.empty());
-  EXPECT_TRUE(lane_b.empty());
-  const obs::TraceRing& ring = recorder.ring(obs::Component::kCluster);
-  ASSERT_EQ(ring.size(), 3u);
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring.at(i).n0, static_cast<std::int64_t>(10 + i));
-    EXPECT_EQ(ring.at(i).epoch, 5);
-    EXPECT_EQ(ring.at(i).tick, 42);
-    EXPECT_EQ(ring.at(i).kind, obs::EventKind::kDirfragSplit);
-  }
 }
 
 // -- Parallel epoch paths ---------------------------------------------------

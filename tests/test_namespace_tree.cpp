@@ -37,9 +37,7 @@ TEST_F(NamespaceTreeTest, AuthCacheInvalidatedByGeneration) {
   const DirId a = tree.add_dir(tree.root(), "a");
   const DirId b = tree.add_dir(a, "b");
   EXPECT_EQ(tree.auth_of(b), 0);  // warms the cache
-  const std::uint64_t gen = tree.auth_generation();
   tree.set_auth(a, 2);
-  EXPECT_GT(tree.auth_generation(), gen);
   EXPECT_EQ(tree.auth_of(b), 2);  // cache must not serve the stale value
 }
 

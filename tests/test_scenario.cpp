@@ -48,7 +48,7 @@ TEST_P(MatrixSweep, BuildsRunsAndConserves) {
   }
 }
 
-// A kind-built balancer handed to make_scenario_with_balancer and read
+// A kind-built balancer handed to make_scenario and read
 // through result_of reports exactly what run_scenario reports, name and
 // trace included.
 TEST(Scenario, ResultOfMatchesRunScenarioForEveryKind) {
@@ -59,10 +59,10 @@ TEST(Scenario, ResultOfMatchesRunScenarioForEveryKind) {
         BalancerKind::kNone}) {
     ScenarioConfig cfg = small(WorkloadKind::kZipf, kind);
     cfg.capture_trace = true;
-    auto sim = make_scenario_with_balancer(
-        cfg, make_balancer(kind, cluster_params_for(cfg)));
+    auto sim =
+        make_scenario(cfg, make_balancer(kind, cluster_params_for(cfg)));
     sim->run();
-    const ScenarioResult custom = result_of(*sim, cfg);
+    const ScenarioResult custom = result_of(*sim);
     const ScenarioResult built_in = run_scenario(cfg);
     EXPECT_EQ(custom.balancer, balancer_name(kind));
     EXPECT_EQ(to_json(custom), to_json(built_in)) << balancer_name(kind);

@@ -12,21 +12,17 @@ namespace {
 
 std::unique_ptr<Simulation> tiny_sim(Tick max_ticks, bool stop_when_done,
                                      std::size_t n_clients = 2) {
+  ScenarioConfig cfg;
+  cfg.balancer = BalancerKind::kNone;
+  cfg.n_mds = 2;
+  cfg.n_clients = n_clients;
+  cfg.mds_capacity_iops = 100.0;
+  cfg.epoch_ticks = 5;
+  cfg.max_ticks = max_ticks;
+  cfg.stop_when_done = stop_when_done;
   auto tree = std::make_unique<fs::NamespaceTree>();
   const auto dirs = fs::build_private_dirs(*tree, "w", 4, 50);
-  mds::ClusterParams cp;
-  cp.n_mds = 2;
-  cp.mds_capacity_iops = 100.0;
-  cp.epoch_ticks = 5;
-  auto cluster = std::make_unique<mds::MdsCluster>(*tree, cp);
-  Simulation::Options opts;
-  opts.max_ticks = max_ticks;
-  opts.epoch_ticks = 5;
-  opts.stop_when_done = stop_when_done;
-  auto sim = std::make_unique<Simulation>(
-      std::move(tree), std::move(cluster), nullptr,
-      std::make_unique<balancer::NullBalancer>(), opts,
-      core::IfParams{.mds_capacity = 100.0});
+  auto sim = std::make_unique<Simulation>(cfg, std::move(tree));
   for (std::size_t c = 0; c < n_clients; ++c) {
     sim->add_client(std::make_unique<workloads::Client>(
         static_cast<std::uint32_t>(c),

@@ -11,7 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/zipf.h"
+#include "fs/builder.h"
+#include "sim/json_export.h"
 #include "sim/scenario.h"
+#include "workloads/zipf_read.h"
 
 namespace lunule::sim {
 namespace {
@@ -191,6 +195,44 @@ TEST(TraceDeterminism, LunuleHashTraceMatchesPinnedDigest) {
   cfg.workload = WorkloadKind::kWeb;
   cfg.n_clients = 60;  // 20 Web clients never push IF over the threshold
   expect_pinned_digest(cfg, 0xc7c5b598fe1dd6a0ull);
+}
+
+// Pinned digests for a hand-built simulation: the caller builds the
+// namespace, the clients and a mid-run expansion, and the engine comes from
+// the config alone (3 MDSs, 40 open-ended Zipf clients in private
+// directories, a fourth rank added at tick 150).  The constants are this
+// run's trace and result digests from the build in which a hand-built
+// simulation set its ClusterParams, engine options and IF parameters
+// itself; building it from the config must reproduce both.
+TEST(TraceDeterminism, HandBuiltExpansionMatchesPinnedDigest) {
+  constexpr std::uint32_t kClients = 40;
+  constexpr std::uint32_t kFiles = 200;
+  ScenarioConfig cfg;
+  cfg.n_mds = 3;
+  cfg.n_clients = kClients;
+  cfg.max_ticks = 300;
+  cfg.stop_when_done = false;
+  cfg.capture_trace = true;
+  auto tree = std::make_unique<fs::NamespaceTree>();
+  const auto dirs = fs::build_private_dirs(*tree, "zipf", kClients, kFiles);
+  Simulation sim(cfg, std::move(tree));
+  auto sampler = std::make_shared<ZipfSampler>(
+      kFiles, zipf_exponent_for(0.2, 0.8, kFiles));
+  Rng rng(cfg.seed);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    sim.add_client(std::make_unique<workloads::Client>(
+        c, workloads::ClientParams{.max_ops_per_tick = 150.0},
+        std::make_unique<workloads::ZipfReadProgram>(
+            dirs[c], kFiles, /*requests=*/1u << 30, sampler, rng.fork(c))));
+  }
+  sim.schedule(150, [](Simulation& s) { s.cluster().add_server(); });
+  sim.run();
+
+  const ScenarioResult r = result_of(sim);
+  ASSERT_EQ(r.total_served_per_mds.size(), 4u);
+  EXPECT_GT(r.total_served_per_mds[3], 0u);  // the new rank took load
+  EXPECT_EQ(fnv1a64(r.trace_json), 0xfda11c782a84fa9full);
+  EXPECT_EQ(fnv1a64(to_json(r)), 0x9e09cf7fab532cacull);
 }
 
 }  // namespace
