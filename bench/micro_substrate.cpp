@@ -1,16 +1,40 @@
 // Microbenchmarks of the simulator substrate (google-benchmark): the
 // namespace tree's hot paths, the access recorder, path resolution, the
-// migration engine tick, and the end-to-end simulation throughput in
-// operation-events per second — the budget every scenario bench draws on.
+// migration engine tick, a client's location check, and the end-to-end
+// simulation throughput in operation-events per second — the budget every
+// scenario bench draws on.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <vector>
+
+#include "common/zipf.h"
 #include "fs/builder.h"
 #include "fs/path_resolver.h"
 #include "mds/cluster.h"
 #include "sim/scenario.h"
+#include "workloads/client.h"
+#include "workloads/tenant_mix.h"
 
 namespace lunule {
 namespace {
+
+/// Resident set of this process in MB; 0 where /proc is unavailable.
+double resident_mb() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  std::uint64_t resident = 0;
+  if (!(statm >> pages >> resident)) return 0.0;
+  return static_cast<double>(resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
 
 void BM_AuthResolutionCached(benchmark::State& state) {
   fs::NamespaceTree tree;
@@ -111,6 +135,55 @@ void BM_MigrationEngineTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MigrationEngineTick);
+
+void BM_ClientLocationCheck(benchmark::State& state) {
+  // One tenant-style client on a Zipf stream over N eight-file directories,
+  // every 97th pinned to one of ranks 1-3: each op pays the workload draw,
+  // the location check (a lookup in the client's lease cache, and the path
+  // walk with its forwards on a miss) and the serve.  The counters give ns
+  // per op and how much the resident set grew while the client ran, which
+  // is where a location cache sized by the namespace shows.  One iteration
+  // is one tick of up to 500 ops.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  fs::NamespaceTree tree;
+  auto dirs = std::make_shared<const std::vector<DirId>>(
+      fs::build_private_dirs(tree, "t", n, 8));
+  for (std::size_t i = 0; i < dirs->size(); i += 97) {
+    tree.set_auth((*dirs)[i], static_cast<MdsId>(1 + i % 3));
+  }
+  mds::ClusterParams cp;
+  cp.n_mds = 4;
+  cp.mds_capacity_iops = 1e9;  // never saturate: measure the op path
+  mds::MdsCluster cluster(tree, cp);
+  workloads::Client client(
+      0, {.max_ops_per_tick = 500.0},
+      std::make_unique<workloads::TenantMixProgram>(
+          dirs, 8, std::uint64_t{1} << 40, 0.0,
+          std::make_shared<ZipfSampler>(n, 1.0), Rng(6)));
+#if defined(__GLIBC__)
+  malloc_trim(0);  // freed heap pages must not hide the growth
+#endif
+  const double rss_before = resident_mb();
+  Tick now = 0;
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    cluster.begin_tick(now);
+    ops += client.run_tick(cluster, nullptr, now);
+    cluster.end_tick();
+    ++now;
+  }
+  benchmark::DoNotOptimize(client.forwards());
+  state.counters["per_op"] = benchmark::Counter(
+      static_cast<double>(ops),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["rss_growth_mb"] = resident_mb() - rss_before;
+}
+BENCHMARK(BM_ClientLocationCheck)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Iterations(2000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   // Whole-scenario throughput: simulated op-events per wall second.

@@ -9,6 +9,7 @@
 // concurrent.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,29 +35,21 @@ class AtomicU64Array {
   /// large).  Serial phases only: reallocation is not guarded against
   /// concurrent readers.
   void resize(std::size_t n) {
-    if (n <= size_) {
-      size_ = n;
-      return;
-    }
     if (n > capacity_) {
       std::size_t cap = capacity_ == 0 ? 16 : capacity_;
       while (cap < n) cap *= 2;
-      auto next = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
-      for (std::size_t i = 0; i < size_; ++i) {
-        next[i].store(data_[i].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      }
-      for (std::size_t i = size_; i < cap; ++i) {
-        next[i].store(0, std::memory_order_relaxed);
-      }
-      data_ = std::move(next);
-      capacity_ = cap;
-    } else {
-      for (std::size_t i = size_; i < n; ++i) {
-        data_[i].store(0, std::memory_order_relaxed);
-      }
+      reallocate(cap);
+    }
+    for (std::size_t i = size_; i < n; ++i) {
+      data_[i].store(0, std::memory_order_relaxed);
     }
     size_ = n;
+  }
+
+  /// Makes room for `n` entries without changing size(); the capacity at
+  /// least doubles when it grows.  Serial phases only, like resize().
+  void reserve(std::size_t n) {
+    if (n > capacity_) reallocate(std::max(n, 2 * capacity_));
   }
 
   /// Zero-fills every entry (serial phases only).
@@ -67,6 +60,16 @@ class AtomicU64Array {
   }
 
  private:
+  void reallocate(std::size_t cap) {
+    auto next = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i].store(data_[i].load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+    }
+    data_ = std::move(next);
+    capacity_ = cap;
+  }
+
   // mutable-through-const is deliberate: the array backs caches that fill
   // from const lookup paths.
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> data_;

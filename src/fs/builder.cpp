@@ -6,8 +6,12 @@ namespace lunule::fs {
 
 namespace {
 
-DirId mount_point(NamespaceTree& tree, const std::string& name) {
+/// Adds /<name>, after making room for it and the `below` directories the
+/// builder will add under it.
+DirId mount_point(NamespaceTree& tree, const std::string& name,
+                  std::size_t below) {
   LUNULE_CHECK(!name.empty());
+  tree.reserve_dirs(1 + below);
   return tree.add_dir(tree.root(), name);
 }
 
@@ -17,7 +21,7 @@ std::vector<DirId> build_imagenet_like(NamespaceTree& tree,
                                        const std::string& name,
                                        std::uint32_t class_dirs,
                                        std::uint32_t files_per_dir) {
-  const DirId top = mount_point(tree, name);
+  const DirId top = mount_point(tree, name, class_dirs);
   std::vector<DirId> out;
   out.reserve(class_dirs);
   for (std::uint32_t c = 0; c < class_dirs; ++c) {
@@ -32,7 +36,7 @@ std::vector<DirId> build_corpus_like(NamespaceTree& tree,
                                      const std::string& name,
                                      std::uint32_t folders,
                                      std::uint32_t files_per_folder) {
-  const DirId top = mount_point(tree, name);
+  const DirId top = mount_point(tree, name, folders);
   std::vector<DirId> out;
   out.reserve(folders);
   for (std::uint32_t f = 0; f < folders; ++f) {
@@ -47,7 +51,8 @@ WebTreeLayout build_web_tree(NamespaceTree& tree, const std::string& name,
                              std::uint32_t sections,
                              std::uint32_t dirs_per_section,
                              std::uint32_t files_per_dir) {
-  const DirId top = mount_point(tree, name);
+  const DirId top = mount_point(
+      tree, name, static_cast<std::size_t>(sections) * (1 + dirs_per_section));
   WebTreeLayout layout;
   layout.leaf_dirs.reserve(static_cast<std::size_t>(sections) *
                            dirs_per_section);
@@ -67,7 +72,7 @@ std::vector<DirId> build_private_dirs(NamespaceTree& tree,
                                       const std::string& name,
                                       std::uint32_t clients,
                                       std::uint32_t files_per_dir) {
-  const DirId top = mount_point(tree, name);
+  const DirId top = mount_point(tree, name, clients);
   std::vector<DirId> out;
   out.reserve(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {

@@ -57,6 +57,22 @@ DirId NamespaceTree::add_dir(DirId parent, std::string name) {
   return id;
 }
 
+void NamespaceTree::reserve_dirs(std::size_t more) {
+  const auto make_room = [](auto& v, std::size_t n) {
+    if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+  };
+  const std::size_t n = dirs_.size() + more;
+  make_room(dirs_, n);
+  make_room(parent_, n);
+  make_room(explicit_auth_, n);
+  make_room(subtree_inodes_, n);
+  make_room(frag_bits_, n);
+  make_room(frag_base_, n);
+  make_room(frag_arena_,
+            frag_arena_.size() + more + (std::size_t{1} << kMaxFragBits));
+  auth_cache_.reserve(n);
+}
+
 void NamespaceTree::add_files(DirId d, std::uint32_t count) {
   Directory& dir = dirs_[d];
   const auto old_size = static_cast<std::uint32_t>(dir.files_.size());
@@ -99,7 +115,7 @@ void NamespaceTree::account_created_files(DirId d, std::uint64_t count) {
 
 void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
   LUNULE_CHECK_MSG(bits >= frag_bits_[d], "dirfrags can only be split");
-  LUNULE_CHECK(bits <= 10);
+  LUNULE_CHECK(bits <= kMaxFragBits);
   if (bits == frag_bits_[d]) return;
 
   // Lazily advanced fragments must be rolled to the clock before their

@@ -76,9 +76,18 @@ class NamespaceTree {
   /// Settles `count` deferred creates into `d`: ancestor inode counts and
   /// the placement census.  Serial-phase only.
   void account_created_files(DirId d, std::uint64_t count);
+  /// Makes room in every per-directory array for `more` further add_dir
+  /// calls (bulk builders); changes no value.  The fragment arena keeps
+  /// room for one more block of 2^kMaxFragBits fragments on top, so the
+  /// first split after a build does not move the whole arena.  Capacities
+  /// at least double when they grow, so repeated small builds stay
+  /// amortised O(1) per directory.
+  void reserve_dirs(std::size_t more);
   /// Splits `d` into 2^bits fragments, redistributing per-frag file counts.
   /// Only legal to grow the fragmentation (bits >= current frag_bits).
   void fragment_dir(DirId d, std::uint8_t bits);
+  /// The finest fragmentation fragment_dir accepts.
+  static constexpr std::uint8_t kMaxFragBits = 10;
 
   /// Invoked after every effective split with (dir, old bits, new bits);
   /// the cluster installs this to feed the flight recorder.  The hook must

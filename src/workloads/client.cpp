@@ -45,35 +45,28 @@ MdsId Client::shard_rank(const mds::MdsCluster& cluster, Tick now) const {
 void Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
                                    Tick now, mds::TickLane* lane) {
   const fs::NamespaceTree& tree = cluster.tree();
-  if (auth_cache_.size() < tree.dir_count()) {
-    auth_cache_.resize(tree.dir_count(), kNoMds);
-    lease_until_.resize(tree.dir_count(), -1);
-  }
   // The cache is validated at directory level: after one traversal the
   // client knows the directory's dirfrag->MDS map (like a CephFS client
   // holding the dirfrag tree), so per-frag routing does not re-traverse.
   const MdsId dir_auth = tree.auth_of(op.dir);
-  if (auth_cache_[op.dir] == dir_auth && now < lease_until_[op.dir]) {
-    return;
-  }
+  if (locations_.fresh(op.dir, dir_auth, now)) return;
   const std::uint64_t before = forwards_;
 
-  // Cache miss or stale entry: the request traverses the path from the
-  // root, bouncing once per authority boundary crossed.
-  MdsId prev = tree.auth_of(tree.root());
-  // Collect the root path (depths are small: <= 4 in all our namespaces).
-  DirId chain[16];
-  int depth = 0;
-  for (DirId d = op.dir; d != tree.root(); d = tree.parent(d)) {
-    LUNULE_CHECK(depth < 16);
-    chain[depth++] = d;
-  }
-  for (int i = depth - 1; i >= 0; --i) {
-    const MdsId a = tree.auth_of(chain[i]);
-    if (a != prev) {
+  // Cache miss, stale entry or expired lease: the request traverses the
+  // path from the root, bouncing once per authority boundary crossed off
+  // the MDS above the boundary.  The walk goes up from the directory, so
+  // it needs no stack at any depth.  Its charges are those of the
+  // downward path in reverse order, and the order leaves no trace: each
+  // charge is a unit decrement, clamped at zero, of one rank's budget, or
+  // one increment of a lane counter that the merge applies the same way.
+  MdsId below = dir_auth;
+  for (DirId d = op.dir; d != tree.root();) {
+    d = tree.parent(d);
+    const MdsId above = tree.auth_of(d);
+    if (above != below) {
       ++forwards_;
-      cluster.charge_forward(prev, lane);  // the redirecting MDS bounces
-      prev = a;
+      cluster.charge_forward(above, lane);
+      below = above;
     }
   }
   MdsId target;
@@ -84,13 +77,12 @@ void Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
   } else {
     target = tree.auth_of_file(op.dir, op.file);
   }
-  if (target != prev) {
+  if (target != dir_auth) {
     // One extra hop when the file's dirfrag is pinned away from its dir.
     ++forwards_;
-    cluster.charge_forward(prev, lane);
+    cluster.charge_forward(dir_auth, lane);
   }
-  auth_cache_[op.dir] = dir_auth;
-  lease_until_[op.dir] = now + params_.lease_ticks;
+  locations_.remember(op.dir, dir_auth, now + params_.lease_ticks, now);
   // Each redirect costs the client a round trip: it consumes issue budget
   // just like an operation would (closed loop — forwards slow the client
   // down, which is how Dir-Hash's locality destruction hurts end-to-end

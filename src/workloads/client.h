@@ -8,22 +8,25 @@
 // load sits on one MDS serves at most one MDS's capacity, however many
 // clients are running (the behaviour all of the paper's figures measure).
 //
-// The client also maintains a per-directory location cache mirroring the
-// CephFS client's knowledge of subtree bounds: when the cached authority of
-// a path is stale or unknown, the request is *forwarded* along the path's
-// authority chain (each crossing charges a redirect to the MDS it bounces
-// off), reproducing the forwarding overhead that penalizes the Dir-Hash
-// baseline (Section 4.6, Figure 14).
+// The client also keeps a location cache mirroring the CephFS client's
+// dentry leases on subtree bounds: when the cached authority of a
+// directory is stale, unknown or out of lease, the request is *forwarded*
+// along the path's authority chain (each crossing charges a redirect to
+// the MDS it bounces off), reproducing the forwarding overhead that
+// penalizes the Dir-Hash baseline (Section 4.6, Figure 14).  The cache
+// holds only the directories resolved within the current lease window
+// (workloads::LocationCache), so a client's footprint follows its own
+// working set, not the size of the namespace.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/histogram.h"
 #include "common/types.h"
 #include "mds/cluster.h"
 #include "mds/data_path.h"
+#include "workloads/location_cache.h"
 #include "workloads/workload.h"
 
 namespace lunule::workloads {
@@ -42,9 +45,10 @@ struct ClientParams {
   double max_ops_per_tick = 150.0;
   /// First tick at which this client starts issuing.
   Tick start_tick = 0;
-  /// Dentry-lease lifetime: cached subtree locations expire after this
-  /// many seconds and the next access re-traverses the path (CephFS client
-  /// leases default to tens of seconds).
+  /// Dentry-lease lifetime: a location resolved at tick t is trusted
+  /// through tick t + lease_ticks − 1, and an access at t + lease_ticks
+  /// re-traverses the path (CephFS client leases default to tens of
+  /// seconds).
   Tick lease_ticks = 30;
 };
 
@@ -95,10 +99,14 @@ class Client {
   /// on saturated or frozen MDSs).
   [[nodiscard]] const Histogram& op_latency() const { return latency_; }
   [[nodiscard]] const ClientParams& params() const { return params_; }
+  /// The directories whose authority this client holds a lease on.
+  [[nodiscard]] const LocationCache& locations() const { return locations_; }
 
  private:
-  /// Walks the op's path when this client's location cache is stale or
-  /// unknown, counting and charging one forward per authority boundary.
+  /// Walks the op's path when this client's location cache has no live,
+  /// current entry for the op's directory, counting and charging one
+  /// forward per authority boundary (plus one hop to a dirfrag pinned
+  /// away), then leases the directory's authority until now + lease_ticks.
   void resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
                              Tick now, mds::TickLane* lane);
 
@@ -132,10 +140,9 @@ class Client {
   /// Ops served so far in the current tick, across both calls.
   std::uint32_t tick_served_ = 0;
 
-  // Location cache: last known authority per directory (kNoMds = unknown)
-  // plus the tick the lease on that knowledge expires.
-  std::vector<MdsId> auth_cache_;
-  std::vector<Tick> lease_until_;
+  /// Leased directory locations: a hit needs the stored authority to equal
+  /// the directory's current one and the lease to be live.
+  LocationCache locations_;
 };
 
 }  // namespace lunule::workloads
