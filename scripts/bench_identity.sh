@@ -4,16 +4,19 @@
 # with the same build type, runs every bench/ binary except the micro_*
 # google-benchmark timers and every examples/ binary (at its tier-1 smoke
 # arguments from examples/CMakeLists.txt) on both, and diffs their stdout
-# and exit status.
+# and exit status.  When both sides' lunule_proptest has the
+# --digest-configs mode, it also compares the digest sweep: the result
+# and trace digests of generated configs seeds 1-3 x 40 under all seven
+# balancers, trace on.
 #
 #   scripts/bench_identity.sh <ref>          e.g. scripts/bench_identity.sh HEAD~1
 #
-# <ref> is checked out in a temporary git worktree under build-identity/
-# (gitignored, like every build*/ directory) and removed again on exit.
-# Both sides build as RelWithDebInfo, the repo's default, and the
-# binaries run one at a time.  Exits 0 when every binary matches, 1 when
-# any differs, 2 on usage or build errors.  Not part of CI: it doubles the
-# build.
+# <ref> is exported with `git archive` into build-identity/ref-src/
+# (gitignored, like every build*/ directory) and removed again on exit,
+# so the check writes nothing into .git.  Both sides build as
+# RelWithDebInfo, the repo's default, and the binaries run one at a time.
+# Exits 0 when every output matches, 1 when any differs, 2 on usage or
+# build errors.  Not part of CI: it doubles the build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,18 +37,12 @@ if command -v ninja >/dev/null 2>&1; then
   GENERATOR=(-G Ninja)
 fi
 
-cleanup() {
-  if [[ -d $REF_SRC ]]; then
-    git worktree remove --force "$REF_SRC" >/dev/null 2>&1 || true
-    rm -rf "$REF_SRC"
-  fi
-  git worktree prune
-}
+cleanup() { rm -rf "$REF_SRC"; }
 trap cleanup EXIT
 
-mkdir -p "$OUT"
 cleanup  # a previous run killed before its trap fired
-git worktree add --detach --quiet "$REF_SRC" "$ref_sha"
+mkdir -p "$REF_SRC"
+git archive "$ref_sha" | tar -x -C "$REF_SRC"
 
 # Simulation benches of the working tree; a bench present on one side only
 # counts as a difference.
@@ -63,12 +60,12 @@ smoke_args() {  # <example>
   tr '\n' ' ' <examples/CMakeLists.txt |
     grep -oE "COMMAND $1( [^)]*)?\)" | sed -E "s/^COMMAND $1//; s/\)\$//"
 }
-# Only bench and example targets are needed; they share one build with
-# the library.
+# Only bench, example and proptest CLI targets are needed; they share one
+# build with the library.
 build() {  # <source dir> <build dir>
   cmake -S "$1" -B "$2" "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >"$2.configure.log" 2>&1 || { cat "$2.configure.log" >&2; exit 2; }
-  local targets=()
+  local targets=(--target lunule_proptest_cli)
   for b in "${benches[@]}"; do
     [[ -f $1/bench/$b.cpp ]] && targets+=(--target "$b")
   done
@@ -81,6 +78,17 @@ build() {  # <source dir> <build dir>
 echo "bench_identity: building $1 ($ref_sha) and the working tree"
 build "$REF_SRC" "$OUT/ref"
 build . "$OUT/work"
+
+# The digest sweep runs only when both sides have the mode (an older
+# lunule_proptest rejects the flag as unknown).
+sweeps=()
+if "$OUT/ref/lunule_proptest" --digest-configs 0 >/dev/null 2>&1 &&
+  "$OUT/work/lunule_proptest" --digest-configs 0 >/dev/null 2>&1; then
+  sweeps=(digest-configs-seed1 digest-configs-seed2 digest-configs-seed3)
+else
+  echo "bench_identity: skipped the digest sweep (lunule_proptest" \
+    "--digest-configs missing on one side)"
+fi
 
 run_one() {  # <binary> <output stem> [args...]
   local bin=$1 stem=$2
@@ -103,13 +111,17 @@ run_side() {  # <build dir> <output dir>
     read -r -a args <<<"$(smoke_args "$e")"
     run_one "$1/examples/$e" "$2/examples/$e" "${args[@]}"
   done
+  for s in "${sweeps[@]}"; do
+    run_one "$1/lunule_proptest" "$2/$s" --digest-configs 40 \
+      --seed "${s#digest-configs-seed}"
+  done
 }
 rm -rf "$OUT/out"
 run_side "$OUT/ref" "$OUT/out/ref"
 run_side "$OUT/work" "$OUT/out/work"
 
 status=0
-for b in "${benches[@]}" "${examples[@]/#/examples/}"; do
+for b in "${benches[@]}" "${examples[@]/#/examples/}" "${sweeps[@]}"; do
   if cmp -s "$OUT/out/ref/$b.out" "$OUT/out/work/$b.out"; then
     echo "identical  $b"
   else
@@ -119,5 +131,5 @@ for b in "${benches[@]}" "${examples[@]/#/examples/}"; do
   fi
 done
 echo "bench_identity: ${#benches[@]} benches, ${#examples[@]} examples," \
-  "outputs in $OUT/out/{ref,work}"
+  "${#sweeps[@]} digest sweeps, outputs in $OUT/out/{ref,work}"
 exit $status

@@ -52,13 +52,6 @@ class AtomicU64Array {
     if (n > capacity_) reallocate(std::max(n, 2 * capacity_));
   }
 
-  /// Zero-fills every entry (serial phases only).
-  void fill_zero() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      data_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
  private:
   void reallocate(std::size_t cap) {
     auto next = std::make_unique<std::atomic<std::uint64_t>[]>(cap);

@@ -51,9 +51,6 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
 
   /// Typed accessors; throw JsonError when the kind does not match.
   [[nodiscard]] bool as_bool() const;

@@ -1,16 +1,17 @@
 // A directory node of the simulated namespace.
 //
-// The tree is stored flat (index-based) inside NamespaceTree.  Since the
-// struct-of-arrays arena refactor, Directory carries only the *cold* per
-// -directory state (name, children, file states, recorder bookkeeping);
-// everything the hot paths walk — parent links, explicit authority pins,
-// subtree inode counts, fragmentation level, and the per-fragment
-// statistics themselves — lives in flat index-parallel arrays owned by
-// NamespaceTree (see its "hot arenas" section), so authority resolution,
-// epoch close, and candidate collection traverse contiguous memory
-// instead of chasing per-directory heap allocations.  Subtree authority
-// follows CephFS semantics: a directory either pins an explicit authority
-// (making it a subtree root / subtree bound) or inherits its parent's.
+// The tree is stored flat (index-based) inside NamespaceTree: a
+// directory's DirId is its index there, and its parent link lives in the
+// tree's parent arena.  Directory carries only the *cold* per-directory
+// state (name, children, file states, recorder bookkeeping); everything
+// the hot paths walk — parent links, explicit authority pins,
+// fragmentation level, and the per-fragment statistics themselves — lives
+// in flat index-parallel arrays owned by NamespaceTree (see its "hot
+// arenas" section), so authority resolution, epoch close, and candidate
+// collection traverse contiguous memory instead of chasing per-directory
+// heap allocations.  Subtree authority follows CephFS semantics: a
+// directory either pins an explicit authority (making it a subtree root /
+// subtree bound) or inherits its parent's.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +25,8 @@ namespace lunule::fs {
 
 class Directory {
  public:
-  Directory(DirId id, DirId parent, std::string name)
-      : id_(id), parent_(parent), name_(std::move(name)) {}
+  explicit Directory(std::string name) : name_(std::move(name)) {}
 
-  [[nodiscard]] DirId id() const { return id_; }
-  /// Parent link (immutable after construction; NamespaceTree keeps the
-  /// copy the hot walks read in its parent arena).
-  [[nodiscard]] DirId parent() const { return parent_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<DirId>& children() const {
     return children_;
@@ -66,8 +62,6 @@ class Directory {
  private:
   friend class NamespaceTree;
 
-  DirId id_;
-  DirId parent_;
   std::string name_;
   std::vector<DirId> children_;
   std::vector<FileState> files_;

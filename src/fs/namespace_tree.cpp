@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/validate.h"
 
 namespace lunule::fs {
 
@@ -24,36 +23,30 @@ MdsId unpack_auth(std::uint64_t packed) {
 }  // namespace
 
 NamespaceTree::NamespaceTree() {
-  dirs_.emplace_back(0, kNoDir, "/");
+  dirs_.emplace_back("/");
   parent_.push_back(kNoDir);
   // The root is always a subtree root; CephFS pins "/" to mds.0 at startup.
   explicit_auth_.push_back(0);
-  subtree_inodes_.push_back(1);
   frag_bits_.push_back(0);
   frag_base_.push_back(0);
   frag_arena_.emplace_back();
   pinned_dirs_.insert(0);
   auth_cache_.resize(1);
-  census_add(0, 1);
 }
 
 DirId NamespaceTree::add_dir(DirId parent, std::string name) {
   LUNULE_CHECK(parent < dirs_.size());
   const auto id = static_cast<DirId>(dirs_.size());
-  dirs_.emplace_back(id, parent, std::move(name));
+  dirs_.emplace_back(std::move(name));
   dirs_.back().sibling_index_ =
       static_cast<std::uint32_t>(dirs_[parent].children_.size());
   dirs_[parent].children_.push_back(id);
   parent_.push_back(parent);
   explicit_auth_.push_back(kNoMds);
-  subtree_inodes_.push_back(0);
   frag_bits_.push_back(0);
   frag_base_.push_back(static_cast<std::uint32_t>(frag_arena_.size()));
   frag_arena_.emplace_back();
   auth_cache_.resize(dirs_.size());
-  add_inodes_to_ancestors(id, 1);
-  // The new directory has no pin, so it lands on its parent's authority.
-  census_add(auth_of(parent), 1);
   return id;
 }
 
@@ -65,7 +58,6 @@ void NamespaceTree::reserve_dirs(std::size_t more) {
   make_room(dirs_, n);
   make_room(parent_, n);
   make_room(explicit_auth_, n);
-  make_room(subtree_inodes_, n);
   make_room(frag_bits_, n);
   make_room(frag_base_, n);
   make_room(frag_arena_,
@@ -79,38 +71,17 @@ void NamespaceTree::add_files(DirId d, std::uint32_t count) {
   dir.files_.resize(old_size + count);
   const std::uint32_t mask = frag_count(d) - 1;
   const std::span<FragStats> fr = frags(d);
-  const MdsId dir_auth = auth_of(d);
   for (std::uint32_t i = old_size; i < old_size + count; ++i) {
-    FragStats& f = fr[i & mask];
-    ++f.file_count;
-    census_add(f.auth_pin != kNoMds ? f.auth_pin : dir_auth, 1);
+    ++fr[i & mask].file_count;
   }
-  add_inodes_to_ancestors(d, count);
 }
 
 FileIndex NamespaceTree::create_file(DirId d) {
-  const FileIndex idx = create_file_deferred(d);
-  add_inodes_to_ancestors(d, 1);
-  const FragStats& f = frag(d, frag_of(d, idx));
-  census_add(f.auth_pin != kNoMds ? f.auth_pin : auth_of(d), 1);
-  return idx;
-}
-
-FileIndex NamespaceTree::create_file_deferred(DirId d) {
   Directory& dir = dirs_[d];
   const auto idx = static_cast<FileIndex>(dir.files_.size());
   dir.files_.emplace_back();
   ++frag(d, frag_of(d, idx)).file_count;
   return idx;
-}
-
-void NamespaceTree::account_created_files(DirId d, std::uint64_t count) {
-  if (count == 0) return;
-  // Deferred creates are only routed into directories without fragment
-  // pins, so every created file's effective authority is the directory's.
-  LUNULE_CHECK(dirs_[d].frag_pin_count_ == 0);
-  add_inodes_to_ancestors(d, count);
-  census_add(auth_of(d), count);
 }
 
 void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
@@ -129,9 +100,8 @@ void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
   std::vector<FragStats> next(new_count);
 
   // With the interleaved mapping, new fragment f refines old fragment
-  // (f & old_mask): inherit its pin and split its statistics.  Every
-  // file's effective authority is therefore unchanged, so the placement
-  // census needs no adjustment.
+  // (f & old_mask): inherit its pin and split its statistics, so every
+  // file's effective authority is unchanged.
   const std::uint32_t old_mask = old_count - 1;
   const std::uint32_t new_mask = new_count - 1;
   const auto n_files = static_cast<std::uint32_t>(dir.files_.size());
@@ -194,84 +164,51 @@ void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
   for (const FragStats& frag : frags(d)) {
     if (frag.auth_pin != kNoMds) ++pins;
   }
-  const std::uint32_t old_pins = dirs_[d].frag_pin_count_;
+  // A refinement keeps every pin, so d's place in the pin index stands.
   dirs_[d].frag_pin_count_ = pins;
-  if (old_pins == 0 && pins > 0) frag_pinned_dirs_.insert(d);
-  if (old_pins > 0 && pins == 0) frag_pinned_dirs_.erase(d);
   if (fragment_hook_) fragment_hook_(d, old_bits, bits);
 }
 
-void NamespaceTree::index_explicit_auth(DirId d, MdsId old_pin,
-                                        MdsId new_pin) {
-  if (old_pin == kNoMds && new_pin != kNoMds) pinned_dirs_.insert(d);
-  if (old_pin != kNoMds && new_pin == kNoMds) pinned_dirs_.erase(d);
+void NamespaceTree::index_pins(DirId d) {
+  if (explicit_auth_[d] != kNoMds || dirs_[d].frag_pin_count_ > 0) {
+    pinned_dirs_.insert(d);
+  } else {
+    pinned_dirs_.erase(d);
+  }
 }
 
 void NamespaceTree::count_frag_pin(DirId d, MdsId old_pin, MdsId new_pin) {
-  Directory& dir = dirs_[d];
+  std::uint32_t& pins = dirs_[d].frag_pin_count_;
   if (old_pin == kNoMds && new_pin != kNoMds) {
-    if (++dir.frag_pin_count_ == 1) frag_pinned_dirs_.insert(d);
+    ++pins;
   } else if (old_pin != kNoMds && new_pin == kNoMds) {
-    LUNULE_CHECK(dir.frag_pin_count_ > 0);
-    if (--dir.frag_pin_count_ == 0) frag_pinned_dirs_.erase(d);
+    LUNULE_CHECK(pins > 0);
+    --pins;
   }
-}
-
-void NamespaceTree::census_add(MdsId m, std::uint64_t n) {
-  LUNULE_CHECK(m >= 0);
-  if (static_cast<std::size_t>(m) >= census_.size()) {
-    census_.resize(static_cast<std::size_t>(m) + 1, 0);
-  }
-  census_[static_cast<std::size_t>(m)] += n;
-}
-
-void NamespaceTree::census_sub(MdsId m, std::uint64_t n) {
-  LUNULE_CHECK(m >= 0 && static_cast<std::size_t>(m) < census_.size());
-  LUNULE_CHECK(census_[static_cast<std::size_t>(m)] >= n);
-  census_[static_cast<std::size_t>(m)] -= n;
-}
-
-void NamespaceTree::census_move(MdsId from, MdsId to, std::uint64_t n) {
-  if (from == to || n == 0) return;
-  census_sub(from, n);
-  census_add(to, n);
 }
 
 void NamespaceTree::set_auth(DirId d, MdsId m) {
   LUNULE_CHECK(m != kNoMds);
-  // The inodes that follow d's resolved authority are exactly its
-  // exclusive set (pinned fragments and pinned descendants excluded —
-  // and the set does not depend on d's own pin).
-  const MdsId old_eff = auth_of(d);
-  const std::uint64_t moved =
-      old_eff == m ? 0 : exclusive_inodes(SubtreeRef{d, kWholeDir});
-  index_explicit_auth(d, explicit_auth_[d], m);
   explicit_auth_[d] = m;
   invalidate_auth_cache();
-  census_move(old_eff, m, moved);
+  index_pins(d);
 }
 
 void NamespaceTree::clear_auth(DirId d) {
   LUNULE_CHECK_MSG(d != root(), "the root must stay pinned");
-  const MdsId old_eff = auth_of(d);
-  const std::uint64_t owned = exclusive_inodes(SubtreeRef{d, kWholeDir});
-  index_explicit_auth(d, explicit_auth_[d], kNoMds);
   explicit_auth_[d] = kNoMds;
   invalidate_auth_cache();
-  census_move(old_eff, auth_of(d), owned);
+  index_pins(d);
 }
 
 void NamespaceTree::set_frag_auth(DirId d, FragId f, MdsId m) {
   LUNULE_CHECK(f >= 0 && static_cast<std::uint32_t>(f) < frag_count(d));
   FragStats& fr = frag(d, f);
-  const MdsId dir_auth = auth_of(d);
-  const MdsId old_eff = fr.auth_pin != kNoMds ? fr.auth_pin : dir_auth;
-  const MdsId new_eff = m != kNoMds ? m : dir_auth;
   count_frag_pin(d, fr.auth_pin, m);
   fr.auth_pin = m;
   // Fragment pins override but never alter what the directory inherits, so
   // the dir-level resolution cache stays valid.
-  census_move(old_eff, new_eff, fr.file_count);
+  index_pins(d);
 }
 
 MdsId NamespaceTree::resolve_auth_uncached(DirId d) const {
@@ -366,34 +303,29 @@ std::uint64_t NamespaceTree::migrate_subtree(const SubtreeRef& ref,
 void NamespaceTree::simplify_auth() {
   // Directory ids are assigned parent-before-child, so one ascending pass
   // sees each parent fully simplified before its children.  Only pinned
-  // directories can hold a redundant pin; iterate the pin index (snapshot:
-  // clearing a pin mutates the index) instead of the whole namespace.
-  // Removing a redundant pin never changes any resolved authority, so the
-  // placement census is untouched.
-  std::vector<DirId> snapshot;
-  snapshot.reserve(pinned_dirs_.size() + frag_pinned_dirs_.size());
-  std::set_union(pinned_dirs_.begin(), pinned_dirs_.end(),
-                 frag_pinned_dirs_.begin(), frag_pinned_dirs_.end(),
-                 std::back_inserter(snapshot));
-  for (const DirId d : snapshot) {
+  // directories can hold a redundant pin, so the pass walks the pin index
+  // instead of the whole namespace.  Trimming adds no directory to the
+  // index and may drop only the current one, so the cursor steps past it
+  // first.  Removing a redundant pin never changes any resolved authority.
+  for (auto it = pinned_dirs_.begin(); it != pinned_dirs_.end();) {
+    const DirId d = *it++;
     if (d == root()) continue;  // the root pin is never redundant
-    if (explicit_auth_[d] != kNoMds) {
-      // What would this directory inherit without its own pin?
-      const MdsId inherited = auth_of(parent_[d]);
-      if (explicit_auth_[d] == inherited) {
-        index_explicit_auth(d, explicit_auth_[d], kNoMds);
-        explicit_auth_[d] = kNoMds;
-        invalidate_auth_cache();
+    // What would this directory inherit without its own pin?
+    if (explicit_auth_[d] != kNoMds &&
+        explicit_auth_[d] == auth_of(parent_[d])) {
+      explicit_auth_[d] = kNoMds;
+      invalidate_auth_cache();
+    }
+    if (dirs_[d].frag_pin_count_ > 0) {
+      const MdsId resolved = auth_of(d);
+      for (FragStats& frag : frags(d)) {
+        if (frag.auth_pin != kNoMds && frag.auth_pin == resolved) {
+          count_frag_pin(d, frag.auth_pin, kNoMds);
+          frag.auth_pin = kNoMds;
+        }
       }
     }
-    if (dirs_[d].frag_pin_count_ == 0) continue;
-    const MdsId resolved = auth_of(d);
-    for (FragStats& frag : frags(d)) {
-      if (frag.auth_pin != kNoMds && frag.auth_pin == resolved) {
-        count_frag_pin(d, frag.auth_pin, kNoMds);
-        frag.auth_pin = kNoMds;
-      }
-    }
+    index_pins(d);
   }
 }
 
@@ -450,33 +382,20 @@ bool NamespaceTree::is_ancestor(DirId ancestor, DirId d) const {
   }
 }
 
+std::uint64_t NamespaceTree::total_inodes() const {
+  std::uint64_t count = dirs_.size();
+  for (const Directory& dir : dirs_) count += dir.file_count();
+  return count;
+}
+
 std::vector<std::uint64_t> NamespaceTree::inodes_per_mds(
     std::size_t n_mds) const {
   std::vector<std::uint64_t> counts(n_mds, 0);
-  for (std::size_t m = 0; m < census_.size(); ++m) {
-    if (m < n_mds) {
-      counts[m] = census_[m];
-    } else {
-      LUNULE_CHECK_MSG(census_[m] == 0,
-                       "inodes placed on a rank beyond the requested census");
-    }
-  }
-  if (validation_enabled()) {
-    const std::vector<std::uint64_t> scan = inodes_per_mds_scan(n_mds);
-    LUNULE_CHECK_MSG(scan == counts,
-                     "incremental inode census diverged from the full scan");
-  }
-  return counts;
-}
-
-std::vector<std::uint64_t> NamespaceTree::inodes_per_mds_scan(
-    std::size_t n_mds) const {
-  std::vector<std::uint64_t> counts(n_mds, 0);
-  for (const auto& dir : dirs_) {
-    const MdsId dir_auth = auth_of(dir.id());
+  for (DirId d = 0; d < dirs_.size(); ++d) {
+    const MdsId dir_auth = auth_of(d);
     LUNULE_CHECK(static_cast<std::size_t>(dir_auth) < n_mds);
     ++counts[static_cast<std::size_t>(dir_auth)];
-    for (const FragStats& frag : frags(dir.id())) {
+    for (const FragStats& frag : frags(d)) {
       const MdsId a = frag.auth_pin != kNoMds ? frag.auth_pin : dir_auth;
       LUNULE_CHECK(static_cast<std::size_t>(a) < n_mds);
       counts[static_cast<std::size_t>(a)] += frag.file_count;
@@ -486,15 +405,11 @@ std::vector<std::uint64_t> NamespaceTree::inodes_per_mds_scan(
 }
 
 std::vector<DirId> NamespaceTree::subtree_roots() const {
-  return {pinned_dirs_.begin(), pinned_dirs_.end()};
-}
-
-void NamespaceTree::add_inodes_to_ancestors(DirId d, std::uint64_t count) {
-  while (true) {
-    subtree_inodes_[d] += count;
-    if (d == root()) break;
-    d = parent_[d];
+  std::vector<DirId> roots;
+  for (const DirId d : pinned_dirs_) {
+    if (explicit_auth_[d] != kNoMds) roots.push_back(d);
   }
+  return roots;
 }
 
 }  // namespace lunule::fs

@@ -7,14 +7,21 @@
 // individual dirfrags.
 //
 // Hot arenas (struct-of-arrays): the fields the hot paths touch —
-// parent links, explicit pins, subtree inode counts, fragmentation
-// level, and the per-fragment statistics — are stored in flat arrays
-// indexed by DirId rather than inside Directory, so authority
-// resolution, epoch close, and candidate collection walk contiguous
-// memory.  All fragments live in one global arena: frag_base_[d] is the
-// offset of d's 2^frag_bits_[d] contiguous FragStats; a split appends a
-// fresh block and abandons the old one (splits are rare and bounded, so
-// the holes are cheap and ids stay stable).
+// parent links, explicit pins, fragmentation level, and the per-fragment
+// statistics — are stored in flat arrays indexed by DirId rather than
+// inside Directory, so authority resolution, epoch close, and candidate
+// collection walk contiguous memory.  All fragments live in one global
+// arena: frag_base_[d] is the offset of d's 2^frag_bits_[d] contiguous
+// FragStats; a split appends a fresh block and abandons the old one
+// (splits are rare and bounded, so the holes are cheap and ids stay
+// stable).
+//
+// Each namespace fact is stored once.  The fragments' file counts are the
+// only inode tally: total_inodes() and the placement census
+// (inodes_per_mds) sum them on demand, so adding or creating a file
+// touches only its directory and the fragment it lands in.  The pin index
+// (pinned_dirs) holds every subtree bound, directory pins and fragment
+// pins alike.
 //
 // Resolved authorities are cached in a flat array of relaxed-atomic
 // packed entries ((generation << 16) | uint16(auth + 1)), invalidated
@@ -66,16 +73,9 @@ class NamespaceTree {
   /// Adds `count` (unvisited) files to `d` in bulk; build-time only.
   void add_files(DirId d, std::uint32_t count);
   /// Creates one file at runtime (MDtest-create path); returns its index.
+  /// Touches only `d` and the fragment the file lands in, so a rank stream
+  /// of the sharded engine may create in a directory its rank serves.
   FileIndex create_file(DirId d);
-  /// Shard-phase create: appends the file and bumps its fragment's count,
-  /// but defers the ancestor subtree_inodes walk and the census update
-  /// (both touch state shared across ranks).  The engine settles the debt
-  /// at merge with account_created_files().  Only legal for directories
-  /// without fragment pins (those creates are deferred wholesale).
-  FileIndex create_file_deferred(DirId d);
-  /// Settles `count` deferred creates into `d`: ancestor inode counts and
-  /// the placement census.  Serial-phase only.
-  void account_created_files(DirId d, std::uint64_t count);
   /// Makes room in every per-directory array for `more` further add_dir
   /// calls (bulk builders); changes no value.  The fragment arena keeps
   /// room for one more block of 2^kMaxFragBits fragments on top, so the
@@ -146,9 +146,8 @@ class NamespaceTree {
   [[nodiscard]] const Directory& dir(DirId d) const { return dirs_[d]; }
   [[nodiscard]] Directory& dir(DirId d) { return dirs_[d]; }
   [[nodiscard]] std::size_t dir_count() const { return dirs_.size(); }
-  [[nodiscard]] std::uint64_t total_inodes() const {
-    return subtree_inodes_[0];
-  }
+  /// Directories plus files, summed over the file counts (O(dirs)).
+  [[nodiscard]] std::uint64_t total_inodes() const;
 
   // -- Hot arena accessors ----------------------------------------------
   [[nodiscard]] DirId parent(DirId d) const { return parent_[d]; }
@@ -156,10 +155,6 @@ class NamespaceTree {
   /// subtree roots.
   [[nodiscard]] MdsId explicit_auth(DirId d) const {
     return explicit_auth_[d];
-  }
-  /// Inodes (dirs + files) in the subtree rooted at `d`, pins ignored.
-  [[nodiscard]] std::uint64_t subtree_inodes(DirId d) const {
-    return subtree_inodes_[d];
   }
   [[nodiscard]] std::uint8_t frag_bits(DirId d) const { return frag_bits_[d]; }
   [[nodiscard]] std::uint32_t frag_count(DirId d) const {
@@ -196,13 +191,9 @@ class NamespaceTree {
   [[nodiscard]] bool is_ancestor(DirId ancestor, DirId d) const;
 
   /// Census of inode placement: inodes currently authoritative on each of
-  /// `n_mds` servers (Figure 14a).  Maintained incrementally by every
-  /// mutation (a copy of the running counters, O(n_mds)); cross-checked
-  /// against the full scan when validation is enabled.
+  /// `n_mds` servers (Figure 14a), by a scan of every directory and
+  /// fragment.
   [[nodiscard]] std::vector<std::uint64_t> inodes_per_mds(
-      std::size_t n_mds) const;
-  /// The full-scan oracle for inodes_per_mds (every dir + every frag).
-  [[nodiscard]] std::vector<std::uint64_t> inodes_per_mds_scan(
       std::size_t n_mds) const;
 
   /// All directories that are currently subtree roots (explicitly pinned),
@@ -210,33 +201,26 @@ class NamespaceTree {
   [[nodiscard]] std::vector<DirId> subtree_roots() const;
 
   // -- Pin index --------------------------------------------------------
-  /// Directories with an explicit authority pin, ascending (includes the
-  /// root).  Failover and journal checkpoints iterate this instead of the
-  /// whole namespace.
+  /// Directories with an explicit authority pin or at least one pinned
+  /// fragment, ascending (includes the root).  Failover, journal
+  /// checkpoints and pin trimming iterate this instead of the whole
+  /// namespace.
   [[nodiscard]] const std::set<DirId>& pinned_dirs() const {
     return pinned_dirs_;
-  }
-  /// Directories with at least one pinned fragment, ascending.
-  [[nodiscard]] const std::set<DirId>& frag_pinned_dirs() const {
-    return frag_pinned_dirs_;
   }
 
  private:
   /// Directory-level pins changed: the flat resolution cache is stale.
   void invalidate_auth_cache() { ++dir_auth_gen_; }
-  void add_inodes_to_ancestors(DirId d, std::uint64_t count);
-  void index_explicit_auth(DirId d, MdsId old_pin, MdsId new_pin);
+  /// Adds `d` to the pin index or drops it, after its pins changed.
+  void index_pins(DirId d);
   void count_frag_pin(DirId d, MdsId old_pin, MdsId new_pin);
-  void census_add(MdsId m, std::uint64_t n);
-  void census_sub(MdsId m, std::uint64_t n);
-  void census_move(MdsId from, MdsId to, std::uint64_t n);
 
   std::vector<Directory> dirs_;
 
   // Hot arenas, index-parallel with dirs_.
   std::vector<DirId> parent_;
   std::vector<MdsId> explicit_auth_;
-  std::vector<std::uint64_t> subtree_inodes_;
   std::vector<std::uint8_t> frag_bits_;
   /// Offset of each directory's fragment block in frag_arena_.
   std::vector<std::uint32_t> frag_base_;
@@ -254,10 +238,7 @@ class NamespaceTree {
   AtomicU64Array auth_cache_;
   /// Scratch stack for iterative subtree traversals (serial phases only).
   mutable std::vector<DirId> dir_stack_;
-  /// Running inode-placement census, indexed by MdsId; grown on demand.
-  std::vector<std::uint64_t> census_;
   std::set<DirId> pinned_dirs_;
-  std::set<DirId> frag_pinned_dirs_;
   EpochId stats_clock_ = 0;
   double heat_decay_ = 0.8;
   FragmentHook fragment_hook_;

@@ -4,16 +4,6 @@
 
 namespace lunule::journal {
 
-std::string_view entry_type_name(EntryType t) {
-  switch (t) {
-    case EntryType::kUpdate:       return "EUpdate";
-    case EntryType::kSubtreeMap:   return "ESubtreeMap";
-    case EntryType::kExportCommit: return "EExportCommit";
-    case EntryType::kImportStart:  return "EImportStart";
-  }
-  return "?";
-}
-
 std::uint64_t entry_bytes(const JournalEntry& e) {
   switch (e.type) {
     case EntryType::kUpdate:

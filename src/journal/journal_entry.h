@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -32,8 +31,6 @@ enum class EntryType : std::uint8_t {
   kExportCommit,  // EExportCommit: subtree handed to `peer`
   kImportStart,   // EImportStart: subtree adopted from `peer`
 };
-
-[[nodiscard]] std::string_view entry_type_name(EntryType t);
 
 /// The checkpoint payload of an ESubtreeMap entry: every unit the rank is
 /// authoritative for (in deterministic namespace order) and the rank's

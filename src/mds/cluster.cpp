@@ -1,8 +1,6 @@
 #include "mds/cluster.h"
 
-#include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/assert.h"
 
@@ -198,35 +196,16 @@ void MdsCluster::update_replicas() {
 }
 
 std::vector<fs::SubtreeRef> MdsCluster::owned_units(MdsId m) const {
-  // Merge the two ascending pin indexes instead of scanning the namespace;
-  // the emission order (dirs ascending, whole-dir pin before frag pins)
-  // matches the old full scan exactly, so ESubtreeMap payloads are
-  // unchanged.
+  // Walk the pin index instead of scanning the namespace: dirs ascending,
+  // each directory's whole-dir pin before its frag pins.
   std::vector<fs::SubtreeRef> owned;
-  const std::set<DirId>& pinned = tree_.pinned_dirs();
-  const std::set<DirId>& frag_pinned = tree_.frag_pinned_dirs();
-  auto pi = pinned.begin();
-  auto fi = frag_pinned.begin();
-  while (pi != pinned.end() || fi != frag_pinned.end()) {
-    DirId d;
-    if (fi == frag_pinned.end() || (pi != pinned.end() && *pi <= *fi)) {
-      d = *pi;
-    } else {
-      d = *fi;
-    }
-    if (pi != pinned.end() && *pi == d) {
-      if (tree_.explicit_auth(d) == m) {
-        owned.push_back(fs::SubtreeRef{.dir = d});
+  for (const DirId d : tree_.pinned_dirs()) {
+    if (tree_.explicit_auth(d) == m) owned.push_back(fs::SubtreeRef{.dir = d});
+    if (tree_.dir(d).frag_pin_count() == 0) continue;
+    for (FragId f = 0; f < static_cast<FragId>(tree_.frag_count(d)); ++f) {
+      if (tree_.frag(d, f).auth_pin == m) {
+        owned.push_back(fs::SubtreeRef{.dir = d, .frag = f});
       }
-      ++pi;
-    }
-    if (fi != frag_pinned.end() && *fi == d) {
-      for (FragId f = 0; f < static_cast<FragId>(tree_.frag_count(d)); ++f) {
-        if (tree_.frag(d, f).auth_pin == m) {
-          owned.push_back(fs::SubtreeRef{.dir = d, .frag = f});
-        }
-      }
-      ++fi;
     }
   }
   return owned;
@@ -428,22 +407,14 @@ ServeResult MdsCluster::try_create(DirId d, TickLane* lane) {
   if (!servers_[static_cast<std::size_t>(m)].try_serve()) {
     return ServeResult::kSaturated;
   }
-  FileIndex created;
   if (lane != nullptr) {
     ++lane->ops_tallied;
-    // The file lands in place (the directory is rank-local: creates into
-    // frag-pinned directories are deferred), but the ancestor inode walk
-    // and the placement census touch shared state — settle at merge.
-    created = tree_.create_file_deferred(d);
-    if (!lane->created.empty() && lane->created.back().first == d) {
-      ++lane->created.back().second;
-    } else {
-      lane->created.emplace_back(d, 1);
-    }
   } else {
     ++ops_tallied_;
-    created = tree_.create_file(d);
   }
+  // The file lands in place: the create touches only `d` and the fragment
+  // it lands in, both served by rank m.
+  const FileIndex created = tree_.create_file(d);
   LUNULE_CHECK(created == idx);
   recorder_->record_create(d, created, epoch_,
                            lane != nullptr ? &lane->recorder : nullptr);
@@ -483,10 +454,6 @@ void MdsCluster::merge_lanes(std::span<TickLane> lanes) {
       }
     }
     recorder_->merge_lane(lane.recorder);
-    for (const auto& [d, count] : lane.created) {
-      tree_.account_created_files(d, count);
-    }
-    lane.created.clear();
   }
 }
 
@@ -664,18 +631,11 @@ MdsCluster::FailoverStats MdsCluster::set_down(MdsId m) {
                     .v0 = static_cast<double>(moved)});
   };
 
-  // Only pinned directories can reference the dead rank; iterate a snapshot
-  // of the pin indexes (ascending, like the old whole-namespace scan) since
-  // the reassignments below mutate pins as we go.
-  std::vector<DirId> pinned_snapshot;
-  {
-    const std::set<DirId>& pinned = tree_.pinned_dirs();
-    const std::set<DirId>& frag_pinned = tree_.frag_pinned_dirs();
-    pinned_snapshot.reserve(pinned.size() + frag_pinned.size());
-    std::set_union(pinned.begin(), pinned.end(), frag_pinned.begin(),
-                   frag_pinned.end(), std::back_inserter(pinned_snapshot));
-  }
-  for (const DirId d : pinned_snapshot) {
+  // Only pinned directories can reference the dead rank, so walk the pin
+  // index in ascending order.  A take-over re-pins a unit of the current
+  // directory to another rank, which keeps the directory in the index and
+  // adds none, so the walk may re-pin as it goes.
+  for (const DirId d : tree_.pinned_dirs()) {
     if (tree_.explicit_auth(d) == m) take_over({.dir = d});
     for (FragId f = 0; f < static_cast<FragId>(tree_.frag_count(d)); ++f) {
       if (tree_.frag(d, f).auth_pin == m) take_over({.dir = d, .frag = f});

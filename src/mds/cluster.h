@@ -79,10 +79,6 @@ struct TickLane {
   std::vector<std::uint32_t> forwards;
   /// Escrowed recorder effects (sibling credits, touched marks).
   RecorderLane recorder;
-  /// Deferred create accounting per directory: ancestor inode counts and
-  /// the placement census are settled at merge (consecutive creates into
-  /// the same directory coalesce).
-  std::vector<std::pair<DirId, std::uint32_t>> created;
 
   void reset(MdsId r, std::size_t n_ranks) {
     rank = r;
@@ -90,7 +86,6 @@ struct TickLane {
     forwards.assign(n_ranks, 0);
     recorder.credits.clear();
     recorder.touched.clear();
-    created.clear();
   }
 };
 
@@ -118,8 +113,8 @@ class MdsCluster {
   void charge_forward(MdsId m, TickLane* lane = nullptr);
 
   /// Drains per-rank lanes in ascending rank order (serial phase of the
-  /// sharded engine): counters, forwards, recorder effects and create
-  /// accounting, one lane at a time.
+  /// sharded engine): counters, forwards and recorder effects, one lane at
+  /// a time.
   void merge_lanes(std::span<TickLane> lanes);
 
   /// Worker pool for intra-tick parallel phases (epoch-close fold,

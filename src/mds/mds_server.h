@@ -44,7 +44,6 @@ class MdsServer {
   /// lands after the fact, competing with the next tick's foreground
   /// service.
   void add_journal_debt(double ops) { journal_debt_ += ops; }
-  [[nodiscard]] double journal_debt() const { return journal_debt_; }
 
   /// Opens a replay window: for the next `ticks` ticks this server loses
   /// `penalty` of its effective capacity while it replays an adopted

@@ -19,13 +19,7 @@ sim::WorkloadKind random_workload(Rng& rng) {
 }
 
 sim::BalancerKind random_balancer(Rng& rng) {
-  static constexpr sim::BalancerKind kAll[] = {
-      sim::BalancerKind::kVanilla,     sim::BalancerKind::kGreedySpill,
-      sim::BalancerKind::kLunule,      sim::BalancerKind::kLunuleLight,
-      sim::BalancerKind::kDirHash,     sim::BalancerKind::kLunuleHash,
-      sim::BalancerKind::kNone,
-  };
-  return kAll[rng.next_below(std::size(kAll))];
+  return sim::kAllBalancers[rng.next_below(std::size(sim::kAllBalancers))];
 }
 
 void random_fault_plan(Rng& rng, sim::ScenarioConfig& cfg) {

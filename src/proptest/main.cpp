@@ -6,9 +6,11 @@
 //   lunule_proptest --replay-dir tests/corpus     # re-check the corpus
 //   lunule_proptest --list-oracles                # what gets checked
 //   lunule_proptest --dump-configs 5 --seed 9     # generated-config JSON
+//   lunule_proptest --digest-configs 40 --seed 1  # output digests per balancer
 //
 // Exit status: 0 = everything passed, 1 = at least one oracle failure (or
 // failing corpus file), 2 = usage / I/O error.  See docs/TESTING.md.
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -19,6 +21,8 @@
 #include "proptest/generator.h"
 #include "proptest/oracles.h"
 #include "proptest/runner.h"
+#include "sim/json_export.h"
+#include "sim/scenario.h"
 #include "sim/scenario_json.h"
 
 namespace {
@@ -44,6 +48,33 @@ int run(int argc, char** argv) {
       std::cout << sim::scenario_config_to_json(proptest::generate_config(
                        seed, static_cast<std::uint64_t>(i)))
                 << "\n";
+    }
+    return 0;
+  }
+
+  if (flags.has("digest-configs")) {
+    // Byte-identity sweep: every generated config under every balancer,
+    // trace on, one line of FNV digests (result JSON, trace) per run.  Two
+    // builds that must not move any output print identical lines.
+    const auto n = flags.get_int("digest-configs", 40);
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.check_unused();
+    for (std::int64_t i = 0; i < n; ++i) {
+      sim::ScenarioConfig cfg =
+          proptest::generate_config(seed, static_cast<std::uint64_t>(i));
+      cfg.capture_trace = true;
+      for (const sim::BalancerKind b : sim::kAllBalancers) {
+        cfg.balancer = b;
+        const sim::ScenarioResult r = sim::run_scenario(cfg);
+        std::printf("%llu %lld %s result=0x%016llx trace=0x%016llx\n",
+                    static_cast<unsigned long long>(seed),
+                    static_cast<long long>(i),
+                    std::string(sim::balancer_name(b)).c_str(),
+                    static_cast<unsigned long long>(
+                        proptest::digest64(sim::to_json(r))),
+                    static_cast<unsigned long long>(
+                        proptest::digest64(r.trace_json)));
+      }
     }
     return 0;
   }

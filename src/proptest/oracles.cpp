@@ -82,11 +82,7 @@ OracleResult check_single_mds_no_migrations(const sim::ScenarioConfig& cfg) {
   sim::ScenarioConfig base = cfg;
   base.n_mds = 1;
   base.faults = {};  // plans may target ranks that no longer exist
-  for (const sim::BalancerKind kind :
-       {sim::BalancerKind::kVanilla, sim::BalancerKind::kGreedySpill,
-        sim::BalancerKind::kLunule, sim::BalancerKind::kLunuleLight,
-        sim::BalancerKind::kDirHash, sim::BalancerKind::kLunuleHash,
-        sim::BalancerKind::kNone}) {
+  for (const sim::BalancerKind kind : sim::kAllBalancers) {
     base.balancer = kind;
     const sim::ScenarioResult r = sim::run_scenario(base);
     if (r.migrated_total != 0 || r.migrations_completed != 0 ||

@@ -64,11 +64,7 @@ std::optional<WorkloadKind> workload_kind_from_name(std::string_view name) {
 }
 
 std::optional<BalancerKind> balancer_kind_from_name(std::string_view name) {
-  for (const BalancerKind k :
-       {BalancerKind::kVanilla, BalancerKind::kGreedySpill,
-        BalancerKind::kLunule, BalancerKind::kLunuleLight,
-        BalancerKind::kDirHash, BalancerKind::kLunuleHash,
-        BalancerKind::kNone}) {
+  for (const BalancerKind k : kAllBalancers) {
     if (balancer_name(k) == name) return k;
   }
   return std::nullopt;

@@ -47,6 +47,13 @@ enum class BalancerKind {
   kLunuleHash,
   kNone,
 };
+/// Every balancer kind, in declaration order.
+inline constexpr BalancerKind kAllBalancers[] = {
+    BalancerKind::kVanilla, BalancerKind::kGreedySpill,
+    BalancerKind::kLunule,  BalancerKind::kLunuleLight,
+    BalancerKind::kDirHash, BalancerKind::kLunuleHash,
+    BalancerKind::kNone,
+};
 
 [[nodiscard]] std::string_view workload_name(WorkloadKind k);
 [[nodiscard]] std::string_view balancer_name(BalancerKind k);

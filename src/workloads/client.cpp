@@ -21,9 +21,11 @@ MdsId Client::op_rank(const mds::MdsCluster& cluster, const Op& op) const {
   // close, so this read is stable for the whole tick.
   if (cluster.cache_tier_tracks(op.dir)) return kNoMds;
   if (op.kind == OpKind::kCreate) {
-    // Deferred create accounting settles ancestor counts against the
-    // directory's resolved authority, which only matches per-file
-    // placement while no fragment of the directory is pinned.
+    // With a pinned fragment, the fragment a create lands in decides its
+    // rank, not the directory's authority, and each create into the
+    // directory moves that fragment on (the next file index hashes to the
+    // next one), so the rank is not known at bind time.  Such creates run
+    // in the serial deferred pass.
     if (tree.dir(op.dir).frag_pin_count() > 0) return kNoMds;
     return tree.auth_of(op.dir);
   }

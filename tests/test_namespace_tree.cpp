@@ -54,8 +54,8 @@ TEST_F(NamespaceTreeTest, SubtreeInodeAccounting) {
   tree.add_files(b, 10);
   // root + a + b + 10 files.
   EXPECT_EQ(tree.total_inodes(), 13u);
-  EXPECT_EQ(tree.subtree_inodes(a), 12u);
-  EXPECT_EQ(tree.subtree_inodes(b), 11u);
+  EXPECT_EQ(tree.exclusive_inodes({.dir = a}), 12u);
+  EXPECT_EQ(tree.exclusive_inodes({.dir = b}), 11u);
 }
 
 TEST_F(NamespaceTreeTest, CreateFileGrowsCounts) {

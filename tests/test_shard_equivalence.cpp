@@ -107,6 +107,20 @@ TEST(ShardEquivalence, JournaledCnnLunuleWithStallAndCrash) {
   expect_shard_equivalent(cfg);
 }
 
+TEST(ShardEquivalence, JournaledMdLunuleCreates) {
+  // Journaled creates, in place on the rank streams and, into directories
+  // with pinned fragments, in the deferred pass.
+  sim::ScenarioConfig cfg;
+  cfg.workload = sim::WorkloadKind::kMd;
+  cfg.balancer = sim::BalancerKind::kLunule;
+  cfg.n_mds = 4;
+  cfg.n_clients = 40;
+  cfg.max_ticks = 200;
+  cfg.journal.enabled = true;
+  cfg.seed = 7;
+  expect_shard_equivalent(cfg);
+}
+
 TEST(ShardEquivalence, SingleMdsDegeneratesGracefully) {
   // One rank: the whole tick is one shard stream plus the deferred pass.
   sim::ScenarioConfig cfg =

@@ -3,6 +3,7 @@
 // trace dumps.
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -195,6 +196,42 @@ TEST(TraceDeterminism, LunuleHashTraceMatchesPinnedDigest) {
   cfg.workload = WorkloadKind::kWeb;
   cfg.n_clients = 60;  // 20 Web clients never push IF over the threshold
   expect_pinned_digest(cfg, 0xc7c5b598fe1dd6a0ull);
+}
+
+// Pinned digests for journaled creates on the sharded engine (MDtest
+// creates into per-client directories, 4 MDSs, S = 1).  Lunule splits the
+// hot directories and pins fragments of them, so the run covers both
+// create paths: a create into a directory with a pinned fragment is served
+// by the serial deferred pass, every other create runs in place on its
+// rank's stream.  The constants are this run's trace and result digests
+// from the build in which rank streams deferred each created file's inode
+// tally and placement census to the merge; creating in place must
+// reproduce both.
+TEST(TraceDeterminism, JournaledMdLunuleTraceMatchesPinnedDigest) {
+  ScenarioConfig cfg;
+  cfg.workload = WorkloadKind::kMd;
+  cfg.balancer = BalancerKind::kLunule;
+  cfg.n_mds = 4;
+  cfg.n_clients = 40;
+  cfg.max_ticks = 200;
+  cfg.journal.enabled = true;
+  cfg.sharded_ticks = 1;
+  cfg.seed = 7;
+  cfg.capture_trace = true;
+  const std::unique_ptr<Simulation> sim = make_scenario(cfg);
+  sim->run();
+  const ScenarioResult r = result_of(*sim);
+
+  EXPECT_GE(sim->cluster().trace().counters().value("cluster.dirfrag_splits"),
+            1u);
+  const fs::NamespaceTree& tree = sim->tree();
+  bool frag_pinned = false;
+  for (DirId d = 0; d < tree.dir_count() && !frag_pinned; ++d) {
+    frag_pinned = tree.dir(d).frag_pin_count() > 0;
+  }
+  EXPECT_TRUE(frag_pinned);
+  EXPECT_EQ(fnv1a64(r.trace_json), 0x8dc78a70a2e39d1dull);
+  EXPECT_EQ(fnv1a64(to_json(r)), 0x6c10441aa1f910b3ull);
 }
 
 // Pinned digests for a hand-built simulation: the caller builds the
