@@ -1,8 +1,8 @@
 // Microbenchmarks of the simulator substrate (google-benchmark): the
 // namespace tree's hot paths, the access recorder, path resolution, the
-// migration engine tick, a client's location check, and the end-to-end
-// simulation throughput in operation-events per second — the budget every
-// scenario bench draws on.
+// migration engine tick, a client's location check, one rank's journal
+// epoch, and the end-to-end simulation throughput in operation-events per
+// second — the budget every scenario bench draws on.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -18,6 +18,7 @@
 #include "common/zipf.h"
 #include "fs/builder.h"
 #include "fs/path_resolver.h"
+#include "journal/journal.h"
 #include "mds/cluster.h"
 #include "sim/scenario.h"
 #include "workloads/client.h"
@@ -184,6 +185,44 @@ BENCHMARK(BM_ClientLocationCheck)
     ->Arg(1'000'000)
     ->Iterations(2000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_JournalEpoch(benchmark::State& state) {
+  // One rank's md-create-journal epoch on a default journal: ten ticks of
+  // 1,100 EUpdates round-robin over 25 directories, each tick ending in a
+  // group commit, then the epoch's ESubtreeMap (25 owned directories and a
+  // full load history), its forced flush and the trim.  per_append is wall
+  // time per appended entry, so it carries the flush and trim costs too.
+  constexpr int kTicks = 10;
+  constexpr int kCreatesPerTick = 1100;
+  constexpr DirId kDirs = 25;
+  journal::MdsJournal j(0, journal::JournalParams{.enabled = true});
+  std::vector<fs::SubtreeRef> owned;
+  for (DirId d = 0; d < kDirs; ++d) owned.push_back(fs::SubtreeRef{.dir = d});
+  const std::vector<double> history(12, 100.0);
+  Tick now = 0;
+  EpochId epoch = 0;
+  std::uint64_t appends = 0;
+  for (auto _ : state) {
+    for (int t = 0; t < kTicks; ++t, ++now) {
+      for (int i = 0; i < kCreatesPerTick; ++i) {
+        j.append({.tick = now,
+                  .epoch = epoch,
+                  .dir = static_cast<DirId>(i) % kDirs,
+                  .frag = kWholeDir});
+      }
+      j.flush(now);
+    }
+    j.append_checkpoint(now, epoch++,
+                        {.owned = owned, .load_history = history});
+    j.flush(now);
+    benchmark::DoNotOptimize(j.trim());
+    appends += kTicks * kCreatesPerTick + 1;
+  }
+  state.counters["per_append"] = benchmark::Counter(
+      static_cast<double>(appends),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_JournalEpoch)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   // Whole-scenario throughput: simulated op-events per wall second.

@@ -1,11 +1,21 @@
 #include "journal/journal.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/assert.h"
 
 namespace lunule::journal {
 
-std::uint64_t entry_bytes(const JournalEntry& e) {
-  switch (e.type) {
+namespace {
+
+bool seq_before(const Checkpoint& c, std::uint64_t seq) { return c.seq < seq; }
+
+}  // namespace
+
+std::uint64_t entry_bytes(EntryType type, std::size_t owned_units,
+                          std::size_t load_samples) {
+  switch (type) {
     case EntryType::kUpdate:
       return 512;  // dentry + inode + lock state of one mutation
     case EntryType::kExportCommit:
@@ -14,8 +24,8 @@ std::uint64_t entry_bytes(const JournalEntry& e) {
     case EntryType::kSubtreeMap:
       // Envelope plus one bound record per owned unit and one double per
       // checkpointed load sample.
-      return 64 + 48 * static_cast<std::uint64_t>(e.snapshot.owned.size()) +
-             8 * static_cast<std::uint64_t>(e.snapshot.load_history.size());
+      return 64 + 48 * static_cast<std::uint64_t>(owned_units) +
+             8 * static_cast<std::uint64_t>(load_samples);
   }
   return 0;
 }
@@ -37,31 +47,57 @@ MdsJournal::MdsJournal(MdsId rank, JournalParams params)
 }
 
 std::uint64_t MdsJournal::append(JournalEntry e) {
+  LUNULE_CHECK(e.type != EntryType::kSubtreeMap);
   e.seq = ++seq_;
-  // Dependency stamping: a checkpoint depends on the whole prefix before
-  // it; a dir-scoped entry depends on the newest earlier entry touching
-  // the same directory (create-before-child-create, export-commit-before-
-  // dependent-update).  Stamped in every mode so sync and async journals
+  // Dependency stamping: a dir-scoped entry depends on the newest earlier
+  // entry touching the same directory (create-before-child-create, export-
+  // commit-before-dependent-update); a directory's first entry reads the
+  // probe's fresh 0.  Stamped in every mode so sync and async journals
   // carry identical entries — only the cost routing differs.
-  if (e.type == EntryType::kSubtreeMap) {
-    e.dep_seq = e.seq - 1;
-  } else if (e.dir != kNoDir) {
-    const auto it = last_dir_seq_.find(e.dir);
-    e.dep_seq = it != last_dir_seq_.end() ? it->second : 0;
-    last_dir_seq_[e.dir] = e.seq;
+  if (e.dir != kNoDir) {
+    std::uint64_t& last = last_dir_seq_[e.dir];
+    e.dep_seq = last;
+    last = e.seq;
   }
+  bytes_ += entry_bytes(e.type);
+  push(e);
+  return seq_;
+}
+
+std::uint64_t MdsJournal::append_checkpoint(Tick tick, EpochId epoch,
+                                            SubtreeSnapshot snapshot) {
+  // A checkpoint depends on the whole prefix before it.
+  const std::uint64_t seq = ++seq_;
+  const JournalEntry e{.seq = seq,
+                       .dep_seq = seq - 1,
+                       .tick = tick,
+                       .epoch = epoch,
+                       .type = EntryType::kSubtreeMap};
+  map_seq_ = seq;
+  bytes_ += entry_bytes(e.type, snapshot.owned.size(),
+                        snapshot.load_history.size());
+  push(e);
+  checkpoints_.push_back(
+      {.seq = seq, .epoch = epoch, .snapshot = std::move(snapshot)});
+  return seq;
+}
+
+void MdsJournal::push(const JournalEntry& e) {
   if (params_.async_mode) ++async_acked_;
   if (segments_.empty() ||
       segments_.back().entries.size() >= params_.segment_entries) {
     segments_.emplace_back();
     segments_.back().entries.reserve(params_.segment_entries);
   }
-  if (e.type == EntryType::kSubtreeMap) map_seq_ = e.seq;
-  bytes_ += entry_bytes(e);
-  segments_.back().entries.push_back(std::move(e));
+  segments_.back().entries.push_back(e);
   ++retained_;
   ++appends_;
-  return seq_;
+}
+
+const Checkpoint* MdsJournal::checkpoint(std::uint64_t seq) const {
+  const auto it = std::lower_bound(checkpoints_.begin(), checkpoints_.end(),
+                                   seq, seq_before);
+  return it != checkpoints_.end() && it->seq == seq ? &*it : nullptr;
 }
 
 bool MdsJournal::flush(Tick now) {
@@ -93,12 +129,18 @@ std::size_t MdsJournal::trim() {
     segments_.pop_front();
     ++dropped;
   }
+  // Drop the payloads of the map entries that left with those segments.
+  checkpoints_.erase(
+      checkpoints_.begin(),
+      std::lower_bound(checkpoints_.begin(), checkpoints_.end(),
+                       segments_.front().entries.front().seq, seq_before));
   trimmed_ += dropped;
   return dropped;
 }
 
 void MdsJournal::reset() {
   segments_.clear();
+  checkpoints_.clear();
   retained_ = 0;
   durable_seq_ = seq_;
   map_seq_ = 0;

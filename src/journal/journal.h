@@ -11,7 +11,9 @@
 // Segments whose entries all precede the newest *durable* ESubtreeMap are
 // fully covered by that checkpoint and are trimmed (CephFS's LogSegment
 // expiry); the journal length that a take-over must replay is therefore
-// bounded by the checkpoint cadence, not the run length.
+// bounded by the checkpoint cadence, not the run length.  Entries are
+// fixed-size records; each retained ESubtreeMap's payload is held beside
+// the segments, so a trim frees whole segments in O(segments).
 //
 // Cost model: journaling consumes a slice of the owning rank's IOPS budget
 // (`append_cost_ops` per entry, `flush_cost_ops` per group commit), charged
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -84,6 +87,13 @@ struct JournalSegment {
   std::vector<JournalEntry> entries;
 };
 
+/// The payload of one retained ESubtreeMap entry, keyed by the entry's seq.
+struct Checkpoint {
+  std::uint64_t seq = 0;
+  EpochId epoch = -1;
+  SubtreeSnapshot snapshot;
+};
+
 class MdsJournal {
  public:
   MdsJournal(MdsId rank, JournalParams params);
@@ -91,9 +101,16 @@ class MdsJournal {
   [[nodiscard]] MdsId rank() const { return rank_; }
   [[nodiscard]] const JournalParams& params() const { return params_; }
 
-  /// Stamps `e` with the next sequence number and appends it, opening a new
-  /// segment when the tail segment is full.  Returns the assigned seq.
+  /// Stamps `e` (an EUpdate, EExportCommit or EImportStart) with the next
+  /// sequence number and appends it, opening a new segment when the tail
+  /// segment is full.  Returns the assigned seq.
   std::uint64_t append(JournalEntry e);
+
+  /// Appends an ESubtreeMap entry stamped (`tick`, `epoch`) and keeps its
+  /// payload beside the segments until trim() or reset() drops the entry.
+  /// Returns the assigned seq.
+  std::uint64_t append_checkpoint(Tick tick, EpochId epoch,
+                                  SubtreeSnapshot snapshot);
 
   /// True when the un-flushed backlog is at the cap: mutating operations
   /// must stall until a flush succeeds.  The cap binds in async mode too —
@@ -137,6 +154,14 @@ class MdsJournal {
   [[nodiscard]] const std::deque<JournalSegment>& segments() const {
     return segments_;
   }
+  /// Payloads of the retained ESubtreeMap entries, in seq order.
+  [[nodiscard]] std::span<const Checkpoint> checkpoints() const {
+    return checkpoints_;
+  }
+  /// The retained ESubtreeMap entry `seq`'s checkpoint, or null when `seq`
+  /// is not a retained map entry.  The pointer does not survive the next
+  /// append_checkpoint(), trim() or reset().
+  [[nodiscard]] const Checkpoint* checkpoint(std::uint64_t seq) const;
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
   [[nodiscard]] std::uint64_t durable_seq() const { return durable_seq_; }
   [[nodiscard]] std::uint64_t unflushed() const {
@@ -180,9 +205,15 @@ class MdsJournal {
   }
 
  private:
+  /// Opens a new segment when needed, then stores `e`.
+  void push(const JournalEntry& e);
+
   MdsId rank_;
   JournalParams params_;
   std::deque<JournalSegment> segments_;
+  /// One record per retained ESubtreeMap entry, seq order (a vector, so a
+  /// journal that never checkpoints allocates nothing for it).
+  std::vector<Checkpoint> checkpoints_;
   std::uint64_t seq_ = 0;
   std::uint64_t durable_seq_ = 0;
   /// Newest ESubtreeMap seq appended / made durable (0 = none).

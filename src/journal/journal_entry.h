@@ -17,7 +17,9 @@
 // byte size, so journal traffic is reportable without serializing anything.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -40,8 +42,11 @@ struct SubtreeSnapshot {
   std::vector<double> load_history;
 };
 
+/// One journal record.  Fixed-size and trivially copyable: an ESubtreeMap's
+/// payload lives beside the segments (`MdsJournal::checkpoints()`), so an
+/// EUpdate append writes 48 bytes and trimming frees whole segments without
+/// visiting their entries.
 struct JournalEntry {
-  EntryType type = EntryType::kUpdate;
   /// Monotonic per-journal sequence number, stamped by MdsJournal::append.
   std::uint64_t seq = 0;
   /// Sequence of the newest earlier entry this one depends on (0 = none),
@@ -59,12 +64,16 @@ struct JournalEntry {
   FragId frag = kWholeDir;
   /// Migration peer of kExportCommit / kImportStart (kNoMds otherwise).
   MdsId peer = kNoMds;
-  /// Checkpoint payload; only kSubtreeMap entries carry one.
-  SubtreeSnapshot snapshot;
+  EntryType type = EntryType::kUpdate;
 };
+static_assert(std::is_trivially_copyable_v<JournalEntry>);
+static_assert(sizeof(JournalEntry) <= 48);
 
 /// Modeled on-journal size of an entry in bytes (CephFS EUpdates run from
-/// hundreds of bytes to kilobytes; ESubtreeMap grows with the subtree map).
-[[nodiscard]] std::uint64_t entry_bytes(const JournalEntry& e);
+/// hundreds of bytes to kilobytes; ESubtreeMap grows with the subtree map:
+/// `owned_units` bound records and `load_samples` history doubles).
+[[nodiscard]] std::uint64_t entry_bytes(EntryType type,
+                                        std::size_t owned_units = 0,
+                                        std::size_t load_samples = 0);
 
 }  // namespace lunule::journal

@@ -35,16 +35,8 @@ ReplayResult replay_journal(const MdsJournal& j, EpochId now_epoch,
     }
   }
 
-  // Locate the newest durable ESubtreeMap across the retained segments.
-  const JournalEntry* checkpoint = nullptr;
-  const std::uint64_t map_seq = j.durable_subtree_map_seq();
-  for (const JournalSegment& seg : j.segments()) {
-    for (const JournalEntry& e : seg.entries) {
-      if (e.type == EntryType::kSubtreeMap && e.seq == map_seq) {
-        checkpoint = &e;
-      }
-    }
-  }
+  // Start from the newest durable ESubtreeMap (trim always retains it).
+  const Checkpoint* checkpoint = j.checkpoint(j.durable_subtree_map_seq());
 
   std::vector<fs::SubtreeRef> owned;
   if (checkpoint != nullptr) {

@@ -242,14 +242,11 @@ void MdsCluster::journal_checkpoint() {
   for (MdsServer& s : servers_) {
     if (!s.up()) continue;
     journal::MdsJournal& j = journals_[static_cast<std::size_t>(s.id())];
-    journal::JournalEntry e;
-    e.type = journal::EntryType::kSubtreeMap;
-    e.tick = now_;
-    e.epoch = epoch_;
-    e.snapshot.owned = owned_units(s.id());
     const std::span<const double> h = s.load_history();
-    e.snapshot.load_history.assign(h.begin(), h.end());
-    j.append(std::move(e));
+    j.append_checkpoint(now_, epoch_,
+                        {.owned = owned_units(s.id()),
+                         .load_history = std::vector<double>(h.begin(),
+                                                             h.end())});
     charge_journal_append(s.id());
     if (!async) {
       // Force a group commit so the checkpoint is durable immediately (a

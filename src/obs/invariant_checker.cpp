@@ -152,8 +152,24 @@ std::vector<std::string> InvariantChecker::check_epoch(
   //    closed appended one ESubtreeMap per alive rank, so the newest
   //    retained checkpoint must describe exactly what the rank owns now —
   //    a drifting checkpoint means a journal hook was missed and a replay
-  //    from it would reconstruct the wrong authority map.
+  //    from it would reconstruct the wrong authority map.  Every rank's
+  //    live authority set comes from one ascending pass over the namespace
+  //    (not from the pin index the cluster's checkpoints walk): dirs
+  //    ascending, a whole-directory pin before that directory's fragment
+  //    pins.
   if (cluster.journaling()) {
+    std::vector<std::vector<fs::SubtreeRef>> owned(n);
+    const auto claim = [&](MdsId m, const fs::SubtreeRef& ref) {
+      if (m >= 0 && static_cast<std::size_t>(m) < n) {
+        owned[static_cast<std::size_t>(m)].push_back(ref);
+      }
+    };
+    for (DirId d = 0; d < tree.dir_count(); ++d) {
+      claim(tree.explicit_auth(d), fs::SubtreeRef{.dir = d});
+      for (FragId f = 0; f < static_cast<FragId>(tree.frag_count(d)); ++f) {
+        claim(tree.frag(d, f).auth_pin, fs::SubtreeRef{.dir = d, .frag = f});
+      }
+    }
     mds::MdsCluster::JournalTotals totals;
     for (std::size_t m = 0; m < n; ++m) {
       const journal::MdsJournal& j = cluster.journal(static_cast<MdsId>(m));
@@ -178,31 +194,15 @@ std::vector<std::string> InvariantChecker::check_epoch(
               " entries but reports ", j.entries_retained());
       }
       if (!cluster.is_up(static_cast<MdsId>(m))) continue;
-      // Recompute the rank's live authority set and compare it against the
-      // newest retained checkpoint.
-      std::vector<fs::SubtreeRef> owned;
-      for (DirId d = 0; d < tree.dir_count(); ++d) {
-        if (tree.explicit_auth(d) == static_cast<MdsId>(m)) {
-          owned.push_back(fs::SubtreeRef{.dir = d});
-        }
-        for (FragId f = 0; f < static_cast<FragId>(tree.frag_count(d)); ++f) {
-          if (tree.frag(d, f).auth_pin == static_cast<MdsId>(m)) {
-            owned.push_back(fs::SubtreeRef{.dir = d, .frag = f});
-          }
-        }
-      }
-      const journal::JournalEntry* newest_map = nullptr;
-      for (const journal::JournalSegment& seg : j.segments()) {
-        for (const journal::JournalEntry& e : seg.entries) {
-          if (e.type == journal::EntryType::kSubtreeMap) newest_map = &e;
-        }
-      }
-      if (newest_map == nullptr) {
+      // Compare the rank's live authority set against the newest retained
+      // checkpoint.
+      if (j.checkpoints().empty()) {
         v.add("mds.", m, " (alive) has no retained ESubtreeMap checkpoint");
-      } else if (newest_map->snapshot.owned != owned) {
-        v.add("mds.", m, " newest ESubtreeMap describes ",
-              newest_map->snapshot.owned.size(), " units but the rank owns ",
-              owned.size());
+      } else if (const std::vector<fs::SubtreeRef>& newest =
+                     j.checkpoints().back().snapshot.owned;
+                 newest != owned[m]) {
+        v.add("mds.", m, " newest ESubtreeMap describes ", newest.size(),
+              " units but the rank owns ", owned[m].size());
       }
     }
     check_counter(v, counters, "journal.appends", totals.appends);

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <type_traits>
 
+#include "common/rng.h"
 #include "fs/builder.h"
 #include "fs/namespace_tree.h"
 #include "journal/replay.h"
@@ -34,15 +38,12 @@ journal::JournalEntry delta_entry(journal::EntryType type, DirId d,
   return e;
 }
 
-journal::JournalEntry map_entry(std::vector<fs::SubtreeRef> owned,
-                                std::vector<double> history,
-                                EpochId epoch) {
-  journal::JournalEntry e;
-  e.type = journal::EntryType::kSubtreeMap;
-  e.epoch = epoch;
-  e.snapshot.owned = std::move(owned);
-  e.snapshot.load_history = std::move(history);
-  return e;
+std::uint64_t append_map(journal::MdsJournal& j,
+                         std::vector<fs::SubtreeRef> owned,
+                         std::vector<double> history, EpochId epoch) {
+  return j.append_checkpoint(
+      /*tick=*/-1, epoch,
+      {.owned = std::move(owned), .load_history = std::move(history)});
 }
 
 // -- MdsJournal unit tests --------------------------------------------------
@@ -65,7 +66,8 @@ TEST(MdsJournal, AppendAssignsMonotonicSeqsAndOpensSegments) {
   EXPECT_EQ(j.segments()[2].entries.size(), 2u);
   EXPECT_EQ(j.appends(), 10u);
   // Every EUpdate bills the same modeled size.
-  EXPECT_EQ(j.bytes_written(), 10u * entry_bytes(update_entry(0)));
+  EXPECT_EQ(j.bytes_written(),
+            10u * journal::entry_bytes(journal::EntryType::kUpdate));
 }
 
 TEST(MdsJournal, FlushMakesDurableOnceAndIsIdempotent) {
@@ -123,7 +125,7 @@ TEST(MdsJournal, TrimDropsSegmentsCoveredByDurableCheckpoint) {
   p.segment_entries = 2;
   journal::MdsJournal j(0, p);
   for (DirId d = 0; d < 4; ++d) j.append(update_entry(d));
-  j.append(map_entry({fs::SubtreeRef{.dir = 1}}, {}, 0));  // seq 5
+  append_map(j, {fs::SubtreeRef{.dir = 1}}, {}, 0);  // seq 5
   // Not durable yet: nothing may be trimmed.
   EXPECT_EQ(j.trim(), 0u);
   EXPECT_TRUE(j.flush(0));
@@ -140,7 +142,7 @@ TEST(MdsJournal, TrimDropsSegmentsCoveredByDurableCheckpoint) {
 TEST(MdsJournal, ResetClearsContentButKeepsSeqAndLifetimeStats) {
   journal::MdsJournal j(0, journal::JournalParams{});
   j.append(update_entry(1));
-  j.append(map_entry({}, {}, 0));
+  append_map(j, {}, {}, 0);
   j.flush(0);
   const std::uint64_t appends = j.appends();
   const std::uint64_t bytes = j.bytes_written();
@@ -158,6 +160,155 @@ TEST(MdsJournal, ResetClearsContentButKeepsSeqAndLifetimeStats) {
   EXPECT_GT(j.bytes_written(), bytes);
 }
 
+TEST(JournalEntryLayout, FixedSizeTriviallyCopyableRecord) {
+  // The same contract journal_entry.h asserts at compile time: an append
+  // copies 48 bytes and a trimmed segment frees without per-entry work.
+  static_assert(std::is_trivially_copyable_v<journal::JournalEntry>);
+  static_assert(std::is_trivially_destructible_v<journal::JournalEntry>);
+  static_assert(sizeof(journal::JournalEntry) <= 48);
+  EXPECT_EQ(sizeof(journal::JournalEntry), 48u);
+}
+
+TEST(MdsJournal, CheckpointPayloadsMirrorRetainedMapEntries) {
+  // A seeded random walk over appends of all four entry types, flushes,
+  // stall windows, trims and resets.  After every step the payload store
+  // must mirror the retained ESubtreeMap entries exactly, and replay must
+  // start from the newest durable checkpoint this test tracks itself.
+  journal::JournalParams p;
+  p.segment_entries = 4;
+  p.history_decay_per_epoch = 1.0;  // replayed history == checkpointed
+  journal::MdsJournal j(0, p);
+  Rng rng(27);
+
+  struct Appended {
+    EpochId epoch = -1;
+    journal::SubtreeSnapshot snapshot;
+  };
+  std::map<std::uint64_t, Appended> maps;  // every map ever appended
+  struct Delta {
+    std::uint64_t seq = 0;
+    journal::EntryType type = journal::EntryType::kUpdate;
+    fs::SubtreeRef ref;
+  };
+  std::vector<Delta> deltas;  // authority deltas since the last reset
+  std::uint64_t newest_map = 0;
+  std::uint64_t durable_map = 0;
+  std::uint64_t expected_bytes = 0;
+  Tick now = 0;
+  EpochId epoch = 0;
+  const auto random_ref = [&] {
+    return fs::SubtreeRef{
+        .dir = static_cast<DirId>(rng.next_below(5)),
+        .frag = static_cast<FragId>(rng.next_below(3)) - 1};
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 45) {
+      j.append(update_entry(static_cast<DirId>(rng.next_below(5))));
+      expected_bytes += journal::entry_bytes(journal::EntryType::kUpdate);
+    } else if (op < 55) {
+      const journal::EntryType type = rng.next_bool(0.5)
+                                          ? journal::EntryType::kImportStart
+                                          : journal::EntryType::kExportCommit;
+      const fs::SubtreeRef ref = random_ref();
+      deltas.push_back(
+          {.seq = j.append(delta_entry(type, ref.dir, ref.frag)),
+           .type = type,
+           .ref = ref});
+      expected_bytes += journal::entry_bytes(type);
+    } else if (op < 70) {
+      journal::SubtreeSnapshot snap;
+      for (DirId d = 0; d < 5; ++d) {
+        if (rng.next_bool(0.4)) snap.owned.push_back(fs::SubtreeRef{.dir = d});
+        if (rng.next_bool(0.2)) {
+          snap.owned.push_back(fs::SubtreeRef{.dir = d, .frag = 1});
+        }
+      }
+      for (std::uint64_t h = rng.next_below(4); h > 0; --h) {
+        snap.load_history.push_back(static_cast<double>(rng.next_below(1000)));
+      }
+      expected_bytes += journal::entry_bytes(journal::EntryType::kSubtreeMap,
+                                             snap.owned.size(),
+                                             snap.load_history.size());
+      ++epoch;
+      newest_map = append_map(j, snap.owned, snap.load_history, epoch);
+      maps[newest_map] = {.epoch = epoch, .snapshot = std::move(snap)};
+    } else if (op < 85) {
+      if (j.flush(++now)) durable_map = newest_map;
+    } else if (op < 90) {
+      j.stall_until(now + static_cast<Tick>(rng.next_below(6)));
+    } else if (op < 98) {
+      j.trim();
+    } else {
+      j.reset();
+      newest_map = 0;
+      durable_map = 0;
+      deltas.clear();
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+
+    // The store holds exactly the retained map entries, in seq order.
+    std::vector<std::uint64_t> retained_maps;
+    for (const journal::JournalSegment& seg : j.segments()) {
+      for (const journal::JournalEntry& e : seg.entries) {
+        if (e.type == journal::EntryType::kSubtreeMap) {
+          retained_maps.push_back(e.seq);
+        }
+      }
+    }
+    std::vector<std::uint64_t> stored;
+    for (const journal::Checkpoint& c : j.checkpoints()) stored.push_back(c.seq);
+    ASSERT_EQ(stored, retained_maps);
+    // Each retained payload is what was appended with it; every trimmed
+    // or reset checkpoint's lookup is null.
+    for (const auto& [seq, appended] : maps) {
+      const journal::Checkpoint* c = j.checkpoint(seq);
+      if (!std::binary_search(stored.begin(), stored.end(), seq)) {
+        EXPECT_EQ(c, nullptr) << "seq " << seq;
+        continue;
+      }
+      ASSERT_NE(c, nullptr) << "seq " << seq;
+      EXPECT_EQ(c->epoch, appended.epoch);
+      EXPECT_EQ(c->snapshot.owned, appended.snapshot.owned);
+      EXPECT_EQ(c->snapshot.load_history, appended.snapshot.load_history);
+    }
+    ASSERT_EQ(j.bytes_written(), expected_bytes);
+    ASSERT_EQ(j.durable_subtree_map_seq(), durable_map);
+
+    // Replay starts from the tracked durable checkpoint and patches it with
+    // the later durable authority deltas.
+    const journal::ReplayResult r = journal::replay_journal(j, epoch, p);
+    std::vector<fs::SubtreeRef> owned;
+    if (durable_map != 0) {
+      const Appended& cp = maps.at(durable_map);
+      EXPECT_EQ(r.checkpoint_epoch, cp.epoch);
+      EXPECT_EQ(r.load_history, cp.snapshot.load_history);
+      owned = cp.snapshot.owned;
+    } else {
+      EXPECT_EQ(r.checkpoint_epoch, -1);
+      EXPECT_TRUE(r.load_history.empty());
+    }
+    for (const Delta& d : deltas) {
+      if (d.seq <= durable_map || d.seq > j.durable_seq()) continue;
+      const auto it = std::find(owned.begin(), owned.end(), d.ref);
+      if (d.type == journal::EntryType::kImportStart && it == owned.end()) {
+        owned.push_back(d.ref);
+      } else if (d.type == journal::EntryType::kExportCommit &&
+                 it != owned.end()) {
+        owned.erase(it);
+      }
+    }
+    std::sort(owned.begin(), owned.end(),
+              [](const fs::SubtreeRef& a, const fs::SubtreeRef& b) {
+                return a.dir != b.dir ? a.dir < b.dir : a.frag < b.frag;
+              });
+    EXPECT_EQ(r.owned, owned);
+  }
+  // The walk reached every state worth checking.
+  EXPECT_GT(j.segments_trimmed(), 0u);
+}
+
 // -- Backpressure edge cases ------------------------------------------------
 
 TEST(MdsJournal, FullTripsExactlyAtTheCapAndNonCreateAppendsPushPast) {
@@ -172,7 +323,7 @@ TEST(MdsJournal, FullTripsExactlyAtTheCapAndNonCreateAppendsPushPast) {
   // journal itself keeps accepting — migration records and checkpoints must
   // never be dropped just because mutations saturated the window.
   j.append(delta_entry(journal::EntryType::kExportCommit, 9));
-  j.append(map_entry({fs::SubtreeRef{.dir = 9}}, {}, 0));
+  append_map(j, {fs::SubtreeRef{.dir = 9}}, {}, 0);
   EXPECT_EQ(j.unflushed(), 6u);
   EXPECT_TRUE(j.full());
   EXPECT_TRUE(j.flush(0));
@@ -222,8 +373,7 @@ TEST(Replay, RebuildsOwnedFromSnapshotPlusDurableDeltas) {
   p.replay_base_seconds = 1.0;
   p.replay_entries_per_second = 100.0;
   journal::MdsJournal j(0, p);
-  j.append(map_entry({fs::SubtreeRef{.dir = 1}, fs::SubtreeRef{.dir = 3}},
-                     {}, 2));
+  append_map(j, {fs::SubtreeRef{.dir = 1}, fs::SubtreeRef{.dir = 3}}, {}, 2);
   j.append(delta_entry(journal::EntryType::kImportStart, 5));
   j.append(delta_entry(journal::EntryType::kExportCommit, 3));
   ASSERT_TRUE(j.flush(0));
@@ -243,12 +393,12 @@ TEST(Replay, RebuildsOwnedFromSnapshotPlusDurableDeltas) {
 TEST(Replay, FallsBackToNewestDurableCheckpoint) {
   journal::JournalParams p;
   journal::MdsJournal j(0, p);
-  j.append(map_entry({fs::SubtreeRef{.dir = 1}}, {}, 0));
+  append_map(j, {fs::SubtreeRef{.dir = 1}}, {}, 0);
   ASSERT_TRUE(j.flush(0));
   // A newer checkpoint exists but never went durable: replay must not see
   // it — only the flushed one counts.
-  j.append(
-      map_entry({fs::SubtreeRef{.dir = 1}, fs::SubtreeRef{.dir = 2}}, {}, 1));
+  append_map(j, {fs::SubtreeRef{.dir = 1}, fs::SubtreeRef{.dir = 2}}, {},
+             1);
 
   const journal::ReplayResult r = journal::replay_journal(j, 1, p);
   EXPECT_EQ(r.checkpoint_epoch, 0);
@@ -261,7 +411,7 @@ TEST(Replay, DecaysCheckpointedHistoryAcrossTheEpochGap) {
   journal::JournalParams p;
   p.history_decay_per_epoch = 0.5;
   journal::MdsJournal j(0, p);
-  j.append(map_entry({}, {100.0, 40.0}, 2));
+  append_map(j, {}, {100.0, 40.0}, 2);
   ASSERT_TRUE(j.flush(0));
 
   const journal::ReplayResult r = journal::replay_journal(j, 5, p);
@@ -510,7 +660,7 @@ TEST(MdsJournal, AppendStampsDirectoryDependencyChains) {
   EXPECT_EQ(j.append(update_entry(7)), 2u);  // first touch of dir 7
   EXPECT_EQ(j.append(update_entry(5)), 3u);  // depends on seq 1
   EXPECT_EQ(j.append(delta_entry(journal::EntryType::kExportCommit, 5)), 4u);
-  j.append(map_entry({}, {}, 0));  // seq 5: depends on the whole prefix
+  append_map(j, {}, {}, 0);  // seq 5: depends on the whole prefix
   const auto& entries = j.segments().front().entries;
   EXPECT_EQ(entries[0].dep_seq, 0u);
   EXPECT_EQ(entries[1].dep_seq, 0u);

@@ -210,5 +210,28 @@ TEST_F(InvariantCheckerTest, FragFileCountDriftIsFlagged) {
   EXPECT_FALSE(violations.empty());
 }
 
+TEST_F(InvariantCheckerTest, FlagsCheckpointThatMissesAnAuthorityChange) {
+  params_.journal.enabled = true;
+  cluster_ = std::make_unique<mds::MdsCluster>(tree_, params_);
+  InvariantChecker checker;
+  run_epoch(5);
+  ASSERT_TRUE(checker.check_epoch(*cluster_, cluster_->current_loads())
+                  .empty());
+  // Move the directory to rank 2 behind the journal's back: no export
+  // commit, no import start, so rank 2's newest checkpoint still lists
+  // nothing while the rank now owns the directory.
+  ASSERT_NE(tree_.auth_of(dir_), 2);
+  tree_.set_auth(dir_, 2);
+  const auto violations =
+      checker.check_epoch(*cluster_, cluster_->current_loads());
+  bool found = false;
+  for (const std::string& v : violations) {
+    found = found ||
+            v.find("mds.2 newest ESubtreeMap describes") != std::string::npos;
+  }
+  EXPECT_TRUE(found) << (violations.empty() ? "no violation"
+                                            : violations.front());
+}
+
 }  // namespace
 }  // namespace lunule::obs
