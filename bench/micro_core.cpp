@@ -6,6 +6,8 @@
 // here runs in microseconds per epoch, against a 10-second epoch period.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "balancer/candidates.h"
@@ -93,6 +95,76 @@ void BM_SubtreeSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubtreeSelect);
+
+void BM_LunuleSelect(benchmark::State& state) {
+  // Lunule's per-exporter collect + score over a tenant-style namespace:
+  // 100,000 leaf directories of 8 files in 16 groups pinned round-robin to
+  // 4 ranks.  Every epoch 20,000 hot directories are read again and 1,212
+  // fresh ones once; the fresh ones keep their heat for about 21 epochs
+  // but their windows for only 6, so the active set (45.6k) carries a 36%
+  // heat-only tail that the window-live set (29.1k) drops.  Arg 0 walks
+  // the active set, arg 1 the window-live set that Lunule collects from;
+  // per_unit is wall time per directory walked, `units` that count.
+  // Between timed walks an untimed sweep over 32 MB pushes the namespace
+  // out of the core's private caches, as a simulated epoch's ops do.
+  constexpr std::uint32_t kGroups = 16;
+  constexpr std::uint32_t kPerGroup = 6250;
+  constexpr std::size_t kHot = 20000;
+  constexpr std::size_t kFresh = 1212;
+  fs::NamespaceTree tree;
+  tree.reserve_dirs(kGroups * (kPerGroup + 1));
+  std::vector<DirId> leaves;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    const std::vector<DirId> group = fs::build_private_dirs(
+        tree, "tenants" + std::to_string(g), kPerGroup, 8);
+    tree.set_auth(tree.parent(group.front()), static_cast<MdsId>(g % 4));
+    leaves.insert(leaves.end(), group.begin(), group.end());
+  }
+  Rng shuffle(9);
+  for (std::size_t i = leaves.size(); i > 1; --i) {
+    std::swap(leaves[i - 1], leaves[shuffle.next_below(i)]);
+  }
+  mds::AccessRecorder recorder(tree, mds::RecorderParams{}, Rng(10));
+  Rng rng(11);
+  std::size_t fresh = kHot;
+  for (EpochId e = 0; e < 40; ++e) {
+    for (std::size_t h = 0; h < kHot; ++h) {
+      recorder.record(leaves[h], static_cast<FileIndex>(rng.next_below(8)),
+                      e);
+    }
+    for (std::size_t k = 0; k < kFresh; ++k, ++fresh) {
+      recorder.record(leaves[fresh % leaves.size()],
+                      static_cast<FileIndex>(rng.next_below(8)), e);
+    }
+    recorder.close_epoch();
+  }
+  const std::vector<DirId>& live = state.range(0) == 0
+                                       ? recorder.active_dirs()
+                                       : recorder.window_live_dirs();
+  core::SelectorParams params;
+  params.window_seconds = 60.0;
+  std::vector<balancer::Candidate> cands;
+  std::vector<std::uint64_t> sweep(std::size_t{4} << 20);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::uint64_t& word : sweep) ++word;
+    benchmark::ClobberMemory();
+    state.ResumeTiming();
+    balancer::collect_candidates_into(cands, tree, /*owner=*/0, &live);
+    double predicted = 0.0;
+    for (const balancer::Candidate& c : cands) {
+      predicted +=
+          core::compute_mindex(c).predicted_iops(params.window_seconds);
+    }
+    benchmark::DoNotOptimize(predicted);
+  }
+  state.counters["units"] = static_cast<double>(live.size());
+  state.counters["per_unit"] = benchmark::Counter(
+      static_cast<double>(live.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LunuleSelect)->ArgName("window_live")->Arg(0)->Arg(1);
 
 void BM_RecordAccess(benchmark::State& state) {
   fs::NamespaceTree tree;

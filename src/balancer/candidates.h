@@ -11,9 +11,12 @@
 // Enumeration takes the tree non-const because reading a fragment's windows
 // first rolls it forward to the statistics clock (lazy advancement); the
 // observable statistics are unchanged by that.  Collection can optionally be
-// restricted to a sorted list of live directories (the access recorder's
-// active set): every unit outside it is fully drained and would score zero
-// under every policy, so the restriction never changes a balancer decision.
+// restricted to a list of live directories: the access recorder's active
+// set, outside which every unit is fully drained and would score zero under
+// every policy, or its window-live set, outside which every unit's window
+// sums are zero (only heat may remain, which the window-based rules never
+// read).  Either restriction leaves the decisions of the policies that use
+// it unchanged.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +122,11 @@ inline constexpr std::uint64_t kTieRankSalt = 0x11ULL;
 /// contribute one unit per owned frag.
 /// Authority is resolved before a unit's statistics are read, so units on
 /// other ranks are never rolled forward or summed.
-/// When `live_dirs` is non-null (sorted ascending), only those directories
-/// are considered.  When `pool` is non-null the scan is chunked across its
-/// workers; per-chunk outputs concatenate in chunk order, so the candidate
-/// list is identical to the serial scan.
+/// When `live_dirs` is non-null, only those directories are considered,
+/// in list order (the recorder's sets are sorted ascending after every
+/// close).  When `pool` is non-null the scan is chunked across its workers;
+/// per-chunk outputs concatenate in chunk order, so the candidate list is
+/// identical to the serial scan.
 [[nodiscard]] std::vector<Candidate> collect_candidates(
     fs::NamespaceTree& tree, MdsId owner,
     const std::vector<DirId>* live_dirs = nullptr,

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace lunule {
 
@@ -30,17 +31,24 @@ class RingBuffer {
   [[nodiscard]] static constexpr std::size_t capacity() { return N; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Sum over the retained window, added newest to oldest (the order of
+  /// Sum over the retained window.  Slots outside it always hold T{}
+  /// (zero-initialised, and clear() re-zeroes them), so an unsigned ring
+  /// sums all N slots in one branch-free pass: unsigned addition wraps the
+  /// same in any order.  Any other T adds newest to oldest (the order of
   /// at(0), at(1), ...), so a floating-point sum is the same bits as
-  /// summing at(i) in that order.  Two straight runs instead of a modulo
+  /// summing at(i) in that order, in two straight runs instead of a modulo
   /// per sample: [head-1 .. 0], then the wrapped [N-1 .. ].
   [[nodiscard]] T window_sum() const {
     T acc{};
-    std::size_t left = size_;
-    for (std::size_t k = head_; k > 0 && left > 0; --k, --left) {
-      acc += items_[k - 1];
+    if constexpr (std::is_unsigned_v<T>) {
+      for (const T v : items_) acc += v;
+    } else {
+      std::size_t left = size_;
+      for (std::size_t k = head_; k > 0 && left > 0; --k, --left) {
+        acc += items_[k - 1];
+      }
+      for (std::size_t k = N; left > 0; --k, --left) acc += items_[k - 1];
     }
-    for (std::size_t k = N; left > 0; --k, --left) acc += items_[k - 1];
     return acc;
   }
 
@@ -50,6 +58,7 @@ class RingBuffer {
   }
 
   void clear() {
+    items_ = {};
     head_ = 0;
     size_ = 0;
   }

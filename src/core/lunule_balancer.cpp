@@ -141,8 +141,8 @@ void LunuleBalancer::select_mindex(
       assignments.begin(), assignments.end(), 0.0,
       [](double acc, const MigrationAssignment& a) { return acc + a.amount; });
   std::vector<Selection> picks = selector_.select(
-      cluster.tree(), exporter, total, inode_budget, cluster.candidate_dirs(),
-      cluster.shard_pool());
+      cluster.tree(), exporter, total, inode_budget,
+      cluster.window_live_dirs(), cluster.shard_pool());
   // Hand each selected subtree to the importer with the largest remaining
   // demand, decrementing by the subtree's predicted contribution.
   for (const Selection& pick : picks) {
@@ -200,8 +200,10 @@ void LunuleBalancer::select_hottest_shards(
     std::uint64_t& inode_budget) {
   // Rank the exporter's shards by their observed last-epoch load and
   // re-pin the hottest movable ones until the assigned amounts are covered.
+  // A shard outside the window-live set has zero last-epoch visits, where
+  // the walk below stops anyway.
   balancer::collect_candidates_into(cands_, cluster.tree(), exporter,
-                                    cluster.candidate_dirs(),
+                                    cluster.window_live_dirs(),
                                     cluster.shard_pool());
   std::sort(cands_.begin(), cands_.end(),
             balancer::last_epoch_visits_order);

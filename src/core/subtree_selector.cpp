@@ -53,9 +53,10 @@ std::vector<Selection> SubtreeSelector::select(
     return static_cast<double>(c.visits_last_epoch) / epoch_seconds;
   };
 
-  // A drained candidate (all cutting-window sums zero) always predicts
-  // zero and is filtered here either way, so restricting the enumeration
-  // to `live_dirs` yields the exact same scored set as a full scan.
+  // A candidate whose six cutting-window sums are zero predicts zero
+  // (alpha 0, l_t 0, l_s = min(0, unvisited) = 0) and is filtered here
+  // either way, so restricting the enumeration to `live_dirs` yields the
+  // exact same scored set as a full scan.
   balancer::collect_candidates_into(cand_scratch_, tree, exporter, live_dirs,
                                     pool);
   std::vector<ScoredKey>& keys = key_scratch_;

@@ -78,10 +78,11 @@ class SubtreeSelector {
   /// non-zero) replaces params().inode_cap for this call — the balancer
   /// passes the *remaining* migration-pipeline capacity so in-flight
   /// transfers and the new selection together never exceed one epoch's
-  /// migration throughput.  `live_dirs` (sorted ascending, optional)
-  /// restricts candidate enumeration to the recorder's active set; drained
-  /// directories have a zero migration index and can never be selected, so
-  /// the restriction does not change decisions.
+  /// migration throughput.  `live_dirs` (optional) restricts candidate
+  /// enumeration, e.g. to the recorder's window-live set: a unit with zero
+  /// window sums has a zero migration index and can never be selected, and
+  /// the selection order is total, so the restriction (and the list's
+  /// order) does not change decisions.
   /// `pool` (optional) parallelises candidate enumeration; the scored set
   /// and hence the selection are identical to the serial scan.
   [[nodiscard]] std::vector<Selection> select(

@@ -3,15 +3,16 @@
 // The tree is stored flat (index-based) inside NamespaceTree: a
 // directory's DirId is its index there, and its parent link lives in the
 // tree's parent arena.  Directory carries only the *cold* per-directory
-// state (name, children, file states, recorder bookkeeping); everything
-// the hot paths walk — parent links, explicit authority pins,
-// fragmentation level, and the per-fragment statistics themselves — lives
-// in flat index-parallel arrays owned by NamespaceTree (see its "hot
-// arenas" section), so authority resolution, epoch close, and candidate
-// collection traverse contiguous memory instead of chasing per-directory
-// heap allocations.  Subtree authority follows CephFS semantics: a
-// directory either pins an explicit authority (making it a subtree root /
-// subtree bound) or inherits its parent's.
+// state (name, children, file states).  Everything the hot paths walk
+// lives in flat arrays indexed by DirId: parent links, explicit authority
+// pins, fragmentation level and the per-fragment statistics in
+// NamespaceTree's "hot arenas", and the access recorder's per-directory
+// epoch bookkeeping (touched stamp, expiry and window-liveness bounds) in
+// arrays the recorder owns.  So authority resolution, epoch close, and
+// candidate collection traverse contiguous memory instead of chasing
+// per-directory heap allocations.  Subtree authority follows CephFS
+// semantics: a directory either pins an explicit authority (making it a
+// subtree root / subtree bound) or inherits its parent's.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +44,6 @@ class Directory {
   [[nodiscard]] const FileState& file(FileIndex i) const { return files_[i]; }
   [[nodiscard]] FileState& file(FileIndex i) { return files_[i]; }
 
-  // -- Epoch bookkeeping (used by the access recorder) -----------------
-  [[nodiscard]] EpochId touched_epoch() const { return touched_epoch_; }
-  void set_touched_epoch(EpochId e) { touched_epoch_ = e; }
-
-  /// Clock value at which every fragment's statistics are predicted to be
-  /// fully drained (see FragStats::compute_dead_epoch); lets the access
-  /// recorder expire warm directories without touching their fragments.
-  [[nodiscard]] EpochId stats_dead_epoch() const { return stats_dead_epoch_; }
-  void set_stats_dead_epoch(EpochId e) { stats_dead_epoch_ = e; }
-
   /// Number of fragments carrying an explicit authority pin (maintained by
   /// NamespaceTree so pinned directories are indexable without a scan).
   [[nodiscard]] std::uint32_t frag_pin_count() const {
@@ -65,8 +56,6 @@ class Directory {
   std::string name_;
   std::vector<DirId> children_;
   std::vector<FileState> files_;
-  EpochId touched_epoch_ = -1;
-  EpochId stats_dead_epoch_ = 0;
   std::uint32_t frag_pin_count_ = 0;
   std::uint32_t sibling_index_ = 0;
 };

@@ -55,6 +55,7 @@ std::uint64_t MdsJournal::append(JournalEntry e) {
   // probe's fresh 0.  Stamped in every mode so sync and async journals
   // carry identical entries — only the cost routing differs.
   if (e.dir != kNoDir) {
+    if (e.dir >= last_dir_seq_.size()) last_dir_seq_.resize(e.dir + 1, 0);
     std::uint64_t& last = last_dir_seq_[e.dir];
     e.dep_seq = last;
     last = e.seq;

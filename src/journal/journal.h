@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -222,9 +221,11 @@ class MdsJournal {
   std::uint64_t retained_ = 0;
   Tick stall_until_ = 0;
   Tick last_flush_tick_ = -1;
-  /// Newest seq per directory, for dependency stamping (cleared on reset:
-  /// the next incarnation's entries owe nothing to the consumed log).
-  std::unordered_map<DirId, std::uint64_t> last_dir_seq_;
+  /// Newest seq per directory (0 = none yet), for dependency stamping:
+  /// dense, indexed by DirId and grown on demand to the highest journaled
+  /// id, so a stamp is one indexed load.  Cleared on reset: the next
+  /// incarnation's entries owe nothing to the consumed log.
+  std::vector<std::uint64_t> last_dir_seq_;
   std::uint64_t appends_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t flushes_ = 0;

@@ -31,10 +31,17 @@
 // on first read (FragStats::advance_to replays the eager per-close sequence
 // bit-identically), and warm directories expire from the active set via the
 // per-directory dead-epoch prediction instead of being rescanned every
-// close.  The invariant checker audits the clock and the expiry at every
-// epoch under LUNULE_VALIDATE.  The fold can run on a WorkerPool:
-// directories are chunked and folded in parallel (per-directory state is
-// disjoint), so the result is identical for any worker count.
+// close.  A second prediction, over all six cutting windows, bounds the
+// window-live set: the active directories that can still carry a non-zero
+// window sum, which is all that Lunule's mIndex and hottest-shard rules can
+// select from (a heat-only tail stays active for the heat-share rules).
+// The invariant checker audits the clock, the expiry and the window-live
+// set at every epoch under LUNULE_VALIDATE.  The per-directory bookkeeping
+// (touched stamp, both predictions, the active flag) lives in flat arrays
+// indexed by DirId, so the fold and both filters never load a Directory.
+// The fold can run on a WorkerPool: directories are chunked and folded in
+// parallel (per-directory state is disjoint), so the result is identical
+// for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -110,13 +117,15 @@ class AccessRecorder {
   /// and it joins the active set (appended; sorted at the next close).
   void touch(DirId d) { mark_touched(d, nullptr); }
 
-  /// Folds open-epoch accumulators into the windows, decays heat, and ticks
-  /// the tree's statistics clock.  With a pool, the per-directory folds run
-  /// chunked across its workers (result identical for any worker count).
+  /// Folds open-epoch accumulators into the windows, decays heat, ticks
+  /// the tree's statistics clock, expires drained directories and rebuilds
+  /// the window-live set.  With a pool, the per-directory folds run chunked
+  /// across its workers (result identical for any worker count).
   void close_epoch(WorkerPool* pool = nullptr);
 
-  /// Directories with any live statistics (hot set; shrinks as stats age),
-  /// sorted ascending after every close.
+  /// Directories with any live statistics (heat or a liveness window;
+  /// shrinks as stats age): a prefix sorted ascending at every close, then
+  /// the directories that joined since, in touch order.
   [[nodiscard]] const std::vector<DirId>& active_dirs() const {
     return active_;
   }
@@ -124,6 +133,38 @@ class AccessRecorder {
   [[nodiscard]] bool is_active(DirId d) const {
     return static_cast<std::size_t>(d) < is_active_.size() &&
            is_active_[static_cast<std::size_t>(d)] != 0;
+  }
+
+  /// The window-live set, a subset of active_dirs(): the active
+  /// directories whose window bound (window_dead_epoch) lies past the
+  /// clock, plus every directory touched in the open epoch.  A prefix
+  /// sorted ascending at every close, then the directories touched since,
+  /// in touch order.  Every unit outside it has six zero window sums, so
+  /// its migration index and last-epoch visits are zero; only its heat
+  /// may still be live.
+  [[nodiscard]] const std::vector<DirId>& window_live_dirs() const {
+    return window_live_;
+  }
+
+  /// Membership in window_live_dirs(), in O(1).
+  [[nodiscard]] bool is_window_live(DirId d) const;
+
+  // -- Per-directory bookkeeping (flat arrays indexed by DirId) ---------
+  /// The open epoch in which `d` was last marked touched; -1 if never.
+  [[nodiscard]] EpochId touched_epoch(DirId d) const {
+    return d < touched_epoch_.size() ? touched_epoch_[d] : -1;
+  }
+  /// Clock value at which every fragment of `d` is predicted to be fully
+  /// drained (FragStats::compute_dead_epoch, kept as a running max over
+  /// the folds): expiry from the active set needs no fragment read.
+  [[nodiscard]] EpochId stats_dead_epoch(DirId d) const {
+    return d < bounds_.size() ? bounds_[d].stats_dead : 0;
+  }
+  /// Clock value from which every cutting window of `d` is predicted to be
+  /// zero (FragStats::window_dead_epoch, kept as a running max): the
+  /// window-live filter.
+  [[nodiscard]] EpochId window_dead_epoch(DirId d) const {
+    return d < bounds_.size() ? bounds_[d].window_dead : 0;
   }
 
   /// Visit rate (IOPS) of directory `d` over the last closed epoch: the
@@ -145,6 +186,8 @@ class AccessRecorder {
  private:
   void mark_touched(DirId d, RecorderLane* lane);
   void credit_sibling(DirId d, FileIndex i, RecorderLane* lane);
+  /// Folds dirty_[lo, hi) for the closing epoch, prefetching ahead.
+  void fold_range(std::size_t lo, std::size_t hi, EpochId closing);
   /// Folds one directory's fragments for the closing epoch.
   void fold_dir(DirId d, EpochId closing);
 
@@ -156,11 +199,23 @@ class AccessRecorder {
   /// directories that joined since, in touch order.
   std::vector<DirId> active_;
   std::size_t sorted_prefix_ = 0;
-  std::vector<std::uint8_t> is_active_;  // indexed by DirId, lazily grown
+  /// The window-live set, laid out like active_.
+  std::vector<DirId> window_live_;
   /// Directories touched during the open epoch (deduplicated via
-  /// Directory::touched_epoch); the close folds exactly these.
+  /// touched_epoch_); the close folds exactly these.
   std::vector<DirId> dirty_;
   std::vector<DirId> keep_scratch_;  // reused across closes
+
+  // Per-directory bookkeeping, indexed by DirId and grown together to the
+  // tree's directory count on the first mark of a directory past the end.
+  /// The two predictions a fold updates, side by side (one line to load).
+  struct DirBounds {
+    EpochId stats_dead = 0;
+    EpochId window_dead = 0;
+  };
+  std::vector<EpochId> touched_epoch_;
+  std::vector<DirBounds> bounds_;
+  std::vector<std::uint8_t> is_active_;
 };
 
 }  // namespace lunule::mds

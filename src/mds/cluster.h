@@ -307,11 +307,20 @@ class MdsCluster {
     return cache_tier_ != nullptr && cache_tier_->tracks(d);
   }
 
-  /// Directories worth considering for candidate collection: the
-  /// recorder's active set (sorted ascending after every close).  Never
-  /// null; every directory outside it is drained and would score zero.
+  /// Directories worth considering for heat-based candidate collection
+  /// (Vanilla, Mantle, Lunule-Light): the recorder's active set, sorted
+  /// ascending after every close.  Never null; every directory outside it
+  /// is drained (zero heat, zero windows) and would score zero.
   [[nodiscard]] const std::vector<DirId>* candidate_dirs() const {
     return &recorder_->active_dirs();
+  }
+  /// Directories worth considering for window-based collection (Lunule's
+  /// mIndex and hottest-shard rules): the recorder's window-live set, a
+  /// subset of candidate_dirs() that drops the heat-only tail.  Never
+  /// null; every unit outside it has zero window sums, hence a zero
+  /// migration index and zero last-epoch visits.
+  [[nodiscard]] const std::vector<DirId>* window_live_dirs() const {
+    return &recorder_->window_live_dirs();
   }
 
  private:

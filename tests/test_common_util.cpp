@@ -35,12 +35,19 @@ TEST(RingBuffer, ClearResets) {
   rb.clear();
   EXPECT_TRUE(rb.empty());
   EXPECT_DOUBLE_EQ(rb.window_sum(), 0.0);
+  // An unsigned ring sums every slot, so clear() must zero the old samples.
+  RingBuffer<std::uint32_t, 4> counts;
+  for (std::uint32_t v = 1; v <= 6; ++v) counts.push(v);
+  counts.clear();
+  counts.push(7);
+  EXPECT_EQ(counts.window_sum(), 7u);
 }
 
-/// window_sum adds in two straight runs instead of a modulo per sample; it
-/// must equal the sum of at(0), at(1), ... in that order, bit for bit (a
-/// floating-point sum depends on its order), at every reachable head and
-/// size: sizes below N while filling, then every head once full.
+/// window_sum adds in two straight runs instead of a modulo per sample (an
+/// unsigned ring in one pass over every slot); it must equal the sum of
+/// at(0), at(1), ... in that order, bit for bit (a floating-point sum
+/// depends on its order), at every reachable head and size: sizes below N
+/// while filling, then every head once full.
 template <typename T, std::size_t N, typename Value>
 void expect_window_sum_is_newest_first_sum(Value value) {
   RingBuffer<T, N> rb;

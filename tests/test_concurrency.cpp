@@ -188,12 +188,31 @@ bool same_ring(const RingBuffer<T, fs::kCuttingWindows>& a,
   return true;
 }
 
-/// Every field of every live fragment and each directory's expiry stamp.
-void expect_same_stats(const fs::NamespaceTree& a, const fs::NamespaceTree& b) {
+/// A namespace with its recorder (the recorder keeps a reference to it).
+struct Recorded {
+  Recorded(int groups, int per_group) : rec(tree, {}, Rng(5)) {
+    build_mixed_tree(tree, groups, per_group);
+  }
+  fs::NamespaceTree tree;
+  mds::AccessRecorder rec;
+};
+
+/// Every field of every live fragment, each directory's bookkeeping in the
+/// recorder's flat arrays (touched stamp, expiry and window bounds) and
+/// both of its sets.
+void expect_same_stats(const Recorded& one, const Recorded& other) {
+  const fs::NamespaceTree& a = one.tree;
+  const fs::NamespaceTree& b = other.tree;
+  const mds::AccessRecorder& ra = one.rec;
+  const mds::AccessRecorder& rb = other.rec;
   ASSERT_EQ(a.dir_count(), b.dir_count());
+  EXPECT_EQ(ra.active_dirs(), rb.active_dirs());
+  EXPECT_EQ(ra.window_live_dirs(), rb.window_live_dirs());
   for (DirId d = 0; d < a.dir_count(); ++d) {
     ASSERT_EQ(a.frag_count(d), b.frag_count(d));
-    EXPECT_EQ(a.dir(d).stats_dead_epoch(), b.dir(d).stats_dead_epoch());
+    EXPECT_EQ(ra.touched_epoch(d), rb.touched_epoch(d));
+    EXPECT_EQ(ra.stats_dead_epoch(d), rb.stats_dead_epoch(d));
+    EXPECT_EQ(ra.window_dead_epoch(d), rb.window_dead_epoch(d));
     for (FragId f = 0; f < static_cast<FragId>(a.frag_count(d)); ++f) {
       const fs::FragStats& x = a.frag(d, f);
       const fs::FragStats& y = b.frag(d, f);
@@ -216,15 +235,6 @@ void expect_same_stats(const fs::NamespaceTree& a, const fs::NamespaceTree& b) {
     }
   }
 }
-
-/// A namespace with its recorder (the recorder keeps a reference to it).
-struct Recorded {
-  Recorded(int groups, int per_group) : rec(tree, {}, Rng(5)) {
-    build_mixed_tree(tree, groups, per_group);
-  }
-  fs::NamespaceTree tree;
-  mds::AccessRecorder rec;
-};
 
 TEST(ParallelCollect, PoolMatchesSerialScan) {
   Recorded serial(4, 300);
@@ -276,7 +286,7 @@ TEST(ParallelCollect, PoolMatchesSerialScan) {
   EXPECT_GT(frag_units, 0u);
   // Collection rolls the owned fragments forward: both sides rolled the
   // same ones to the same state.
-  expect_same_stats(serial.tree, parallel.tree);
+  expect_same_stats(serial, parallel);
 }
 
 TEST(ParallelFold, PoolMatchesSerialClose) {
@@ -290,8 +300,7 @@ TEST(ParallelFold, PoolMatchesSerialClose) {
       drive_epoch(parallel.rec, parallel.tree, e);
       std::size_t dirty = 0;
       for (DirId d = 0; d < serial.tree.dir_count(); ++d) {
-        if (serial.tree.dir(d).touched_epoch() ==
-            serial.tree.stats_clock()) {
+        if (serial.rec.touched_epoch(d) == serial.tree.stats_clock()) {
           ++dirty;
         }
       }
@@ -300,8 +309,7 @@ TEST(ParallelFold, PoolMatchesSerialClose) {
     serial.rec.close_epoch();
     parallel.rec.close_epoch(&pool);
     SCOPED_TRACE("close " + std::to_string(e));
-    EXPECT_EQ(serial.rec.active_dirs(), parallel.rec.active_dirs());
-    expect_same_stats(serial.tree, parallel.tree);
+    expect_same_stats(serial, parallel);
   }
 }
 
