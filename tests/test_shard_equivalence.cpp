@@ -121,6 +121,20 @@ TEST(ShardEquivalence, JournaledMdLunuleCreates) {
   expect_shard_equivalent(cfg);
 }
 
+TEST(ShardEquivalence, TenantLunuleReadsBesideInPlaceCreates) {
+  // Tenant directories take lookups and creates alike, so one rank's
+  // stream grows a directory's file table in place while clients in the
+  // other streams hold ops on that directory.  Many clients over few
+  // tenants make those meetings frequent: under TSan with libstdc++
+  // assertions (the CI build), a stream that reads another rank's file
+  // table, say to prefetch before its rank check, is reported here.
+  sim::ScenarioConfig cfg =
+      small_config(sim::WorkloadKind::kTenant, sim::BalancerKind::kLunule);
+  cfg.n_clients = 40;
+  cfg.scale = 0.02;  // 40 tenants, 1,200 files per client
+  expect_shard_equivalent(cfg);
+}
+
 TEST(ShardEquivalence, SingleMdsDegeneratesGracefully) {
   // One rank: the whole tick is one shard stream plus the deferred pass.
   sim::ScenarioConfig cfg =
