@@ -55,10 +55,10 @@ BENCHMARK(BM_RoleDecider)->Arg(5)->Arg(16)->Arg(64);
 
 void BM_ComputeMindex(benchmark::State& state) {
   balancer::Candidate c;
-  c.visits_w = 4200;
-  c.first_visits_w = 1800;
-  c.recurrent_w = 2100;
-  c.sibling_credit_w = 120.5;
+  c.windows = {.visits = 4200,
+               .first_visits = 1800,
+               .recurrent = 2100,
+               .sibling_credit = 120.5};
   c.unvisited = 5200;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::compute_mindex(c));
@@ -83,9 +83,8 @@ void BM_SubtreeSelect(benchmark::State& state) {
   for (const DirId d : dirs) {
     fs::FragStats& f = tree.frag(d, 0);
     const auto v = static_cast<std::uint32_t>(rng.next_below(600));
-    f.visits_window.push(v);
-    f.recurrent_window.push(v / 2);
-    f.first_visits_window.push(v / 2);
+    f.windows.push({.visits = v, .first_visits = v / 2, .recurrent = v / 2},
+                   0.0);
   }
   core::SelectorParams params;
   params.window_seconds = 60.0;

@@ -57,15 +57,15 @@ int run(int argc, char** argv) {
     const std::uint64_t files =
         s->tree().total_inodes() - s->tree().dir_count();
 
-    // Recurrence census over all files touched.
+    // Recurrence census over all files touched.  With no balancer nothing
+    // splits, so every op served was recorded exactly once.
     std::uint64_t recurrent = 0;
-    std::uint64_t visits = 0;
     for (DirId d = 0; d < s->tree().dir_count(); ++d) {
       for (const auto& frag : s->tree().frags(d)) {
-        visits += frag.total_visits;
-        recurrent += frag.recurrent_window.window_sum();
+        recurrent += frag.windows.sums().recurrent;
       }
     }
+    const std::uint64_t visits = s->cluster().total_served();
     const double recur_hint =
         visits > 0 ? static_cast<double>(recurrent) /
                          static_cast<double>(visits)

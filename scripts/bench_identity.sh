@@ -7,7 +7,9 @@
 # and exit status.  When both sides' lunule_proptest has the
 # --digest-configs mode, it also compares the digest sweep: the result
 # and trace digests of generated configs seeds 1-3 x 40 under all seven
-# balancers, trace on.
+# balancers, trace on.  It also prints the net src/ line delta of the
+# working tree against <ref> (lines added, removed and net), the number a
+# simplification reports.
 #
 #   scripts/bench_identity.sh <ref>          e.g. scripts/bench_identity.sh HEAD~1
 #
@@ -43,6 +45,11 @@ trap cleanup EXIT
 cleanup  # a previous run killed before its trap fired
 mkdir -p "$REF_SRC"
 git archive "$ref_sha" | tar -x -C "$REF_SRC"
+
+# Lines added and removed under src/, working tree against <ref>.
+read -r src_added src_removed < <(
+  git diff --no-index --no-renames --numstat "$REF_SRC/src" src |
+    awk '{ added += $1; removed += $2 } END { print added + 0, removed + 0 }')
 
 # Simulation benches of the working tree; a bench present on one side only
 # counts as a difference.
@@ -132,4 +139,6 @@ for b in "${benches[@]}" "${examples[@]/#/examples/}" "${sweeps[@]}"; do
 done
 echo "bench_identity: ${#benches[@]} benches, ${#examples[@]} examples," \
   "${#sweeps[@]} digest sweeps, outputs in $OUT/out/{ref,work}"
+echo "bench_identity: src/ against $1: +$src_added/-$src_removed," \
+  "net $((src_added - src_removed))"
 exit $status

@@ -17,14 +17,8 @@ Candidate frag_candidate(fs::NamespaceTree& tree, const fs::SubtreeRef& ref,
   c.auth = auth;
   c.inodes = fs.file_count;
   c.heat = fs.heat;
-  c.visits_w = fs.visits_window.window_sum();
-  c.file_visits_w = fs.file_visits_window.window_sum();
-  c.first_visits_w = fs.first_visits_window.window_sum();
-  c.recurrent_w = fs.recurrent_window.window_sum();
-  c.creates_w = fs.creates_window.window_sum();
-  c.sibling_credit_w = fs.sibling_credit_window.window_sum();
-  c.visits_last_epoch =
-      fs.visits_window.empty() ? 0 : fs.visits_window.at(0);
+  c.windows = fs.windows.sums();
+  c.visits_last_epoch = fs.windows.newest().visits;
   c.unvisited = fs.unvisited_files();
   return c;
 }
@@ -39,14 +33,8 @@ Candidate whole_dir_candidate(fs::NamespaceTree& tree, DirId d, MdsId auth) {
   for (fs::FragStats& frag : tree.frags(d)) {
     tree.advance_frag_stats(frag);
     c.heat += frag.heat;
-    c.visits_w += frag.visits_window.window_sum();
-    c.file_visits_w += frag.file_visits_window.window_sum();
-    c.first_visits_w += frag.first_visits_window.window_sum();
-    c.recurrent_w += frag.recurrent_window.window_sum();
-    c.creates_w += frag.creates_window.window_sum();
-    c.sibling_credit_w += frag.sibling_credit_window.window_sum();
-    c.visits_last_epoch +=
-        frag.visits_window.empty() ? 0 : frag.visits_window.at(0);
+    c.windows += frag.windows.sums();
+    c.visits_last_epoch += frag.windows.newest().visits;
     c.unvisited += frag.unvisited_files();
   }
   return c;

@@ -42,13 +42,8 @@ struct Candidate {
   // -- CephFS-Vanilla statistic --
   double heat = 0.0;
 
-  // -- Cutting-window sums (Lunule's Pattern Analyzer inputs) --
-  std::uint64_t visits_w = 0;
-  std::uint64_t file_visits_w = 0;
-  std::uint64_t first_visits_w = 0;
-  std::uint64_t recurrent_w = 0;
-  std::uint64_t creates_w = 0;
-  double sibling_credit_w = 0.0;
+  /// Cutting-window sums (Lunule's Pattern Analyzer inputs).
+  fs::WindowSums windows;
   /// Visits in the most recent closed epoch only.
   std::uint64_t visits_last_epoch = 0;
   /// Files in this unit never visited so far.

@@ -6,10 +6,10 @@ namespace lunule::core {
 
 MigrationIndex compute_mindex(const balancer::Candidate& c) {
   MigrationIndex mi;
-  const auto ops = static_cast<double>(c.visits_w);
-  const auto file_visits = static_cast<double>(c.file_visits_w);
-  const auto first = static_cast<double>(c.first_visits_w);
-  const auto recurrent = static_cast<double>(c.recurrent_w);
+  const auto ops = static_cast<double>(c.windows.visits);
+  const auto file_visits = static_cast<double>(c.windows.file_visits);
+  const auto first = static_cast<double>(c.windows.first_visits);
+  const auto recurrent = static_cast<double>(c.windows.recurrent);
 
   // alpha / beta are fractions over *logical* file visits (the first op on
   // a file per epoch): the several metadata ops composing one file access
@@ -38,10 +38,10 @@ MigrationIndex compute_mindex(const balancer::Candidate& c) {
   // produced recently — and (b) *creates*, which mint new inodes and
   // therefore predict future load without that bound (MDtest-style
   // write-only streams keep creating).
-  const auto creates = static_cast<double>(c.creates_w);
+  const auto creates = static_cast<double>(c.windows.creates);
   const double first_reads = std::max(0.0, first - creates);
   const double spatial_files =
-      std::min(first_reads + c.sibling_credit_w,
+      std::min(first_reads + c.windows.sibling_credit,
                static_cast<double>(c.unvisited)) +
       creates;
   mi.l_s = spatial_files * ops_per_visit;

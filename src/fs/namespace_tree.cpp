@@ -120,34 +120,14 @@ void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
             : static_cast<double>(nf.file_count) /
                   static_cast<double>(old_frag.file_count);
     nf.heat = old_frag.heat * ratio;
-    nf.visits_epoch =
-        static_cast<std::uint32_t>(old_frag.visits_epoch * ratio);
-    nf.file_visits_epoch =
-        static_cast<std::uint32_t>(old_frag.file_visits_epoch * ratio);
-    nf.first_visits_epoch =
-        static_cast<std::uint32_t>(old_frag.first_visits_epoch * ratio);
-    nf.recurrent_epoch =
-        static_cast<std::uint32_t>(old_frag.recurrent_epoch * ratio);
-    nf.creates_epoch =
-        static_cast<std::uint32_t>(old_frag.creates_epoch * ratio);
+    nf.open = old_frag.open.scaled(ratio);
     nf.sibling_credit_epoch = old_frag.sibling_credit_epoch * ratio;
-    nf.total_visits =
-        static_cast<std::uint64_t>(static_cast<double>(old_frag.total_visits) * ratio);
     // Replay the cutting windows oldest-first, scaled by the file ratio, so
     // a just-split fragment still has a meaningful migration index.
-    for (std::size_t w = old_frag.visits_window.size(); w-- > 0;) {
-      nf.visits_window.push(static_cast<std::uint32_t>(
-          old_frag.visits_window.at(w) * ratio));
-      nf.file_visits_window.push(static_cast<std::uint32_t>(
-          old_frag.file_visits_window.at(w) * ratio));
-      nf.first_visits_window.push(static_cast<std::uint32_t>(
-          old_frag.first_visits_window.at(w) * ratio));
-      nf.recurrent_window.push(static_cast<std::uint32_t>(
-          old_frag.recurrent_window.at(w) * ratio));
-      nf.creates_window.push(static_cast<std::uint32_t>(
-          old_frag.creates_window.at(w) * ratio));
-      nf.sibling_credit_window.push(old_frag.sibling_credit_window.at(w) *
-                                    ratio);
+    const CuttingWindows& old_windows = old_frag.windows;
+    for (std::size_t w = old_windows.size(); w-- > 0;) {
+      nf.windows.push(old_windows.counts(w).scaled(ratio),
+                      old_windows.sibling_credit(w) * ratio);
     }
     nf.stats_epoch = stats_clock_;
     nf.dead_epoch = nf.compute_dead_epoch(heat_decay_);

@@ -56,21 +56,20 @@ AccessOutcome AccessRecorder::record(DirId d, FileIndex i, EpochId epoch,
       file.last_access_epoch != static_cast<std::uint32_t>(epoch);
   out.first_visit = !file.visited();
   out.recurrent =
-      !out.first_visit && file.recurrent_at(epoch, params_.recurrence_window);
+      !out.first_visit && file.recurrent_at(epoch, fs::kCuttingWindows);
   file.last_access_epoch = static_cast<std::uint32_t>(epoch);
 
   fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
   tree_.advance_frag_stats(frag);
-  ++frag.visits_epoch;
-  ++frag.total_visits;
+  ++frag.open.visits;
   frag.heat += 1.0;
-  if (logical_visit) ++frag.file_visits_epoch;
+  if (logical_visit) ++frag.open.file_visits;
   if (out.first_visit) {
-    ++frag.first_visits_epoch;
+    ++frag.open.first_visits;
     ++frag.visited_files;
     credit_sibling(d, i, lane);
   }
-  if (logical_visit && out.recurrent) ++frag.recurrent_epoch;
+  if (logical_visit && out.recurrent) ++frag.open.recurrent;
   mark_touched(d, lane);
   return out;
 }
@@ -82,12 +81,11 @@ void AccessRecorder::record_create(DirId d, FileIndex i, EpochId epoch,
 
   fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
   tree_.advance_frag_stats(frag);
-  ++frag.visits_epoch;
-  ++frag.file_visits_epoch;
-  ++frag.total_visits;
+  ++frag.open.visits;
+  ++frag.open.file_visits;
   frag.heat += 1.0;
-  ++frag.first_visits_epoch;
-  ++frag.creates_epoch;
+  ++frag.open.first_visits;
+  ++frag.open.creates;
   ++frag.visited_files;
   mark_touched(d, lane);
 }
@@ -191,7 +189,7 @@ double AccessRecorder::last_epoch_rate(DirId d, double epoch_seconds) {
     // Readers roll lagging fragments forward first, exactly like the
     // replica manager does — the rate is the same whichever asks first.
     tree_.advance_frag_stats(frag);
-    if (!frag.visits_window.empty()) visits += frag.visits_window.at(0);
+    visits += frag.windows.newest().visits;
   }
   return static_cast<double>(visits) / epoch_seconds;
 }
@@ -243,7 +241,7 @@ void AccessRecorder::fold_dir(DirId d, EpochId closing) {
   for (fs::FragStats& frag : tree_.frags(d)) {
     if (frag.stats_epoch == closing) {
       frag.advance_to(closing + 1, params_.heat_decay);
-      // compute_dead_epoch, with the rings scanned once for both bounds.
+      // compute_dead_epoch, with the windows scanned once for both bounds.
       const EpochId frag_window_dead = frag.window_dead_epoch();
       frag.dead_epoch = std::max(frag_window_dead,
                                  frag.heat_dead_epoch(params_.heat_decay));

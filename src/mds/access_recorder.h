@@ -24,17 +24,18 @@
 // state) are escrowed in the lane and applied by merge_lane() in rank
 // order during the serial merge.
 //
-// At each epoch boundary close_epoch() folds the open-epoch accumulators
-// into the cutting-window rings and applies the exponential heat decay that
-// the CephFS-Vanilla balancer relies on.  Only the directories actually
-// touched during the epoch are folded; everything else catches up by delta
-// on first read (FragStats::advance_to replays the eager per-close sequence
-// bit-identically), and warm directories expire from the active set via the
-// per-directory dead-epoch prediction instead of being rescanned every
-// close.  A second prediction, over all six cutting windows, bounds the
-// window-live set: the active directories that can still carry a non-zero
-// window sum, which is all that Lunule's mIndex and hottest-shard rules can
-// select from (a heat-only tail stays active for the heat-share rules).
+// At each epoch boundary close_epoch() pushes each touched fragment's
+// open-epoch record into its cutting windows and applies the exponential
+// heat decay that the CephFS-Vanilla balancer relies on.  Only the
+// directories actually touched during the epoch are folded; everything
+// else catches up by delta on first read (FragStats::advance_to replays the
+// eager per-close sequence bit-identically), and warm directories expire
+// from the active set via the per-directory dead-epoch prediction instead
+// of being rescanned every close.  A second prediction, over every field
+// of the cutting windows, bounds the window-live set: the active
+// directories that can still carry a non-zero window sum, which is all
+// that Lunule's mIndex and hottest-shard rules can select from (a
+// heat-only tail stays active for the heat-share rules).
 // The invariant checker audits the clock, the expiry and the window-live
 // set at every epoch under LUNULE_VALIDATE.  The per-directory bookkeeping
 // (touched stamp, both predictions, the active flag) lives in flat arrays
@@ -55,8 +56,6 @@
 namespace lunule::mds {
 
 struct RecorderParams {
-  /// Cutting-window span in epochs used for recurrence classification.
-  std::uint32_t recurrence_window = fs::kCuttingWindows;
   /// Probability that a first visit credits one sibling subtree's l_s.
   double sibling_credit_prob = 0.3;
   /// Of those credits, the fraction granted to the *next* sibling in
@@ -139,7 +138,7 @@ class AccessRecorder {
   /// directories whose window bound (window_dead_epoch) lies past the
   /// clock, plus every directory touched in the open epoch.  A prefix
   /// sorted ascending at every close, then the directories touched since,
-  /// in touch order.  Every unit outside it has six zero window sums, so
+  /// in touch order.  Every unit outside it has all-zero window sums, so
   /// its migration index and last-epoch visits are zero; only its heat
   /// may still be live.
   [[nodiscard]] const std::vector<DirId>& window_live_dirs() const {

@@ -182,9 +182,7 @@ void MdsCluster::update_replicas() {
     for (fs::FragStats& frag : tree_.frags(d)) {
       tree_.advance_frag_stats(frag);
       const double rate =
-          frag.visits_window.empty()
-              ? 0.0
-              : static_cast<double>(frag.visits_window.at(0)) / epoch_secs;
+          static_cast<double>(frag.windows.newest().visits) / epoch_secs;
       if (!frag.replicated() && rate > params_.replicate_threshold_iops) {
         frag.replica_mask = all_mask;
       } else if (frag.replicated() &&

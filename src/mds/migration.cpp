@@ -57,9 +57,9 @@ bool MigrationEngine::submit(const fs::SubtreeRef& ref, MdsId to) {
 double MigrationEngine::subtree_rate(const fs::SubtreeRef& ref) const {
   auto frag_visits = [this](fs::FragStats& f) -> double {
     tree_.advance_frag_stats(f);
-    return f.visits_window.empty()
-               ? static_cast<double>(f.visits_epoch)
-               : static_cast<double>(f.visits_window.at(0));
+    return static_cast<double>(f.windows.size() == 0
+                                   ? f.open.visits
+                                   : f.windows.newest().visits);
   };
   double visits = 0.0;
   if (ref.is_frag()) {

@@ -21,7 +21,7 @@ std::uint64_t subtree_last_epoch_visits(fs::NamespaceTree& tree, DirId d) {
   std::uint64_t visits = 0;
   for (fs::FragStats& f : tree.frags(d)) {
     tree.advance_frag_stats(f);
-    visits += f.visits_window.empty() ? 0 : f.visits_window.at(0);
+    visits += f.windows.newest().visits;
   }
   for (const DirId c : tree.dir(d).children()) {
     visits += subtree_last_epoch_visits(tree, c);
@@ -44,7 +44,7 @@ std::uint64_t MigrationAudit::last_epoch_visits(fs::NamespaceTree& tree,
           static_cast<std::uint32_t>(entry.ref.frag)) {
         fs::FragStats& fs = tree.frag(d, f);
         tree.advance_frag_stats(fs);
-        visits += fs.visits_window.empty() ? 0 : fs.visits_window.at(0);
+        visits += fs.windows.newest().visits;
       }
     }
     return visits;

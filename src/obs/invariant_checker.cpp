@@ -252,10 +252,8 @@ std::vector<std::string> InvariantChecker::check_epoch(
                 " is ahead of the statistics clock ", clock);
         }
         if (window_live) continue;
-        if (!active &&
-            (frag.visits_epoch != 0 || frag.file_visits_epoch != 0 ||
-             frag.first_visits_epoch != 0 || frag.recurrent_epoch != 0 ||
-             frag.creates_epoch != 0 || frag.sibling_credit_epoch != 0.0)) {
+        if (!active && (frag.open != fs::EpochCounts{} ||
+                        frag.sibling_credit_epoch != 0.0)) {
           v.add("dirfrag ", d, "/", f,
                 " has open accumulators but its directory is not active");
         }
@@ -266,12 +264,7 @@ std::vector<std::string> InvariantChecker::check_epoch(
                 " still carries heat but its directory was expired from "
                 "the active set");
         }
-        if (copy.visits_window.window_sum() > 0 ||
-            copy.file_visits_window.window_sum() > 0 ||
-            copy.first_visits_window.window_sum() > 0 ||
-            copy.recurrent_window.window_sum() > 0 ||
-            copy.creates_window.window_sum() > 0 ||
-            copy.sibling_credit_window.window_sum() > 0.0) {
+        if (copy.windows.sums() != fs::WindowSums{}) {
           v.add("dirfrag ", d, "/", f,
                 " still carries a non-zero cutting window but its "
                 "directory is outside the ",

@@ -47,10 +47,10 @@ TEST_F(AccessRecorderTest, FragCountersAccumulate) {
   rec.record(dirs[0], 0, 0);
   rec.record(dirs[0], 1, 0);
   const fs::FragStats& f = tree.frag(dirs[0], 0);
-  EXPECT_EQ(f.visits_epoch, 3u);
-  EXPECT_EQ(f.file_visits_epoch, 2u);  // same-epoch re-op is not a visit
-  EXPECT_EQ(f.first_visits_epoch, 2u);
-  EXPECT_EQ(f.recurrent_epoch, 0u);  // recurrence needs a later epoch
+  EXPECT_EQ(f.open.visits, 3u);
+  EXPECT_EQ(f.open.file_visits, 2u);  // same-epoch re-op is not a visit
+  EXPECT_EQ(f.open.first_visits, 2u);
+  EXPECT_EQ(f.open.recurrent, 0u);  // recurrence needs a later epoch
   EXPECT_EQ(f.visited_files, 2u);
   EXPECT_EQ(f.unvisited_files(), 30u);
   EXPECT_DOUBLE_EQ(f.heat, 3.0);
@@ -64,9 +64,9 @@ TEST_F(AccessRecorderTest, CloseEpochRollsWindowsAndDecaysHeat) {
   rec.record(dirs[0], 1, 0);
   rec.close_epoch();
   const fs::FragStats& f = tree.frag(dirs[0], 0);
-  EXPECT_EQ(f.visits_epoch, 0u);
-  EXPECT_EQ(f.visits_window.at(0), 2u);
-  EXPECT_EQ(f.first_visits_window.at(0), 2u);
+  EXPECT_EQ(f.open, fs::EpochCounts{});
+  EXPECT_EQ(f.windows.newest().visits, 2u);
+  EXPECT_EQ(f.windows.newest().first_visits, 2u);
   EXPECT_DOUBLE_EQ(f.heat, 1.0);  // 2 * 0.5
 }
 
@@ -173,8 +173,9 @@ TEST_F(AccessRecorderTest, CreatesAreFirstVisits) {
   const FileIndex idx = tree.create_file(dirs[2]);
   rec.record_create(dirs[2], idx, 5);
   const fs::FragStats& f = tree.frag(dirs[2], 0);
-  EXPECT_EQ(f.first_visits_epoch, 1u);
-  EXPECT_EQ(f.visits_epoch, 1u);
+  EXPECT_EQ(f.open.first_visits, 1u);
+  EXPECT_EQ(f.open.visits, 1u);
+  EXPECT_EQ(f.open.creates, 1u);
   EXPECT_TRUE(tree.dir(dirs[2]).file(idx).visited());
 }
 

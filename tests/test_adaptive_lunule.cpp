@@ -43,9 +43,8 @@ TEST(AdaptiveLunule, DelegatesBalancingToTheInnerLunule) {
     fs::FragStats& f = tree.frag(d, 0);
     tree.advance_frag_stats(f);  // keep the poked samples newest on read
     for (std::size_t e = 0; e < fs::kCuttingWindows; ++e) {
-      f.visits_window.push(900);
-      f.file_visits_window.push(900);
-      f.recurrent_window.push(900);
+      f.windows.push({.visits = 900, .file_visits = 900, .recurrent = 900},
+                     0.0);
     }
     cluster.recorder().touch(d);
   }

@@ -55,14 +55,12 @@ TEST_F(BalancerTest, CandidatesPerFragWhenFragmented) {
 
 TEST_F(BalancerTest, CandidateAggregatesWindowSums) {
   fs::FragStats& f = tree.frag(dirs[1], 0);
-  f.visits_window.push(10);
-  f.visits_window.push(20);
-  f.first_visits_window.push(5);
-  f.sibling_credit_window.push(2.5);
+  f.windows.push({.visits = 10, .first_visits = 5}, 2.5);
+  f.windows.push({.visits = 20}, 0.0);
   const Candidate c = make_candidate(tree, {.dir = dirs[1]});
-  EXPECT_EQ(c.visits_w, 30u);
-  EXPECT_EQ(c.first_visits_w, 5u);
-  EXPECT_DOUBLE_EQ(c.sibling_credit_w, 2.5);
+  EXPECT_EQ(c.windows.visits, 30u);
+  EXPECT_EQ(c.windows.first_visits, 5u);
+  EXPECT_DOUBLE_EQ(c.windows.sibling_credit, 2.5);
   EXPECT_EQ(c.visits_last_epoch, 20u);
   EXPECT_EQ(c.unvisited, 50u);
 }

@@ -9,7 +9,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "balancer/candidates.h"
@@ -174,14 +173,12 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-template <typename T>
-bool same_ring(const RingBuffer<T, fs::kCuttingWindows>& a,
-               const RingBuffer<T, fs::kCuttingWindows>& b) {
-  using Bits =
-      std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+/// Same closed epochs slot by slot, the credits bit for bit.
+bool same_windows(const fs::CuttingWindows& a, const fs::CuttingWindows& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<Bits>(a.at(i)) != std::bit_cast<Bits>(b.at(i))) {
+    if (a.counts(i) != b.counts(i) ||
+        !same_bits(a.sibling_credit(i), b.sibling_credit(i))) {
       return false;
     }
   }
@@ -219,19 +216,11 @@ void expect_same_stats(const Recorded& one, const Recorded& other) {
       SCOPED_TRACE("dirfrag " + std::to_string(d) + "/" + std::to_string(f));
       EXPECT_EQ(x.stats_epoch, y.stats_epoch);
       EXPECT_EQ(x.dead_epoch, y.dead_epoch);
-      EXPECT_EQ(x.visits_epoch, y.visits_epoch);
-      EXPECT_EQ(x.file_visits_epoch, y.file_visits_epoch);
-      EXPECT_EQ(x.first_visits_epoch, y.first_visits_epoch);
+      EXPECT_EQ(x.open, y.open);
       EXPECT_EQ(x.visited_files, y.visited_files);
       EXPECT_TRUE(same_bits(x.heat, y.heat));
       EXPECT_TRUE(same_bits(x.sibling_credit_epoch, y.sibling_credit_epoch));
-      EXPECT_TRUE(same_ring(x.visits_window, y.visits_window));
-      EXPECT_TRUE(same_ring(x.file_visits_window, y.file_visits_window));
-      EXPECT_TRUE(same_ring(x.first_visits_window, y.first_visits_window));
-      EXPECT_TRUE(same_ring(x.recurrent_window, y.recurrent_window));
-      EXPECT_TRUE(same_ring(x.creates_window, y.creates_window));
-      EXPECT_TRUE(
-          same_ring(x.sibling_credit_window, y.sibling_credit_window));
+      EXPECT_TRUE(same_windows(x.windows, y.windows));
     }
   }
 }
@@ -272,12 +261,9 @@ TEST(ParallelCollect, PoolMatchesSerialScan) {
         EXPECT_EQ(g.auth, w.auth);
         EXPECT_EQ(g.inodes, w.inodes);
         EXPECT_TRUE(same_bits(g.heat, w.heat));
-        EXPECT_EQ(g.visits_w, w.visits_w);
-        EXPECT_EQ(g.file_visits_w, w.file_visits_w);
-        EXPECT_EQ(g.first_visits_w, w.first_visits_w);
-        EXPECT_EQ(g.recurrent_w, w.recurrent_w);
-        EXPECT_EQ(g.creates_w, w.creates_w);
-        EXPECT_TRUE(same_bits(g.sibling_credit_w, w.sibling_credit_w));
+        EXPECT_EQ(g.windows, w.windows);
+        EXPECT_TRUE(
+            same_bits(g.windows.sibling_credit, w.windows.sibling_credit));
         EXPECT_EQ(g.visits_last_epoch, w.visits_last_epoch);
         EXPECT_EQ(g.unvisited, w.unvisited);
       }

@@ -157,8 +157,17 @@ TEST_P(FuzzSweep, RecorderInvariantsUnderRandomAccesses) {
   fs::NamespaceTree tree = random_tree(rng, leaves);
   mds::AccessRecorder recorder(tree, mds::RecorderParams{}, rng.fork(1));
 
+  // Every op recorded in the open epoch sits in exactly one open
+  // accumulator; a close pushes them all into the windows.
+  const auto open_visits = [&tree] {
+    std::uint64_t visits = 0;
+    for (DirId d = 0; d < tree.dir_count(); ++d) {
+      for (const auto& frag : tree.frags(d)) visits += frag.open.visits;
+    }
+    return visits;
+  };
   EpochId epoch = 0;
-  std::uint64_t recorded = 0;
+  std::uint64_t recorded = 0;  // since the last close
   for (int step = 0; step < 3000; ++step) {
     const DirId leaf = leaves[rng.next_below(leaves.size())];
     if (tree.dir(leaf).file_count() == 0 || rng.next_bool(0.05)) {
@@ -171,23 +180,24 @@ TEST_P(FuzzSweep, RecorderInvariantsUnderRandomAccesses) {
     }
     ++recorded;
     if (rng.next_bool(0.02)) {
+      ASSERT_EQ(open_visits(), recorded) << "closing epoch " << epoch;
       recorder.close_epoch();
+      ASSERT_EQ(open_visits(), 0u) << "closed epoch " << epoch;
+      recorded = 0;
       ++epoch;
     }
   }
+  EXPECT_EQ(open_visits(), recorded);
 
-  std::uint64_t visits = 0;
   for (const DirId leaf : std::set<DirId>(leaves.begin(), leaves.end())) {
     for (const auto& frag : tree.frags(leaf)) {
-      visits += frag.total_visits;
       // Visited census never exceeds the population.
       ASSERT_LE(frag.visited_files, frag.file_count);
       // Logical visits never exceed ops; first visits never exceed logical.
-      ASSERT_LE(frag.file_visits_epoch, frag.visits_epoch);
-      ASSERT_LE(frag.first_visits_epoch, frag.file_visits_epoch);
+      ASSERT_LE(frag.open.file_visits, frag.open.visits);
+      ASSERT_LE(frag.open.first_visits, frag.open.file_visits);
     }
   }
-  EXPECT_EQ(visits, recorded);
 }
 
 TEST_P(FuzzSweep, FaultyScenariosHoldEpochInvariants) {

@@ -34,7 +34,7 @@ class HashRebalancerTest : public ::testing::Test {
   void set_observed_load(mds::MdsCluster& cluster, DirId d, double iops) {
     fs::FragStats& f = tree.frag(d, 0);
     tree.advance_frag_stats(f);
-    f.visits_window.push(static_cast<std::uint32_t>(iops * 10.0));
+    f.windows.push({.visits = static_cast<std::uint32_t>(iops * 10.0)}, 0.0);
     cluster.recorder().touch(d);
   }
 

@@ -34,9 +34,10 @@ class LunuleBalancerTest : public ::testing::Test {
         window_seconds / static_cast<double>(fs::kCuttingWindows);
     const auto per_epoch = static_cast<std::uint32_t>(iops * epoch_seconds);
     for (std::size_t e = 0; e < fs::kCuttingWindows; ++e) {
-      f.visits_window.push(per_epoch);
-      f.file_visits_window.push(per_epoch);
-      f.recurrent_window.push(per_epoch);
+      f.windows.push({.visits = per_epoch,
+                      .file_visits = per_epoch,
+                      .recurrent = per_epoch},
+                     0.0);
     }
     f.heat = iops * window_seconds;
     cluster.recorder().touch(d);

@@ -101,7 +101,7 @@ TEST_F(MigrationTest, FreezeEndsInHotAbortTick) {
   ASSERT_TRUE(eng.submit({.dir = dirs[0]}, 1));
   ASSERT_NO_FATAL_FAILURE(run_into_commit_window(eng));
   // 10000 visits over a 10 s epoch: 1000 IOPS, over hot_abort_iops.
-  tree.frag(dirs[0], 0).visits_epoch = 10000;
+  tree.frag(dirs[0], 0).open.visits = 10000;
   eng.tick();
   EXPECT_EQ(eng.migrations_aborted(), 1u);
   EXPECT_FALSE(eng.is_frozen(dirs[0], 0));

@@ -17,7 +17,7 @@ class MigrationAuditTest : public ::testing::Test {
 
   /// Pushes one epoch's visits into a directory's window.
   void push_epoch_visits(DirId d, std::uint32_t visits) {
-    tree.frag(d, 0).visits_window.push(visits);
+    tree.frag(d, 0).windows.push({.visits = visits}, 0.0);
   }
 
   fs::NamespaceTree tree;
@@ -68,9 +68,9 @@ TEST_F(MigrationAuditTest, FragMigrationAuditedThroughLaterSplits) {
   audit.on_commit(tree, {.dir = dirs[3], .frag = 1}, 32, 0);
   // Refine further after the commit: frags 1 and 3 now refine old frag 1.
   tree.fragment_dir(dirs[3], 2);  // 4 frags
-  tree.frag(dirs[3], 1).visits_window.push(6);
-  tree.frag(dirs[3], 3).visits_window.push(6);
-  tree.frag(dirs[3], 0).visits_window.push(100);  // other half: ignored
+  tree.frag(dirs[3], 1).windows.push({.visits = 6}, 0.0);
+  tree.frag(dirs[3], 3).windows.push({.visits = 6}, 0.0);
+  tree.frag(dirs[3], 0).windows.push({.visits = 100}, 0.0);  // other half
   audit.on_epoch_close(tree, 1);
   audit.on_epoch_close(tree, 2);
   audit.on_epoch_close(tree, 3);

@@ -13,12 +13,12 @@ balancer::Candidate candidate(std::uint64_t visits, std::uint64_t first,
                               std::uint64_t unvisited,
                               std::uint64_t creates = 0) {
   balancer::Candidate c;
-  c.visits_w = visits;
-  c.file_visits_w = visits;
-  c.first_visits_w = first;
-  c.recurrent_w = recurrent;
-  c.creates_w = creates;
-  c.sibling_credit_w = sibling;
+  c.windows = {.visits = visits,
+               .file_visits = visits,
+               .first_visits = first,
+               .recurrent = recurrent,
+               .creates = creates,
+               .sibling_credit = sibling};
   c.unvisited = unvisited;
   return c;
 }
@@ -90,9 +90,7 @@ TEST(PatternAnalyzer, OpsPerVisitScalesSpatialPrediction) {
   // NLP-style: ~13 metadata ops per file; spatial file predictions are
   // converted back into op units.
   balancer::Candidate c;
-  c.visits_w = 1300;
-  c.file_visits_w = 100;
-  c.first_visits_w = 100;
+  c.windows = {.visits = 1300, .file_visits = 100, .first_visits = 100};
   c.unvisited = 5000;
   const MigrationIndex mi = compute_mindex(c);
   EXPECT_DOUBLE_EQ(mi.beta, 1.0);

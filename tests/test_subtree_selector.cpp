@@ -27,9 +27,10 @@ class SelectorTest : public ::testing::Test {
     fs::FragStats& f = tree.frag(d, 0);
     const auto per_epoch = static_cast<std::uint32_t>(iops * 10.0);
     for (std::size_t e = 0; e < fs::kCuttingWindows; ++e) {
-      f.visits_window.push(per_epoch);
-      f.file_visits_window.push(per_epoch);
-      f.recurrent_window.push(per_epoch);
+      f.windows.push({.visits = per_epoch,
+                      .file_visits = per_epoch,
+                      .recurrent = per_epoch},
+                     0.0);
     }
   }
 
@@ -295,14 +296,15 @@ void build_random_tree(fs::NamespaceTree& tree, std::uint64_t seed) {
           const bool flat = rng.next_bool(0.7);
           const auto first = static_cast<std::uint32_t>(
               flat ? 0 : rng.next_below(visits / 60 + 1));
-          frag.visits_window.push(visits);
-          frag.file_visits_window.push(visits);
-          frag.recurrent_window.push(flat ? visits : visits / 2);
-          frag.first_visits_window.push(first);
-          frag.creates_window.push(
-              static_cast<std::uint32_t>(rng.next_below(first + 1)));
-          frag.sibling_credit_window.push(
-              static_cast<double>(rng.next_below(3)));
+          const auto creates =
+              static_cast<std::uint32_t>(rng.next_below(first + 1));
+          const auto credit = static_cast<double>(rng.next_below(3));
+          frag.windows.push({.visits = visits,
+                             .file_visits = visits,
+                             .first_visits = first,
+                             .recurrent = flat ? visits : visits / 2,
+                             .creates = creates},
+                            credit);
         }
       }
     }

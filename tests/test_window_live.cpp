@@ -42,27 +42,20 @@ std::vector<DirId> build_groups(fs::NamespaceTree& tree, int groups,
 }
 
 /// True when `frag` holds a non-zero open accumulator or, rolled forward to
-/// the clock on a copy, a non-zero entry in any of its six rings.
+/// the clock on a copy, a non-zero window sum.
 bool carries_window(const fs::FragStats& frag, const fs::NamespaceTree& tree) {
-  if (frag.visits_epoch != 0 || frag.file_visits_epoch != 0 ||
-      frag.first_visits_epoch != 0 || frag.recurrent_epoch != 0 ||
-      frag.creates_epoch != 0 || frag.sibling_credit_epoch != 0.0) {
+  if (frag.open != fs::EpochCounts{} || frag.sibling_credit_epoch != 0.0) {
     return true;
   }
   fs::FragStats copy = frag;
   copy.advance_to(tree.stats_clock(), tree.heat_decay());
-  return copy.visits_window.window_sum() > 0 ||
-         copy.file_visits_window.window_sum() > 0 ||
-         copy.first_visits_window.window_sum() > 0 ||
-         copy.recurrent_window.window_sum() > 0 ||
-         copy.creates_window.window_sum() > 0 ||
-         copy.sibling_credit_window.window_sum() > 0.0;
+  return copy.windows.sums() != fs::WindowSums{};
 }
 
 /// The set's contract: a strictly ascending prefix of `prefix` entries
 /// (its size at the last close), then directories touched in the open
 /// epoch; no duplicates; inside active_dirs(); membership agrees with
-/// is_window_live(); and every directory with a non-zero ring or open
+/// is_window_live(); and every directory with a non-zero window sum or open
 /// accumulator is a member.
 void expect_set_contract(const mds::AccessRecorder& rec,
                          const fs::NamespaceTree& tree, std::size_t prefix) {
@@ -260,12 +253,8 @@ void expect_same_candidate(const balancer::Candidate& a,
   EXPECT_EQ(a.auth, b.auth);
   EXPECT_EQ(a.inodes, b.inodes);
   EXPECT_TRUE(same_bits(a.heat, b.heat));
-  EXPECT_EQ(a.visits_w, b.visits_w);
-  EXPECT_EQ(a.file_visits_w, b.file_visits_w);
-  EXPECT_EQ(a.first_visits_w, b.first_visits_w);
-  EXPECT_EQ(a.recurrent_w, b.recurrent_w);
-  EXPECT_EQ(a.creates_w, b.creates_w);
-  EXPECT_TRUE(same_bits(a.sibling_credit_w, b.sibling_credit_w));
+  EXPECT_EQ(a.windows, b.windows);
+  EXPECT_TRUE(same_bits(a.windows.sibling_credit, b.windows.sibling_credit));
   EXPECT_EQ(a.visits_last_epoch, b.visits_last_epoch);
   EXPECT_EQ(a.unvisited, b.unvisited);
 }
