@@ -49,15 +49,12 @@ struct BenchOptions {
     Flags flags(argc, argv);
     BenchOptions o;
     o.scale = flags.get_double("scale", default_scale);
-    o.clients =
-        static_cast<std::size_t>(flags.get_int("clients",
-                                               static_cast<std::int64_t>(
-                                                   default_clients)));
+    o.clients = static_cast<std::size_t>(
+        flags.get_count("clients", default_clients));
     o.ticks = flags.get_int("ticks", default_ticks);
     o.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     o.report.csv = flags.get_bool("csv", false);
-    o.report.buckets =
-        static_cast<std::size_t>(flags.get_int("buckets", 12));
+    o.report.buckets = static_cast<std::size_t>(flags.get_count("buckets", 12));
     o.trace_path = flags.get("trace", "");
     o.json_path = flags.get("json", "");
     flags.check_unused();

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.workload = parse_workload(flags.get("workload", "zipf"));
-  cfg.n_clients = static_cast<std::size_t>(flags.get_int("clients", 100));
+  cfg.n_clients = static_cast<std::size_t>(flags.get_count("clients", 100));
   cfg.scale = flags.get_double("scale", 0.5);
   cfg.max_ticks = flags.get_int("ticks", 1800);
   const bool verbose = flags.get_bool("verbose", false);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::string log_path = flags.get("log", "");
   const std::size_t n_clients =
-      static_cast<std::size_t>(flags.get_int("clients", 100));
+      static_cast<std::size_t>(flags.get_count("clients", 100));
   const Tick max_ticks = flags.get_int("ticks", 1200);
   flags.check_unused();
 

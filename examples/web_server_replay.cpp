@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   sim::ScenarioConfig cfg;
   cfg.workload = sim::WorkloadKind::kWeb;
-  cfg.n_clients = static_cast<std::size_t>(flags.get_int("clients", 100));
+  cfg.n_clients = static_cast<std::size_t>(flags.get_count("clients", 100));
   cfg.scale = flags.get_double("scale", 0.2);
   cfg.max_ticks = flags.get_int("ticks", 3000);
   flags.check_unused();

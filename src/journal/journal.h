@@ -25,8 +25,7 @@
 // backlog.
 //
 // Lifetime statistics (appends, bytes, flushes, trims) are monotonic and
-// survive reset() — the invariant checker audits them against the cluster's
-// journal counters.
+// survive reset(); the cluster's journal.* counters read their sums.
 #pragma once
 
 #include <cstdint>

@@ -77,7 +77,6 @@ void Autoscaler::on_epoch(MdsCluster& cluster, std::span<const Load> loads) {
       const auto m = static_cast<MdsId>(r);
       if (cluster.is_up(m)) continue;
       cluster.activate(m);
-      ++stats_.scale_up_events;
       cooldown_ = params_.cooldown_epochs;
       up_streak_ = 0;
       down_streak_ = 0;
@@ -120,9 +119,7 @@ void Autoscaler::pump_drain(MdsCluster& cluster, std::span<const Load> loads) {
   const MdsId victim = draining_;
   const std::vector<fs::SubtreeRef> owned = cluster.owned_subtrees(victim);
   if (owned.empty() && !cluster.migration().touches(victim)) {
-    if (cluster.alive_count() >= 2 && cluster.retire(victim)) {
-      ++stats_.scale_down_events;
-    } else {
+    if (cluster.alive_count() < 2 || !cluster.retire(victim)) {
       cluster.cancel_drain(victim);
     }
     draining_ = kNoMds;

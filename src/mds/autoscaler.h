@@ -54,9 +54,9 @@ struct AutoscalerParams {
   int cooldown_epochs = 3;
 };
 
+/// The autoscaler's own tallies; scale-ups and scale-downs are the
+/// cluster's (MdsCluster::elasticity()).
 struct AutoscalerStats {
-  std::uint64_t scale_up_events = 0;
-  std::uint64_t scale_down_events = 0;
   /// Epochs spent with a drain in flight (drain latency, in epochs).
   std::uint64_t drain_epochs = 0;
   /// Drain-sweep exports handed to the migration engine.

@@ -27,6 +27,7 @@
 #include "common/types.h"
 
 namespace lunule::obs {
+class Counters;
 class TraceRecorder;
 }
 
@@ -38,8 +39,8 @@ class CacheTier {
  public:
   virtual ~CacheTier() = default;
 
-  /// Wired by MdsCluster::set_cache_tier so lease/invalidation events and
-  /// proxy.* counters ride the cluster's flight recorder.
+  /// Wired by MdsCluster::set_cache_tier so lease/invalidation events ride
+  /// the cluster's flight recorder.
   virtual void set_tracer(obs::TraceRecorder* trace) = 0;
 
   /// True when directory `d` is currently promoted into the tier.  Pure
@@ -80,6 +81,10 @@ class CacheTier {
   /// invalidation should have revoked must be reported here.
   [[nodiscard]] virtual std::vector<std::string> check_coherence(
       const MdsCluster& cluster) const = 0;
+
+  /// Adds the tier's counters to the cluster's counter dump, each read
+  /// from the tier's own lifetime tally.
+  virtual void add_counters(obs::Counters& out) const = 0;
 };
 
 }  // namespace lunule::mds

@@ -76,11 +76,11 @@ MdsCluster::MdsCluster(fs::NamespaceTree& tree, ClusterParams params)
 
   trace_ = std::make_unique<obs::TraceRecorder>();
   trace_->set_clock(/*epoch=*/0, /*tick=*/0);
-  ops_served_counter_ = &trace_->counters().counter("cluster.ops_served");
+  trace_->set_counter_source([this] { return counter_view(); });
   migration_->set_tracer(trace_.get());
   tree_.set_fragment_hook(
       [this](DirId d, std::uint8_t old_bits, std::uint8_t new_bits) {
-        trace_->counters().counter("cluster.dirfrag_splits").add();
+        ++dirfrag_splits_;
         trace_->record(obs::Component::kCluster,
                        {.kind = obs::EventKind::kDirfragSplit,
                         .n0 = static_cast<std::int64_t>(d),
@@ -143,11 +143,6 @@ std::vector<Load> MdsCluster::close_epoch() {
                     .a = s.id(),
                     .v0 = s.current_load()});
   }
-  // Flush the call-site op tally into the registry once per epoch: the
-  // counter stays an independent cross-check of the servers' own totals
-  // without a per-operation write into the registry on the hot path.
-  ops_served_counter_->add(ops_tallied_);
-  ops_tallied_ = 0;
   const std::uint64_t served_total = total_served();
   trace_->record(obs::Component::kCluster,
                  {.kind = obs::EventKind::kEpochClose,
@@ -269,30 +264,7 @@ void MdsCluster::journal_checkpoint() {
     }
     j.trim();
   }
-  sync_journal_counters();
-}
-
-void MdsCluster::sync_journal_counters() {
-  const JournalTotals t = journal_totals();
-  obs::CounterRegistry& c = trace_->counters();
-  c.counter("journal.appends").add(t.appends - journal_synced_.appends);
-  c.counter("journal.bytes_written")
-      .add(t.bytes_written - journal_synced_.bytes_written);
-  c.counter("journal.flushes").add(t.flushes - journal_synced_.flushes);
-  c.counter("journal.segments_trimmed")
-      .add(t.segments_trimmed - journal_synced_.segments_trimmed);
-  // Async counters exist only in async mode, so sync-mode (and disabled)
-  // runs create none and stay byte-identical to the pre-async behavior.
-  if (params_.journal.async_mode) {
-    c.counter("journal.async_acked")
-        .add(t.async_acked - journal_synced_.async_acked);
-    c.counter("journal.async_background_charges")
-        .add(t.async_background_charges -
-             journal_synced_.async_background_charges);
-    c.counter("journal.async_throttle_ticks")
-        .add(t.async_throttle_ticks - journal_synced_.async_throttle_ticks);
-  }
-  journal_synced_ = t;
+  journal_at_close_ = journal_totals();
 }
 
 MdsCluster::JournalTotals MdsCluster::journal_totals() const {
@@ -315,7 +287,7 @@ void MdsCluster::stall_journal(MdsId m, Tick until) {
   if (!journaling()) return;
   journal::MdsJournal& j = journals_[static_cast<std::size_t>(m)];
   j.stall_until(until);
-  trace_->counters().counter("journal.stalls").add();
+  ++fault_tallies_.journal_stalls;
   trace_->record(obs::Component::kFaults,
                  {.kind = obs::EventKind::kJournalStall,
                   .a = m,
@@ -374,11 +346,6 @@ ServeResult MdsCluster::try_serve(DirId d, FileIndex i, TickLane* lane) {
   if (!servers_[static_cast<std::size_t>(m)].try_serve()) {
     return ServeResult::kSaturated;
   }
-  if (lane != nullptr) {
-    ++lane->ops_tallied;
-  } else {
-    ++ops_tallied_;
-  }
   recorder_->record(d, i, epoch_, lane != nullptr ? &lane->recorder : nullptr);
   // The read reply carries a fresh lease when the directory is promoted.
   if (cache_tier_ != nullptr) cache_tier_->on_served_read(d, now_);
@@ -388,10 +355,10 @@ ServeResult MdsCluster::try_serve(DirId d, FileIndex i, TickLane* lane) {
 ServeResult MdsCluster::try_create(DirId d, TickLane* lane) {
   const FileIndex idx = tree_.dir(d).file_count();
   if (migration_->is_frozen(d, idx)) return ServeResult::kFrozen;
-  // The create lands in the fragment the new dentry hashes to.
+  // The create lands in the fragment the new dentry hashes to, served by
+  // that fragment's authority.
   const FragId frag = tree_.frag_of(d, idx);
-  const MdsId pin = tree_.frag(d, frag).auth_pin;
-  const MdsId m = pin != kNoMds ? pin : tree_.auth_of(d);
+  const MdsId m = tree_.auth_of_file(d, idx);
   LUNULE_CHECK(static_cast<std::size_t>(m) < servers_.size());
   LUNULE_CHECK(lane == nullptr || m == lane->rank);
   // Journal-full backpressure: a mutation cannot proceed until the backlog
@@ -401,11 +368,6 @@ ServeResult MdsCluster::try_create(DirId d, TickLane* lane) {
   }
   if (!servers_[static_cast<std::size_t>(m)].try_serve()) {
     return ServeResult::kSaturated;
-  }
-  if (lane != nullptr) {
-    ++lane->ops_tallied;
-  } else {
-    ++ops_tallied_;
   }
   // The file lands in place: the create touches only `d` and the fragment
   // it lands in, both served by rank m.
@@ -442,7 +404,6 @@ void MdsCluster::charge_forward(MdsId m, TickLane* lane) {
 
 void MdsCluster::merge_lanes(std::span<TickLane> lanes) {
   for (TickLane& lane : lanes) {
-    ops_tallied_ += lane.ops_tallied;
     for (std::size_t r = 0; r < lane.forwards.size(); ++r) {
       for (std::uint32_t k = 0; k < lane.forwards[r]; ++k) {
         servers_[r].charge_forward(1.0);
@@ -484,7 +445,6 @@ void MdsCluster::activate(MdsId m) {
     s.begin_replay(window, params_.journal.replay_capacity_penalty);
   }
   ++elasticity_.activations;
-  trace_->counters().counter("autoscaler.scale_ups").add();
   trace_->record(obs::Component::kCluster,
                  {.kind = obs::EventKind::kMdsActivate,
                   .a = m,
@@ -505,7 +465,6 @@ void MdsCluster::begin_drain(MdsId m) {
   // the tier re-grants through the adopting ranks as reads land there.
   if (cache_tier_ != nullptr) cache_tier_->on_drain(m, now_);
   ++elasticity_.drains_started;
-  trace_->counters().counter("autoscaler.drains").add();
   trace_->record(obs::Component::kCluster,
                  {.kind = obs::EventKind::kDrainStart,
                   .a = m,
@@ -530,7 +489,6 @@ bool MdsCluster::retire(MdsId m) {
   draining_[static_cast<std::size_t>(m)] = 0;
   if (cache_tier_ != nullptr) cache_tier_->on_drain_end(m);
   ++elasticity_.retirements;
-  trace_->counters().counter("autoscaler.scale_downs").add();
   trace_->record(obs::Component::kCluster,
                  {.kind = obs::EventKind::kMdsRetire, .a = m});
   return true;
@@ -674,19 +632,6 @@ MdsCluster::FailoverStats MdsCluster::set_down(MdsId m) {
       servers_[static_cast<std::size_t>(primary)].restore_history(
           replay.load_history);
     }
-    trace_->counters().counter("journal.replays").add();
-    trace_->counters()
-        .counter("journal.replayed_entries")
-        .add(replay.entries_replayed);
-    trace_->counters()
-        .counter("journal.lost_entries")
-        .add(replay.lost_entries);
-    if (params_.journal.async_mode) {
-      // The async loss window: acknowledged ops the crash took with it.
-      trace_->counters()
-          .counter("journal.async_acked_lost")
-          .add(replay.acked_lost_entries);
-    }
     trace_->record(obs::Component::kFaults,
                    {.kind = obs::EventKind::kReplay,
                     .a = primary,
@@ -697,10 +642,8 @@ MdsCluster::FailoverStats MdsCluster::set_down(MdsId m) {
                     .v1 = static_cast<double>(replay.owned.size())});
   }
 
-  trace_->counters().counter("faults.crashes").add();
-  trace_->counters()
-      .counter("faults.takeover_subtrees")
-      .add(stats.subtrees);
+  ++fault_tallies_.crashes;
+  fault_tallies_.failovers += stats;
   trace_->record(obs::Component::kFaults,
                  {.kind = obs::EventKind::kMdsCrash,
                   .a = m,
@@ -719,7 +662,7 @@ void MdsCluster::set_up(MdsId m) {
   // The revived incarnation starts a fresh journal: the old content was
   // consumed by the take-over replay (sequence numbers keep counting).
   if (journaling()) journals_[static_cast<std::size_t>(m)].reset();
-  trace_->counters().counter("faults.recoveries").add();
+  ++fault_tallies_.recoveries;
   trace_->record(obs::Component::kFaults,
                  {.kind = obs::EventKind::kMdsRecover, .a = m});
 }
@@ -727,9 +670,71 @@ void MdsCluster::set_up(MdsId m) {
 void MdsCluster::set_degrade(MdsId m, double factor) {
   LUNULE_CHECK(static_cast<std::size_t>(m) < servers_.size());
   servers_[static_cast<std::size_t>(m)].set_degrade_factor(factor);
-  trace_->counters().counter("faults.degradations").add();
+  ++fault_tallies_.degradations;
   trace_->record(obs::Component::kFaults,
                  {.kind = obs::EventKind::kMdsDegrade, .a = m, .v0 = factor});
+}
+
+obs::Counters MdsCluster::counter_view() const {
+  // Served ops and journal activity read as of the last epoch close; every
+  // other counter reads its tally live.  Most names enter the dump with
+  // their tally's first event, so a run that never exercises a component
+  // carries none of its names.
+  obs::Counters c;
+  c.set("cluster.ops_served", last_epoch_served_);
+  c.set_nonzero("cluster.dirfrag_splits", dirfrag_splits_);
+
+  const MigrationEngine& mig = *migration_;
+  c.set_nonzero("migration.submitted", mig.migrations_submitted());
+  c.set_nonzero("migration.aborted", mig.migrations_aborted());
+  c.set_nonzero("migration.retries_exhausted", mig.retries_exhausted());
+  if (mig.migrations_completed() > 0) {
+    c.set("migration.completed", mig.migrations_completed());
+    c.set("migration.migrated_inodes", mig.total_migrated_inodes());
+  }
+
+  const FaultTallies& f = fault_tallies_;
+  if (f.crashes > 0) {
+    c.set("faults.crashes", f.crashes);
+    c.set("faults.takeover_subtrees", f.failovers.subtrees);
+  }
+  c.set_nonzero("faults.recoveries", f.recoveries);
+  c.set_nonzero("faults.degradations", f.degradations);
+
+  c.set_nonzero("autoscaler.scale_ups", elasticity_.activations);
+  c.set_nonzero("autoscaler.drains", elasticity_.drains_started);
+  c.set_nonzero("autoscaler.scale_downs", elasticity_.retirements);
+
+  if (journaling()) {
+    // Sync-mode runs carry no async_* name.
+    const bool async = params_.journal.async_mode;
+    if (epoch_ > 0) {
+      const JournalTotals& t = journal_at_close_;
+      c.set("journal.appends", t.appends);
+      c.set("journal.bytes_written", t.bytes_written);
+      c.set("journal.flushes", t.flushes);
+      c.set("journal.segments_trimmed", t.segments_trimmed);
+      if (async) {
+        c.set("journal.async_acked", t.async_acked);
+        c.set("journal.async_background_charges",
+              t.async_background_charges);
+        c.set("journal.async_throttle_ticks", t.async_throttle_ticks);
+      }
+    }
+    if (f.crashes > 0) {
+      // Every crash of a journaling cluster replays the dead rank's journal.
+      c.set("journal.replays", f.crashes);
+      c.set("journal.replayed_entries", f.failovers.replayed_entries);
+      c.set("journal.lost_entries", f.failovers.lost_entries);
+      if (async) {
+        c.set("journal.async_acked_lost", f.failovers.acked_lost_entries);
+      }
+    }
+  }
+  c.set_nonzero("journal.stalls", f.journal_stalls);
+
+  if (cache_tier_ != nullptr) cache_tier_->add_counters(c);
+  return c;
 }
 
 std::uint64_t MdsCluster::total_served() const {

@@ -50,8 +50,8 @@ struct ClusterParams {
   double replicate_threshold_iops = 0.0;
   double unreplicate_threshold_iops = 0.0;
   /// Per-rank metadata journal (off by default: with `journal.enabled`
-  /// false no journal exists, no journal counters are created, and every
-  /// trace is byte-identical to the journal-free behavior).
+  /// false no journal exists, the counter dump carries no journal.* name,
+  /// and every trace is byte-identical to the journal-free behavior).
   journal::JournalParams journal;
   std::uint64_t seed = 42;
 };
@@ -72,9 +72,6 @@ enum class ServeResult {
 struct TickLane {
   /// The rank whose operation stream fills this lane.
   MdsId rank = kNoMds;
-  /// Ops served by this rank during the phase (flushed into the cluster's
-  /// epoch tally at merge).
-  std::uint64_t ops_tallied = 0;
   /// Cross-rank forward charges, indexed by target rank.
   std::vector<std::uint32_t> forwards;
   /// Escrowed recorder effects (sibling credits, touched marks).
@@ -82,7 +79,6 @@ struct TickLane {
 
   void reset(MdsId r, std::size_t n_ranks) {
     rank = r;
-    ops_tallied = 0;
     forwards.assign(n_ranks, 0);
     recorder.credits.clear();
     recorder.touched.clear();
@@ -92,6 +88,9 @@ struct TickLane {
 class MdsCluster {
  public:
   MdsCluster(fs::NamespaceTree& tree, ClusterParams params);
+  // Hooks into the tree, the migration engine and the recorder hold `this`.
+  MdsCluster(const MdsCluster&) = delete;
+  MdsCluster& operator=(const MdsCluster&) = delete;
 
   // -- Tick / epoch lifecycle ---------------------------------------------
   /// Opens a tick: refreshes per-server budgets (with migration penalties).
@@ -113,8 +112,7 @@ class MdsCluster {
   void charge_forward(MdsId m, TickLane* lane = nullptr);
 
   /// Drains per-rank lanes in ascending rank order (serial phase of the
-  /// sharded engine): counters, forwards and recorder effects, one lane at
-  /// a time.
+  /// sharded engine): forwards and recorder effects, one lane at a time.
   void merge_lanes(std::span<TickLane> lanes);
 
   /// Worker pool for intra-tick parallel phases (epoch-close fold,
@@ -129,7 +127,7 @@ class MdsCluster {
   // -- Elasticity -----------------------------------------------------------
   /// Scale-up: joins standby rank `m` to the serving set via the journal
   /// cold-start path.  Unlike `set_up` (crash recovery) this is a planned
-  /// membership change: it bumps the autoscaler counters, records
+  /// membership change: it counts an activation, records
   /// `mds_activate`, and — when journaling is on — charges the base replay
   /// window (the newcomer must open a journal and rejoin the MDS map before
   /// serving at full capacity).  A no-op when `m` is already up.
@@ -160,8 +158,8 @@ class MdsCluster {
     return owned_units(m);
   }
 
-  /// Lifetime totals of planned membership changes (the invariant checker
-  /// audits that the autoscaler.* counters agree with these).
+  /// Lifetime totals of planned membership changes (the autoscaler.*
+  /// counters read these).
   struct ElasticityTotals {
     std::uint64_t activations = 0;
     std::uint64_t drains_started = 0;
@@ -202,6 +200,21 @@ class MdsCluster {
       return *this;
     }
   };
+
+  /// Lifetime tallies of the faults applied to this cluster (by a plan or
+  /// a direct call), read by the faults.*, journal.stalls and journal.*
+  /// replay counters.  faults::FaultTotals counts only its plan's faults
+  /// and adds forced aborts.
+  struct FaultTallies {
+    std::uint64_t crashes = 0;
+    std::uint64_t recoveries = 0;  // set_up calls that revived a rank
+    std::uint64_t degradations = 0;
+    std::uint64_t journal_stalls = 0;
+    FailoverStats failovers;  // every crash's fail-over, summed
+  };
+  [[nodiscard]] const FaultTallies& fault_tallies() const {
+    return fault_tallies_;
+  }
 
   /// Crashes MDS `m`: its budget drops to zero, every subtree and dirfrag it
   /// owned fails over to the surviving ranks, its replicas are dropped, and
@@ -274,7 +287,8 @@ class MdsCluster {
 
   /// The cluster's flight recorder.  Balancers and tests record through it;
   /// it is returned non-const from a const cluster (like a logger) so
-  /// read-only consumers can still bump counters.
+  /// read-only consumers can still record events; its counters() reads
+  /// this cluster's tallies (counter_view).
   [[nodiscard]] obs::TraceRecorder& trace() const { return *trace_; }
   [[nodiscard]] const ClusterParams& params() const { return params_; }
   [[nodiscard]] EpochId epoch() const { return epoch_; }
@@ -283,6 +297,10 @@ class MdsCluster {
   }
   [[nodiscard]] std::uint64_t total_served() const;
   [[nodiscard]] std::uint64_t total_forwards() const;
+  /// Dirfrag splits applied to the tree since construction.
+  [[nodiscard]] std::uint64_t dirfrag_splits() const {
+    return dirfrag_splits_;
+  }
 
   /// Current per-MDS loads from the last closed epoch.
   [[nodiscard]] std::vector<Load> current_loads() const;
@@ -293,8 +311,8 @@ class MdsCluster {
   // -- Cache tier -----------------------------------------------------------
   /// Installs (or clears, with nullptr) the cache tier the cluster serves
   /// through.  Non-owning — the Simulation owns the instance.  Wires the
-  /// cluster's flight recorder into the tier so lease events and proxy.*
-  /// counters ride the existing spine.
+  /// cluster's flight recorder into the tier so lease events ride the
+  /// existing spine; while installed, its proxy.* counters join the dump.
   void set_cache_tier(CacheTier* tier) {
     cache_tier_ = tier;
     if (cache_tier_ != nullptr) cache_tier_->set_tracer(trace_.get());
@@ -339,9 +357,9 @@ class MdsCluster {
   /// Charges one append's IOPS cost for rank `m`: foreground debt in sync
   /// mode (or async over the high-water mark), background lane otherwise.
   void charge_journal_append(MdsId m);
-  /// Flushes journal lifetime totals into the registry's journal.* counters
-  /// by delta (once per epoch; the invariant checker audits agreement).
-  void sync_journal_counters();
+  /// The flight recorder's counter source: names each counter once, with
+  /// the tally that owns it and the rule that puts it in the dump.
+  [[nodiscard]] obs::Counters counter_view() const;
   fs::NamespaceTree& tree_;
   ClusterParams params_;
   std::vector<MdsServer> servers_;
@@ -353,14 +371,12 @@ class MdsCluster {
   std::unique_ptr<AccessRecorder> recorder_;
   std::unique_ptr<MigrationEngine> migration_;
   std::unique_ptr<obs::TraceRecorder> trace_;
-  /// Hot-path handle into the registry (one add per served op).
-  obs::CounterRegistry::Counter* ops_served_counter_ = nullptr;
-  /// Ops served since the last epoch flush; kept cluster-local so the hot
-  /// serve paths never touch the counter registry.
-  std::uint64_t ops_tallied_ = 0;
+  /// total_served() as of the last epoch close.
   std::uint64_t last_epoch_served_ = 0;
-  /// Journal totals already flushed into the counter registry.
-  JournalTotals journal_synced_;
+  /// journal_totals() as of the last epoch close (its checkpoint).
+  JournalTotals journal_at_close_;
+  std::uint64_t dirfrag_splits_ = 0;
+  FaultTallies fault_tallies_;
   MigrationAudit audit_;
   /// Optional cache tier (null = no tier, zero overhead); see cache_tier.h.
   CacheTier* cache_tier_ = nullptr;

@@ -42,7 +42,6 @@ bool MigrationEngine::submit(const fs::SubtreeRef& ref, MdsId to) {
       .subtree = ref, .from = from, .to = to, .inodes = inodes});
   ++submitted_;
   if (tracer_) {
-    tracer_->counters().counter("migration.submitted").add();
     tracer_->record(obs::Component::kMigration,
                     {.kind = obs::EventKind::kMigrationSubmit,
                      .a = from,
@@ -83,7 +82,6 @@ double MigrationEngine::subtree_rate(const fs::SubtreeRef& ref) const {
 void MigrationEngine::record_abort(const ExportTask& t, double rate) {
   ++aborted_;
   if (tracer_) {
-    tracer_->counters().counter("migration.aborted").add();
     tracer_->record(obs::Component::kMigration,
                     {.kind = obs::EventKind::kMigrationAbort,
                      .a = t.from,
@@ -98,7 +96,6 @@ void MigrationEngine::record_abort(const ExportTask& t, double rate) {
 void MigrationEngine::record_terminal_drop(const ExportTask& t) {
   ++retries_exhausted_;
   if (tracer_) {
-    tracer_->counters().counter("migration.retries_exhausted").add();
     tracer_->record(obs::Component::kMigration,
                     {.kind = obs::EventKind::kMigrationRetriesExhausted,
                      .a = t.from,
@@ -219,8 +216,6 @@ void MigrationEngine::tick() {
     total_migrated_ += moved;
     ++completed_;
     if (tracer_) {
-      tracer_->counters().counter("migration.completed").add();
-      tracer_->counters().counter("migration.migrated_inodes").add(moved);
       tracer_->record(obs::Component::kMigration,
                       {.kind = obs::EventKind::kMigrationFinish,
                        .a = t.from,

@@ -186,9 +186,8 @@ class MigrationEngine {
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   /// Attaches the owning cluster's flight recorder.  Every submit, start,
-  /// commit, and abort is recorded as a trace event, and the registry's
-  /// migration.* counters mirror the engine's own totals (the invariant
-  /// checker asserts they agree).  Null detaches (the default — engines
+  /// commit, and abort is recorded as a trace event; the migration.*
+  /// counters read the totals above.  Null detaches (the default — engines
   /// constructed directly in tests run untraced).
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
   [[nodiscard]] const std::deque<ExportTask>& tasks() const { return tasks_; }
@@ -199,7 +198,7 @@ class MigrationEngine {
 
   void record_abort(const ExportTask& t, double rate);
 
-  /// Emits the terminal `migration_retries_exhausted` counter + event for a
+  /// Counts and emits the terminal `migration_retries_exhausted` event for a
   /// task dropped for good (retry budget spent, or its endpoint is gone).
   void record_terminal_drop(const ExportTask& t);
 

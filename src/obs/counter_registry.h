@@ -1,52 +1,50 @@
-// Named monotonic counters for the observability layer.
+// The flight recorder's counter dump: one named value per tally.
 //
-// Counters are the exact companions to the sampled trace rings: a ring may
-// drop old events when it wraps, but a counter never loses an increment, so
-// conservation laws ("migrated-inode counter equals the engine's total")
-// stay checkable for arbitrarily long runs.  Counters only go up; there is
-// deliberately no reset or subtract — a decrement is always an accounting
-// bug, and the InvariantChecker treats it as one.
+// Nothing is counted here.  Each name is a read of the one tally that owns
+// the count (an engine total, a journal sum, a cluster field), built fresh
+// whenever the dump is read (MdsCluster::counter_view), so the dump and the
+// reporting layer read the same numbers.
 //
 // Iteration order is the lexicographic name order (std::map), so counter
 // dumps are deterministic — a requirement for byte-identical trace exports.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace lunule::obs {
 
-class CounterRegistry {
+class Counters {
  public:
-  class Counter {
-   public:
-    void add(std::uint64_t n = 1) { value_ += n; }
-    [[nodiscard]] std::uint64_t value() const { return value_; }
+  using Map = std::map<std::string, std::uint64_t, std::less<>>;
 
-   private:
-    std::uint64_t value_ = 0;
-  };
-
-  /// Returns the counter named `name`, creating it at zero on first use.
-  /// The reference stays valid for the registry's lifetime (node-based map).
-  Counter& counter(std::string_view name) {
-    return counters_[std::string(name)];
+  /// Puts `name` in the dump with `value`.  Each name is set at most once.
+  void set(std::string_view name, std::uint64_t value) {
+    values_.emplace(std::string(name), value);
+  }
+  /// Puts `name` in the dump only once its tally has counted something, so
+  /// a run that never exercises a component carries none of its names.
+  void set_nonzero(std::string_view name, std::uint64_t value) {
+    if (value > 0) set(name, value);
   }
 
-  /// Value of `name`, or 0 when it was never touched.
+  /// Value of `name`, or 0 when the dump does not carry it.
   [[nodiscard]] std::uint64_t value(std::string_view name) const {
-    const auto it = counters_.find(std::string(name));
-    return it == counters_.end() ? 0 : it->second.value();
+    const auto it = values_.find(name);
+    return it == values_.end() ? 0 : it->second;
   }
 
-  [[nodiscard]] const std::map<std::string, Counter>& all() const {
-    return counters_;
-  }
+  /// Every entry in name order; a temporary's map is moved out, so a
+  /// range-for over `trace.counters().all()` holds no dangling view.
+  [[nodiscard]] const Map& all() const& { return values_; }
+  [[nodiscard]] Map all() && { return std::move(values_); }
 
  private:
-  std::map<std::string, Counter> counters_;
+  Map values_;
 };
 
 }  // namespace lunule::obs

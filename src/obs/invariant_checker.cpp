@@ -27,15 +27,6 @@ class Violations {
   std::vector<std::string> items_;
 };
 
-void check_counter(Violations& v, const CounterRegistry& counters,
-                   std::string_view name, std::uint64_t expected) {
-  const std::uint64_t got = counters.value(name);
-  if (got != expected) {
-    v.add("counter ", name, " = ", got, " disagrees with engine total ",
-          expected);
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> InvariantChecker::check_epoch(
@@ -71,20 +62,7 @@ std::vector<std::string> InvariantChecker::check_epoch(
     last_served_total_ = served_total;
   }
 
-  // 2. The flight recorder's monotonic counters agree with the engines.
-  const CounterRegistry& counters = cluster.trace().counters();
-  check_counter(v, counters, "cluster.ops_served", cluster.total_served());
-  const mds::MigrationEngine& migration = cluster.migration();
-  check_counter(v, counters, "migration.submitted",
-                migration.migrations_submitted());
-  check_counter(v, counters, "migration.completed",
-                migration.migrations_completed());
-  check_counter(v, counters, "migration.aborted",
-                migration.migrations_aborted());
-  // The headline Figure 4 metric: migrated inodes must equal the sum the
-  // per-commit instrumentation accumulated.
-  check_counter(v, counters, "migration.migrated_inodes",
-                migration.total_migrated_inodes());
+  // 2. Unused (see the header): the counters read the tallies audited here.
 
   // 3. Subtree authority is a partition of the namespace: every unit
   //    resolves to a valid, live rank, and each directory's fragment file
@@ -120,6 +98,7 @@ std::vector<std::string> InvariantChecker::check_epoch(
   }
 
   // 4. Migration-engine task sanity.
+  const mds::MigrationEngine& migration = cluster.migration();
   const auto max_inflight =
       static_cast<std::size_t>(migration.params().max_inflight_per_exporter);
   std::vector<std::size_t> active_per_exporter(n, 0);
@@ -172,13 +151,8 @@ std::vector<std::string> InvariantChecker::check_epoch(
         claim(tree.frag(d, f).auth_pin, fs::SubtreeRef{.dir = d, .frag = f});
       }
     }
-    mds::MdsCluster::JournalTotals totals;
     for (std::size_t m = 0; m < n; ++m) {
       const journal::MdsJournal& j = cluster.journal(static_cast<MdsId>(m));
-      totals.appends += j.appends();
-      totals.bytes_written += j.bytes_written();
-      totals.flushes += j.flushes();
-      totals.segments_trimmed += j.segments_trimmed();
       if (j.durable_seq() > j.seq()) {
         v.add("mds.", m, " journal durable seq ", j.durable_seq(),
               " ahead of head seq ", j.seq());
@@ -207,11 +181,6 @@ std::vector<std::string> InvariantChecker::check_epoch(
               " units but the rank owns ", owned[m].size());
       }
     }
-    check_counter(v, counters, "journal.appends", totals.appends);
-    check_counter(v, counters, "journal.bytes_written", totals.bytes_written);
-    check_counter(v, counters, "journal.flushes", totals.flushes);
-    check_counter(v, counters, "journal.segments_trimmed",
-                  totals.segments_trimmed);
   }
 
   // 6. Hot-path caches.  The flat authority cache must agree with the
@@ -278,11 +247,10 @@ std::vector<std::string> InvariantChecker::check_epoch(
   //    a rank outside the serving set (cold standby or retired) owns
   //    nothing (section 3 already flags any unit resolving to it), serves
   //    nothing, and carries zero load; a draining rank is still a serving
-  //    member and must be up; and the autoscaler.* counters agree with the
-  //    cluster's own membership-change totals.  Completed-op conservation
-  //    across scale events is covered by section 1: total_served is
-  //    monotone and every epoch's delta is billed to sampled loads, so a
-  //    retirement that lost ops would trip the conservation check above.
+  //    member and must be up.  Completed-op conservation across scale
+  //    events is covered by section 1: total_served is monotone and every
+  //    epoch's delta is billed to sampled loads, so a retirement that lost
+  //    ops would trip the conservation check above.
   if (was_down_.size() != n) was_down_.assign(n, false);
   for (std::size_t m = 0; m < n; ++m) {
     const auto id = static_cast<MdsId>(m);
@@ -300,23 +268,14 @@ std::vector<std::string> InvariantChecker::check_epoch(
     }
     was_down_[m] = !cluster.is_up(id);
   }
-  const mds::MdsCluster::ElasticityTotals& elastic = cluster.elasticity();
-  if (elastic.activations != 0 || elastic.retirements != 0 ||
-      elastic.drains_started != 0) {
-    check_counter(v, counters, "autoscaler.scale_ups", elastic.activations);
-    check_counter(v, counters, "autoscaler.scale_downs",
-                  elastic.retirements);
-    check_counter(v, counters, "autoscaler.drains", elastic.drains_started);
-  }
 
   // 8. Proxy cache-tier coherence.  No read may be served from a lease a
   //    completed invalidation should have revoked: every live lease must
   //    still match the directory state snapshotted at grant (authority,
   //    file count, fragmentation), its grantor must be up and not
-  //    draining, its TTL must be bounded, and the proxy.* counters must
-  //    agree with the tier's lifetime totals.  The tier owns the check —
-  //    it knows its lease table — and the section stays free when no tier
-  //    is installed.
+  //    draining, its TTL must be bounded, and its lifetime totals must
+  //    obey the lease algebra.  The tier owns the check — it knows its
+  //    lease table — and the section stays free when no tier is installed.
   if (const mds::CacheTier* tier = cluster.cache_tier()) {
     for (const std::string& msg : tier->check_coherence(cluster)) {
       v.add(msg);
@@ -332,15 +291,11 @@ std::vector<std::string> InvariantChecker::check_epoch(
   //    *total* backlog past it), every retained entry depends only on a
   //    strictly earlier sequence, every *durable* entry depends on a
   //    durable one (group commit flushes contiguous prefixes, so a
-  //    violation means the flush discipline broke), and the async_*
-  //    counters agree with the journals' lifetime totals.
+  //    violation means the flush discipline broke), and no rank
+  //    acknowledges more entries than it appended.
   if (cluster.journaling() && cluster.params().journal.async_mode) {
-    mds::MdsCluster::JournalTotals async_totals;
     for (std::size_t m = 0; m < n; ++m) {
       const journal::MdsJournal& j = cluster.journal(static_cast<MdsId>(m));
-      async_totals.async_acked += j.async_acked();
-      async_totals.async_background_charges += j.background_charges();
-      async_totals.async_throttle_ticks += j.throttle_ticks();
       std::uint64_t unflushed_updates = 0;
       for (const journal::JournalSegment& seg : j.segments()) {
         for (const journal::JournalEntry& e : seg.entries) {
@@ -368,12 +323,6 @@ std::vector<std::string> InvariantChecker::check_epoch(
               " async entries but appended only ", j.appends());
       }
     }
-    check_counter(v, counters, "journal.async_acked",
-                  async_totals.async_acked);
-    check_counter(v, counters, "journal.async_background_charges",
-                  async_totals.async_background_charges);
-    check_counter(v, counters, "journal.async_throttle_ticks",
-                  async_totals.async_throttle_ticks);
   }
 
   ++epochs_checked_;

@@ -9,10 +9,9 @@
 //   1. Load conservation: the sampled per-MDS loads are exactly the
 //      servers' last-epoch loads, and their sum times the epoch length
 //      equals the operations actually served since the previous check.
-//   2. Counter agreement: the flight recorder's monotonic counters
-//      (ops served, migrations submitted/completed/aborted, migrated
-//      inodes) match the engines' own totals — the trace layer and the
-//      reporting layer must never tell different stories.
+//   2. Unused.  The flight recorder's counters are reads of the totals
+//      the other sections audit (obs/counter_registry.h), so there is no
+//      copy to compare; the numbering stays because the docs cite it.
 //   3. Authority partition: every directory and dirfrag resolves to a
 //      valid MDS rank, per-frag file counts tile each directory exactly,
 //      and billing every inode to its resolved authority covers the
@@ -29,20 +28,18 @@
 //      the lazy epoch close never expired a directory that still carried
 //      signal.
 //   7. Elasticity: ranks outside the serving set own/serve/carry nothing,
-//      a draining rank is up, and the autoscaler.* counters agree with the
-//      cluster's membership-change totals.
+//      and a draining rank is up.
 //   8. Proxy cache-tier coherence (when a tier is installed): no live
 //      lease that a completed invalidation — mutation, split, migration,
-//      crash, drain — should have revoked, TTLs bounded, and the proxy.*
-//      counters agree with the tier's totals (see docs/CACHING.md).
+//      crash, drain — should have revoked, TTLs bounded, and the tier's
+//      lifetime totals obey the lease algebra (see docs/CACHING.md).
 //   9. Async journal mode (journal.async_mode only): the acknowledged-but-
 //      not-yet-durable window stays bounded (un-flushed EUpdate count at or
 //      under max_unflushed_entries — the documented loss window), every
 //      retained entry's dependency strictly precedes it and every durable
 //      entry's dependency is itself durable (prefix consistency; what
-//      replay.cpp audits after a crash must already hold before one), a
-//      rank never acknowledges more entries than it appended, and the
-//      journal.async_* counters agree with the journals' lifetime totals.
+//      replay.cpp audits after a crash must already hold before one), and
+//      a rank never acknowledges more entries than it appended.
 //
 // Violations are returned as human-readable strings rather than aborted on,
 // so tests can assert that a deliberately corrupted cluster is flagged; the

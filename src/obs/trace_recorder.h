@@ -1,5 +1,5 @@
-// The per-cluster flight recorder: one TraceRing per component plus the
-// CounterRegistry, behind a single enable switch and a simulated-time clock.
+// The per-cluster flight recorder: one TraceRing per component behind a
+// single enable switch and a simulated-time clock, plus the counter dump.
 //
 // Ownership and threading: every MdsCluster owns exactly one TraceRecorder,
 // and a cluster is only ever driven by one thread (parallel_runner runs
@@ -14,14 +14,15 @@
 // Cost model: when tracing is disabled, record() is a single branch — the
 // event payload is still evaluated at the call site, so instrumentation
 // points must only pass values they already have (no formatting, no
-// allocation).  Counters are NOT gated by the enable switch: they are the
-// ground truth the InvariantChecker audits against, and a handful of
-// integer adds per epoch is free at this event granularity.
+// allocation).  Counters cost nothing here: counters() reads them off the
+// owning cluster's tallies (obs/counter_registry.h), whatever the switch.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string_view>
+#include <utility>
 
 #include "obs/counter_registry.h"
 #include "obs/trace_ring.h"
@@ -45,7 +46,7 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t ring_capacity = 2048);
 
-  /// Master switch for event recording (counters always count).
+  /// Master switch for event recording (counters are read, not recorded).
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -70,12 +71,21 @@ class TraceRecorder {
   [[nodiscard]] const TraceRing& ring(Component c) const {
     return rings_[static_cast<std::size_t>(c)];
   }
-  [[nodiscard]] CounterRegistry& counters() { return counters_; }
-  [[nodiscard]] const CounterRegistry& counters() const { return counters_; }
+
+  /// Builds the counter dump; installed by the owning cluster, like
+  /// NamespaceTree::set_fragment_hook, so it must not outlive its captures.
+  using CounterSource = std::function<Counters()>;
+  void set_counter_source(CounterSource source) {
+    counter_source_ = std::move(source);
+  }
+  /// What the source builds now, or an empty set without a source.
+  [[nodiscard]] Counters counters() const {
+    return counter_source_ ? counter_source_() : Counters{};
+  }
 
  private:
   std::array<TraceRing, kComponentCount> rings_;
-  CounterRegistry counters_;
+  CounterSource counter_source_;
   EpochId epoch_ = -1;
   Tick tick_ = -1;
   bool enabled_ = true;

@@ -10,11 +10,13 @@
 //
 // Exit status: 0 = everything passed, 1 = at least one oracle failure (or
 // failing corpus file), 2 = usage / I/O error.  See docs/TESTING.md.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
+#include <system_error>
 
 #include "common/flags.h"
 #include "obs/trace_recorder.h"
@@ -41,12 +43,12 @@ int run(int argc, char** argv) {
   }
 
   if (flags.has("dump-configs")) {
-    const auto n = flags.get_int("dump-configs", 5);
+    const std::uint64_t n = flags.get_count("dump-configs", 5);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     flags.check_unused();
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::cout << sim::scenario_config_to_json(proptest::generate_config(
-                       seed, static_cast<std::uint64_t>(i)))
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::cout << sim::scenario_config_to_json(
+                       proptest::generate_config(seed, i))
                 << "\n";
     }
     return 0;
@@ -56,12 +58,11 @@ int run(int argc, char** argv) {
     // Byte-identity sweep: every generated config under every balancer,
     // trace on, one line of FNV digests (result JSON, trace) per run.  Two
     // builds that must not move any output print identical lines.
-    const auto n = flags.get_int("digest-configs", 40);
+    const std::uint64_t n = flags.get_count("digest-configs", 40);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     flags.check_unused();
-    for (std::int64_t i = 0; i < n; ++i) {
-      sim::ScenarioConfig cfg =
-          proptest::generate_config(seed, static_cast<std::uint64_t>(i));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      sim::ScenarioConfig cfg = proptest::generate_config(seed, i);
       cfg.capture_trace = true;
       for (const sim::BalancerKind b : sim::kAllBalancers) {
         cfg.balancer = b;
@@ -93,13 +94,16 @@ int run(int argc, char** argv) {
 
   proptest::RunOptions options;
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  options.count = static_cast<std::uint64_t>(flags.get_int("count", 100));
-  // --budget accepts plain seconds or a trailing 's' ("--budget 600s").
+  options.count = flags.get_count("count", 100);
+  // --budget accepts plain seconds or a trailing 's' ("--budget 600s"),
+  // parsed whole like every other numeric flag.
   if (flags.has("budget")) {
     std::string budget = flags.get("budget");
     if (!budget.empty() && budget.back() == 's') budget.pop_back();
-    options.budget_seconds = std::strtod(budget.c_str(), nullptr);
-    if (options.budget_seconds <= 0.0) {
+    const char* end = budget.data() + budget.size();
+    const auto [ptr, ec] =
+        std::from_chars(budget.data(), end, options.budget_seconds);
+    if (ec != std::errc{} || ptr != end || options.budget_seconds <= 0.0) {
       std::cerr << "lunule_proptest: bad --budget value\n";
       return 2;
     }

@@ -21,10 +21,15 @@ ProxyCacheTier::ProxyCacheTier(fs::NamespaceTree& tree, ProxyParams params)
 
 void ProxyCacheTier::set_tracer(obs::TraceRecorder* trace) { trace_ = trace; }
 
-void ProxyCacheTier::bump(const char* name, std::uint64_t by) {
-  // Counters are created on first bump only: a tier that never promotes
-  // anything leaves the registry — and hence the counter dump — untouched.
-  if (trace_ != nullptr) trace_->counters().counter(name).add(by);
+void ProxyCacheTier::add_counters(obs::Counters& out) const {
+  // A name enters the dump with its first event: a tier that never
+  // promotes anything leaves the counter dump untouched.
+  out.set_nonzero("proxy.reads_absorbed", totals_.reads_absorbed);
+  out.set_nonzero("proxy.lease_grants", totals_.lease_grants);
+  out.set_nonzero("proxy.lease_recalls", totals_.lease_recalls);
+  out.set_nonzero("proxy.lease_expiries", totals_.lease_expiries);
+  out.set_nonzero("proxy.promotions", totals_.promotions);
+  out.set_nonzero("proxy.demotions", totals_.demotions);
 }
 
 ProxyCacheTier::Entry* ProxyCacheTier::find(DirId d) {
@@ -47,12 +52,10 @@ bool ProxyCacheTier::try_absorb(DirId d, FileIndex i, Tick now) {
     // lease never outlives grant + lease_ticks, epoch boundary or not.
     e->grant_tick = -1;
     ++totals_.lease_expiries;
-    bump("proxy.lease_expiries");
     return false;
   }
   ++e->hits_epoch;
   ++totals_.reads_absorbed;
-  bump("proxy.reads_absorbed");
   return true;
 }
 
@@ -73,7 +76,6 @@ void ProxyCacheTier::on_served_read(DirId d, Tick now) {
   e->file_count_at_grant = tree_.dir(d).file_count();
   e->frag_bits_at_grant = tree_.frag_bits(d);
   ++totals_.lease_grants;
-  bump("proxy.lease_grants");
   if (trace_ != nullptr) {
     trace_->record(obs::Component::kCluster,
                    {.kind = obs::EventKind::kLeaseGrant,
@@ -88,7 +90,6 @@ void ProxyCacheTier::recall(Entry& e, RecallReason reason) {
   if (e.grant_tick < 0) return;  // nothing to revoke
   e.grant_tick = -1;
   ++totals_.lease_recalls;
-  bump("proxy.lease_recalls");
   if (trace_ != nullptr) {
     trace_->record(obs::Component::kCluster,
                    {.kind = obs::EventKind::kLeaseRecall,
@@ -168,7 +169,6 @@ void ProxyCacheTier::promote(DirId d, double rate_iops) {
   }
   tracked_[static_cast<std::size_t>(d)] = 1;
   ++totals_.promotions;
-  bump("proxy.promotions");
   if (trace_ != nullptr) {
     trace_->record(obs::Component::kCluster,
                    {.kind = obs::EventKind::kProxyPromote,
@@ -181,7 +181,6 @@ void ProxyCacheTier::demote(Entry& e, double rate_iops) {
   recall(e, RecallReason::kDemotion);
   tracked_[static_cast<std::size_t>(e.dir)] = 0;
   ++totals_.demotions;
-  bump("proxy.demotions");
   if (trace_ != nullptr) {
     trace_->record(obs::Component::kCluster,
                    {.kind = obs::EventKind::kProxyDemote,
@@ -273,23 +272,7 @@ std::vector<std::string> ProxyCacheTier::check_coherence(
                   "(missed split recall)");
     }
   }
-  // Lifetime accounting: the proxy.* counters must agree with the tier's
-  // own totals (value() reads 0 for never-created counters, so a quiescent
-  // tier checks for free without dirtying the registry).
-  const obs::CounterRegistry& c = cluster.trace().counters();
-  auto check_counter = [&](const char* name, std::uint64_t expected) {
-    if (c.value(name) != expected) {
-      v.push_back(std::string("proxy coherence: counter ") + name +
-                  " = " + std::to_string(c.value(name)) + ", tier total " +
-                  std::to_string(expected));
-    }
-  };
-  check_counter("proxy.reads_absorbed", totals_.reads_absorbed);
-  check_counter("proxy.lease_grants", totals_.lease_grants);
-  check_counter("proxy.lease_recalls", totals_.lease_recalls);
-  check_counter("proxy.lease_expiries", totals_.lease_expiries);
-  check_counter("proxy.promotions", totals_.promotions);
-  check_counter("proxy.demotions", totals_.demotions);
+  // Lifetime accounting: the lease algebra over the tier's totals.
   if (totals_.reads_absorbed > 0 && totals_.lease_grants == 0) {
     v.push_back("proxy coherence: reads absorbed without any lease grant");
   }

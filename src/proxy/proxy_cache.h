@@ -35,8 +35,9 @@
 // lease-miss reads through the least-loaded replica holder as before.
 //
 // Everything is off by default: without a tier installed (proxy.enabled =
-// false) no hook fires, no proxy.* counter is created, and every trace is
-// byte-identical to the pre-proxy behavior (pinned by a tier1 test).
+// false) no hook fires, the counter dump carries no proxy.* name, and every
+// trace is byte-identical to the pre-proxy behavior (pinned by a tier1
+// test).
 #pragma once
 
 #include <cstdint>
@@ -100,9 +101,9 @@ class ProxyCacheTier final : public mds::CacheTier {
   void on_epoch_close(mds::MdsCluster& cluster) override;
   [[nodiscard]] std::vector<std::string> check_coherence(
       const mds::MdsCluster& cluster) const override;
+  void add_counters(obs::Counters& out) const override;
 
-  /// Lifetime totals; the coherence audit checks the proxy.* counters
-  /// against these.
+  /// Lifetime totals; the proxy.* counters read these.
   struct Totals {
     std::uint64_t reads_absorbed = 0;
     std::uint64_t lease_grants = 0;
@@ -140,7 +141,6 @@ class ProxyCacheTier final : public mds::CacheTier {
   void demote(Entry& e, double rate_iops);
   /// True when `ancestor` lies on `d`'s root path (authority inheritance).
   [[nodiscard]] bool inherits_through(DirId d, DirId ancestor) const;
-  void bump(const char* name, std::uint64_t by = 1);
 
   fs::NamespaceTree& tree_;
   ProxyParams params_;

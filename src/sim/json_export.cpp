@@ -264,8 +264,8 @@ void write_trace(std::ostream& os, const obs::TraceRecorder& trace) {
 
   w.key("counters");
   w.begin_object();
-  for (const auto& [name, counter] : trace.counters().all()) {
-    w.field(std::string_view(name), counter.value());
+  for (const auto& [name, value] : trace.counters().all()) {
+    w.field(std::string_view(name), value);
   }
   w.end_object();
 

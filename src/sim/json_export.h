@@ -69,7 +69,7 @@ void write_result(std::ostream& os, const ScenarioResult& result);
 /// Convenience wrapper returning the document as a string.
 [[nodiscard]] std::string to_json(const ScenarioResult& result);
 
-/// Serializes a flight recorder: the monotonic counters (in name order)
+/// Serializes a flight recorder: the counters (in name order)
 /// and each component's ring (events oldest-first, with drop accounting).
 /// Events carry only simulated time, so the document is byte-identical
 /// across runs of the same seeded scenario.

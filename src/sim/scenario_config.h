@@ -123,9 +123,10 @@ struct ScenarioConfig {
   Tick migration_retry_backoff_ticks = 5;
 
   /// Record flight-recorder events and export them as `trace_json`.
-  /// Off by default: monotonic counters (and hence the invariant checks)
-  /// always run, but event recording and the JSON dump are only paid when
-  /// a trace was asked for (--trace, or tests that inspect the dump).
+  /// Off by default: the tallies behind the counters (and the invariant
+  /// checks) always run, but event recording and the JSON dump are only
+  /// paid when a trace was asked for (--trace, or tests that inspect the
+  /// dump).
   bool capture_trace = false;
 
   /// Sharded tick engine: 0 (default) keeps the legacy serial client loop;

@@ -30,8 +30,8 @@ Simulation::Simulation(const ScenarioConfig& cfg,
   LUNULE_CHECK(tree_ != nullptr);
   cluster_ =
       std::make_unique<mds::MdsCluster>(*tree_, cluster_params_for(cfg_));
-  // Event recording is opt-in; counters (the invariant checker's ground
-  // truth) stay on regardless.
+  // Event recording is opt-in; the counters read the cluster's tallies
+  // regardless.
   cluster_->trace().set_enabled(cfg_.capture_trace);
   if (balancer_ == nullptr) {
     balancer_ = make_balancer(cfg_.balancer, cluster_->params());

@@ -72,15 +72,11 @@ void Client::resolve_with_forwards(mds::MdsCluster& cluster, const Op& op,
       below = above;
     }
   }
-  MdsId target;
-  if (op.kind == OpKind::kCreate) {
-    const FileIndex idx = tree.dir(op.dir).file_count();
-    const MdsId pin = tree.frag(op.dir, tree.frag_of(op.dir, idx)).auth_pin;
-    target = pin != kNoMds ? pin : dir_auth;
-  } else {
-    target = tree.auth_of_file(op.dir, op.file);
-  }
-  if (target != dir_auth) {
+  // A create is served by the fragment its new dentry lands in.
+  const FileIndex file = op.kind == OpKind::kCreate
+                             ? tree.dir(op.dir).file_count()
+                             : op.file;
+  if (tree.auth_of_file(op.dir, file) != dir_auth) {
     // One extra hop when the file's dirfrag is pinned away from its dir.
     ++forwards_;
     cluster.charge_forward(dir_auth, lane);

@@ -128,7 +128,7 @@ TEST_F(ElasticClusterTest, ScaleUpWaitsOutTheHysteresisStreak) {
   as.on_epoch(cluster, hot);
   EXPECT_EQ(cluster.alive_count(), 3u);
   EXPECT_TRUE(cluster.is_up(2)) << "lowest-numbered standby joins first";
-  EXPECT_EQ(as.stats().scale_up_events, 1u);
+  EXPECT_EQ(cluster.elasticity().activations, 1u);
 }
 
 TEST_F(ElasticClusterTest, SingleRankSaturationAloneTriggersScaleUp) {
@@ -152,7 +152,7 @@ TEST_F(ElasticClusterTest, SaturationVetoesScaleDown) {
   as.on_epoch(cluster, skewed);
   EXPECT_EQ(cluster.alive_count(), 3u);
   EXPECT_EQ(as.draining_rank(), kNoMds);
-  EXPECT_EQ(as.stats().scale_down_events, 0u);
+  EXPECT_EQ(cluster.elasticity().retirements, 0u);
 }
 
 TEST_F(ElasticClusterTest, ScaleDownPicksLightestVictimNeverRankZero) {
@@ -166,7 +166,7 @@ TEST_F(ElasticClusterTest, ScaleDownPicksLightestVictimNeverRankZero) {
   EXPECT_TRUE(cluster.is_up(0));
   EXPECT_FALSE(cluster.is_up(1));
   EXPECT_TRUE(cluster.is_up(2));
-  EXPECT_EQ(as.stats().scale_down_events, 1u);
+  EXPECT_EQ(cluster.elasticity().retirements, 1u);
 }
 
 TEST_F(ElasticClusterTest, DrainMovesSubtreesThenRetires) {
@@ -183,7 +183,7 @@ TEST_F(ElasticClusterTest, DrainMovesSubtreesThenRetires) {
   as.on_epoch(cluster, light);  // drain sweep finds the rank empty
   EXPECT_FALSE(cluster.is_up(2));
   EXPECT_EQ(as.draining_rank(), kNoMds);
-  EXPECT_EQ(as.stats().scale_down_events, 1u);
+  EXPECT_EQ(cluster.elasticity().retirements, 1u);
   EXPECT_NE(tree.auth_of(dirs[0]), 2);
   EXPECT_NE(tree.auth_of(dirs[1]), 2);
 }
@@ -200,7 +200,7 @@ TEST_F(ElasticClusterTest, DrainCancelledWhenLoadReturns) {
   EXPECT_EQ(as.draining_rank(), kNoMds);
   EXPECT_TRUE(cluster.is_up(2));
   EXPECT_FALSE(cluster.is_draining(2));
-  EXPECT_EQ(as.stats().scale_down_events, 0u);
+  EXPECT_EQ(cluster.elasticity().retirements, 0u);
 }
 
 TEST_F(ElasticClusterTest, CrashMidDrainClearsTheDrain) {
@@ -214,7 +214,7 @@ TEST_F(ElasticClusterTest, CrashMidDrainClearsTheDrain) {
   EXPECT_FALSE(cluster.is_draining(2));
   as.on_epoch(cluster, light);
   EXPECT_EQ(as.draining_rank(), kNoMds);
-  EXPECT_EQ(as.stats().scale_down_events, 0u)
+  EXPECT_EQ(cluster.elasticity().retirements, 0u)
       << "a crash is a failover, not a completed scale-down";
 }
 
@@ -226,7 +226,7 @@ TEST_F(ElasticClusterTest, PoolNeverShrinksBelowMinRanks) {
   const std::vector<Load> idle = {0.0, 0.0, 0.0};
   for (int e = 0; e < 4; ++e) as.on_epoch(cluster, idle);
   EXPECT_EQ(cluster.alive_count(), 2u);
-  EXPECT_EQ(as.stats().scale_down_events, 0u);
+  EXPECT_EQ(cluster.elasticity().retirements, 0u);
 }
 
 // -- Scenario wiring ---------------------------------------------------------

@@ -66,6 +66,36 @@ TEST(Flags, ParsesAllForms) {
   EXPECT_TRUE(f.has("a"));
   EXPECT_FALSE(f.has("zzz"));
   f.check_unused();  // everything queried: must not exit
+
+  // The forms the perfbench harness passes: "--seed=%d" and a Python float.
+  const char* harness[] = {"prog", "--seed=-1", "--seconds=30.0",
+                           "--clients=0", "--scale=1e-2"};
+  Flags h(5, const_cast<char**>(harness));
+  EXPECT_EQ(h.get_int("seed", 0), -1);
+  EXPECT_DOUBLE_EQ(h.get_double("seconds", 0.0), 30.0);
+  EXPECT_EQ(h.get_count("clients", 7), 0u);
+  EXPECT_DOUBLE_EQ(h.get_double("scale", 0.0), 0.01);
+
+  // A value that does not parse whole exits 2 naming the flag, like an
+  // unknown flag, instead of running with the prefix that parsed.
+  const auto parse = [](const char* arg, const char* next = nullptr) {
+    const char* args[] = {"prog", arg, next};
+    return Flags(next != nullptr ? 3 : 2, const_cast<char**>(args));
+  };
+  EXPECT_EXIT((void)parse("--ticks=abc").get_int("ticks", 1),
+              ::testing::ExitedWithCode(2), "--ticks: 'abc'");
+  EXPECT_EXIT((void)parse("--seed=banana").get_int("seed", 42),
+              ::testing::ExitedWithCode(2), "--seed: 'banana'");
+  EXPECT_EXIT((void)parse("--ticks=1e6").get_int("ticks", 1),
+              ::testing::ExitedWithCode(2), "--ticks: '1e6'");
+  EXPECT_EXIT((void)parse("--scale=0.1abc").get_double("scale", 1.0),
+              ::testing::ExitedWithCode(2), "--scale: '0.1abc'");
+  EXPECT_EXIT((void)parse("--count", "abc").get_count("count", 100),
+              ::testing::ExitedWithCode(2), "--count: 'abc'");
+  EXPECT_EXIT((void)parse("--clients=-5").get_count("clients", 100),
+              ::testing::ExitedWithCode(2), "--clients: '-5'");
+  EXPECT_EXIT((void)parse("--buckets=").get_count("buckets", 12),
+              ::testing::ExitedWithCode(2), "--buckets: ''");
 }
 
 }  // namespace

@@ -465,8 +465,8 @@ TEST_F(JournalClusterTest, AppendsCheckpointsAndSyncsCounters) {
   for (MdsId m = 0; m < 3; ++m) {
     EXPECT_GT(cluster.journal(m).durable_subtree_map_seq(), 0u) << m;
   }
-  // The registry's journal counters were synced at epoch close.
-  const obs::CounterRegistry& counters = cluster.trace().counters();
+  // The journal counters read the totals as of the last epoch close.
+  const obs::Counters counters = cluster.trace().counters();
   EXPECT_EQ(counters.value("journal.appends"), totals.appends);
   EXPECT_EQ(counters.value("journal.bytes_written"), totals.bytes_written);
   EXPECT_EQ(counters.value("journal.flushes"), totals.flushes);
@@ -499,8 +499,8 @@ TEST_F(JournalClusterTest, DisabledJournalIsInert) {
   const mds::MdsCluster::JournalTotals totals = cluster.journal_totals();
   EXPECT_EQ(totals.appends, 0u);
   EXPECT_EQ(totals.bytes_written, 0u);
-  // No journal counter may even exist: their creation would already change
-  // the trace dump of journal-free runs.
+  // No journal counter may even appear: one would already change the trace
+  // dump of journal-free runs.
   for (const auto& [name, counter] : cluster.trace().counters().all()) {
     EXPECT_EQ(std::string(name).rfind("journal.", 0), std::string::npos)
         << name;
