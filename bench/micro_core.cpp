@@ -14,11 +14,13 @@
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/imbalance_factor.h"
+#include "core/lunule_balancer.h"
 #include "core/migration_initiator.h"
 #include "core/pattern_analyzer.h"
 #include "core/subtree_selector.h"
 #include "fs/builder.h"
 #include "mds/access_recorder.h"
+#include "mds/cluster.h"
 
 namespace lunule {
 namespace {
@@ -179,6 +181,82 @@ void BM_RecordAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RecordAccess);
+
+/// Reads every directory of `dirs` 1–241 times (a skewed, seeded count)
+/// and closes the epoch, so each unit has its own heat and last-epoch
+/// visits: few ties, as in a loaded namespace.
+void load_units(mds::MdsCluster& cluster, const std::vector<DirId>& dirs) {
+  Rng rng(12);
+  for (const DirId d : dirs) {
+    const std::uint64_t reads = 1 + rng.next_below(32) * rng.next_below(32) / 4;
+    for (std::uint64_t k = 0; k < reads; ++k) {
+      cluster.recorder().record(d, static_cast<FileIndex>(k % 8), 0);
+    }
+  }
+  cluster.recorder().close_epoch();
+}
+
+void BM_HeatShareWalk(benchmark::State& state) {
+  // CephFS's heat-share walk (Vanilla, GreedySpill, Lunule-Light) over one
+  // rank owning `units` hot leaf directories: collect, sum the heat, visit
+  // hottest first.  Arg 1 is where the visitor stops (0 = never), as
+  // Vanilla stops at its export limit or once the excess is placed.
+  const auto units = static_cast<std::uint32_t>(state.range(0));
+  const auto stop = static_cast<std::size_t>(state.range(1));
+  fs::NamespaceTree tree;
+  const std::vector<DirId> dirs = fs::build_private_dirs(tree, "w", units, 8);
+  mds::ClusterParams params;
+  params.n_mds = 4;
+  mds::MdsCluster cluster(tree, params);
+  load_units(cluster, dirs);
+  std::vector<balancer::Candidate> cands;
+  std::size_t visited = 0;
+  for (auto _ : state) {
+    visited = 0;
+    balancer::walk_heat_share(cands, cluster, 0, 2500.0,
+                              [&](const balancer::Candidate&, double) {
+                                return ++visited != stop;
+                              });
+    benchmark::DoNotOptimize(visited);
+  }
+  state.counters["visited"] = static_cast<double>(visited);
+}
+BENCHMARK(BM_HeatShareWalk)
+    ->ArgNames({"units", "stop"})
+    ->Args({4096, 16})
+    ->Args({4096, 0})
+    ->Args({32768, 16})
+    ->Args({32768, 0});
+
+void BM_HottestShardWalk(benchmark::State& state) {
+  // Lunule-Hash's epoch: `units` leaf directories hash-pinned over 4
+  // ranks, rank 0 overloaded, so its shards are walked by last-epoch
+  // visits until the importers' demand is met.  The queued exports are
+  // dropped between iterations, so every epoch plans from the same state.
+  const auto units = static_cast<std::uint32_t>(state.range(0));
+  fs::NamespaceTree tree;
+  const std::vector<DirId> dirs = fs::build_private_dirs(tree, "w", units, 8);
+  mds::ClusterParams params;
+  params.n_mds = 4;
+  mds::MdsCluster cluster(tree, params);
+  core::LunuleParams lp = core::LunuleParams::for_cluster(params);
+  lp.selection = core::SelectionRule::kHottestShard;
+  lp.min_pipeline_fraction = 0.0;
+  core::LunuleBalancer balancer(lp);
+  balancer.setup(cluster);
+  load_units(cluster, dirs);
+  const std::vector<Load> loads = {2400.0, 1500.0, 1500.0, 1500.0};
+  std::size_t queued = 0;
+  for (auto _ : state) {
+    balancer.on_epoch(cluster, loads);
+    state.PauseTiming();
+    queued = cluster.migration().pending_exports(0);
+    for (MdsId m = 0; m < 4; ++m) cluster.migration().drop_queued(m);
+    state.ResumeTiming();
+  }
+  state.counters["queued"] = static_cast<double>(queued);
+}
+BENCHMARK(BM_HottestShardWalk)->ArgName("units")->Arg(4096)->Arg(32768);
 
 void BM_ZipfSample(benchmark::State& state) {
   const ZipfSampler sampler(10000, 0.83);

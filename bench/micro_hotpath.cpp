@@ -47,6 +47,14 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Makes `value` look used to the optimizer, so a timed loop of inline
+/// lookups cannot be hoisted, merged or dropped (google-benchmark's
+/// DoNotOptimize, without the library).
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
 /// Builds a chain of kChainDepth dirs with `n_dirs` file-bearing leaf
 /// directories fanned out under the last one; returns the leaf ids.
 std::vector<DirId> build_fanout(fs::NamespaceTree& tree, std::size_t n_dirs) {
@@ -93,27 +101,27 @@ void bench_auth_lookup(SizeResult& r, std::size_t n_dirs) {
     tree.set_auth(leaves[i], static_cast<MdsId>(i % 5));
   }
   constexpr std::size_t kLookups = 200'000;
-  std::int64_t sink = 0;
   for (const bool cached : {true, false}) {
+    // auth_of's hit path is inline, so each result goes through keep():
+    // otherwise the optimizer could hoist or drop the lookups it times.
     const auto lookup = [&](DirId d) {
-      return cached ? tree.auth_of(d) : tree.resolve_auth_uncached(d);
+      keep(cached ? tree.auth_of(d) : tree.resolve_auth_uncached(d));
     };
     // Warm-up pass: the cached row measures steady-state hits, not the
     // one-time fill cost of a cold cache (and the uncached row gets the
     // same page/TLB warming so the comparison stays paired).
     Rng warm(11);
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += lookup(leaves[warm.next_below(leaves.size())]);
+      lookup(leaves[warm.next_below(leaves.size())]);
     }
     Rng rng(11);
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += lookup(leaves[rng.next_below(leaves.size())]);
+      lookup(leaves[rng.next_below(leaves.size())]);
     }
     const double ns = seconds_since(t0) * 1e9 / kLookups;
     (cached ? r.auth_cached_ns : r.auth_uncached_ns) = ns;
   }
-  if (sink == -1) std::cout << "";  // keep the lookups observable
   r.auth_speedup = r.auth_uncached_ns / r.auth_cached_ns;
 }
 

@@ -4,7 +4,9 @@
 # bench (BENCH_latency.json), writing both at the repo root.  The JSONs
 # are committed so the perf trajectory of the hot paths and the per-op
 # latency distribution are reviewable over time; CI's perf-smoke job runs
-# the same command and uploads the files as artifacts.
+# the same command and uploads the files as artifacts.  Both benches run
+# even when the first one fails a [SHAPE-CHECK] gate, so both JSONs are
+# always fresh; the script exits with the worse of the two statuses.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,5 +20,8 @@ fi
 cmake -B "$BUILD_DIR" "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target micro_hotpath --target latency_profile
-"$BUILD_DIR"/bench/micro_hotpath --json=BENCH_hotpath.json
-"$BUILD_DIR"/bench/latency_profile --json=BENCH_latency.json
+hotpath=0
+"$BUILD_DIR"/bench/micro_hotpath --json=BENCH_hotpath.json || hotpath=$?
+latency=0
+"$BUILD_DIR"/bench/latency_profile --json=BENCH_latency.json || latency=$?
+exit $((hotpath > latency ? hotpath : latency))

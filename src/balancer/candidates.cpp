@@ -128,16 +128,15 @@ void walk_heat_share(
     const std::function<bool(const Candidate& unit, double est_load)>& visit) {
   collect_candidates_into(cands, cluster.tree(), owner,
                           cluster.candidate_dirs(), cluster.shard_pool());
-  // Summed before sorting: a different summation order could move the
-  // total's last bit, and with it every estimate.
+  // Summed before the walk reorders the list: a different summation order
+  // could move the total's last bit, and with it every estimate.
   double total_heat = 0.0;
   for (const Candidate& c : cands) total_heat += c.heat;
   if (total_heat <= 0.0) return;
-  std::sort(cands.begin(), cands.end(), heat_order);
-  for (const Candidate& c : cands) {
-    if (c.heat <= 0.0) break;  // the rest are cold
-    if (!visit(c, owner_load * (c.heat / total_heat))) break;
-  }
+  walk_in_order(cands, heat_order, [&](const Candidate& c) {
+    if (c.heat <= 0.0) return false;  // the rest are cold
+    return visit(c, owner_load * (c.heat / total_heat));
+  });
 }
 
 Candidate make_candidate(fs::NamespaceTree& tree,

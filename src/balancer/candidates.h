@@ -19,6 +19,7 @@
 // it unchanged.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -106,6 +107,35 @@ inline constexpr std::uint64_t kTieRankSalt = 0x11ULL;
     return a.visits_last_epoch > b.visits_last_epoch;
   }
   return ref_tie_before(a.ref, b.ref);
+}
+
+/// Visits `cands` in `before` order until `visit` returns false.  The list
+/// becomes a heap (O(n)) and each visit pops one unit (O(log n)), so a
+/// walk that stops early never orders the rest.  A walk still going after
+/// kHeapVisits visits sorts the units left and goes on in that order:
+/// popping a whole heap costs up to 1.4x one sort.  `before` must be a
+/// strict total order, as the tie-broken orders above are: then the visit
+/// order is exactly the order std::sort would give.  Reorders `cands`; a
+/// visited unit stays in place for the rest of the walk.
+template <typename Before, typename Visit>
+void walk_in_order(std::vector<Candidate>& cands, Before before,
+                   Visit&& visit) {
+  constexpr std::size_t kHeapVisits = 256;
+  const auto after = [&before](const Candidate& a, const Candidate& b) {
+    return before(b, a);
+  };
+  auto end = cands.end();
+  std::make_heap(cands.begin(), end, after);
+  for (std::size_t v = 0; v < kHeapVisits && end != cands.begin(); ++v) {
+    std::pop_heap(cands.begin(), end, after);
+    --end;
+    if (!visit(*end)) return;
+  }
+  // The unvisited units all follow the visited ones in `before` order.
+  std::sort(cands.begin(), end, before);
+  for (auto it = cands.begin(); it != end; ++it) {
+    if (!visit(*it)) return;
+  }
 }
 
 /// A migratable leaf unit: a directory that holds files or has no

@@ -2,26 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/assert.h"
 
 namespace lunule {
-
-int Histogram::bucket_of(double value) {
-  if (value < 1.0) return 0;
-  // For 2^e <= v < 2^(e+1) the sub-bucket is the top four bits of the
-  // exact fraction (v - 2^e) / 2^e, i.e. of the mantissa.  Bits 63..48 of
-  // the double hold (biased exponent << 4) | those bits, so subtracting
-  // the bias leaves e * 16 + sub.  Reading the bits also avoids log2(),
-  // whose correctly rounded log2(2^k - ulp) can round up to k and put the
-  // value a whole band too high.  From 2^63 up (and inf) the value clamps
-  // into the last sub-bucket of the 2^62 band.
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof bits);
-  return std::min(63 * kSubBuckets - 1,
-                  static_cast<int>((bits >> 48) - (1023U << 4)));
-}
 
 double Histogram::bucket_value(int bucket) {
   const int exponent = bucket / kSubBuckets;
@@ -29,14 +13,6 @@ double Histogram::bucket_value(int bucket) {
   const double lower = std::exp2(exponent);
   // Bucket midpoint.
   return lower * (1.0 + (static_cast<double>(sub) + 0.5) / kSubBuckets);
-}
-
-void Histogram::add(double value, std::uint64_t count) {
-  LUNULE_CHECK(value >= 0.0);
-  buckets_[static_cast<std::size_t>(bucket_of(value))] += count;
-  total_ += count;
-  sum_ += value * static_cast<double>(count);
-  max_ = std::max(max_, value);
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -7,14 +7,27 @@
 // tick-granularity latencies.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+
+#include "common/assert.h"
 
 namespace lunule {
 
 class Histogram {
  public:
-  void add(double value, std::uint64_t count = 1);
+  /// Adds `count` observations of `value`.  For integer-valued `value`
+  /// (and sums below 2^53) one add(v, k) leaves every field bit-equal to
+  /// k calls of add(v), in any interleaving with other such adds.
+  void add(double value, std::uint64_t count = 1) {
+    LUNULE_CHECK(value >= 0.0);
+    buckets_[static_cast<std::size_t>(bucket_of(value))] += count;
+    total_ += count;
+    sum_ += value * static_cast<double>(count);
+    max_ = std::max(max_, value);
+  }
 
   /// Merges another histogram into this one.
   void merge(const Histogram& other);
@@ -34,7 +47,24 @@ class Histogram {
   static constexpr int kBuckets = 64 * kSubBuckets;
 
   /// Bucket index for `value` (exposed for boundary tests).
-  [[nodiscard]] static int bucket_of(double value);
+  [[nodiscard]] static int bucket_of(double value) {
+    if (value < 1.0) return 0;
+    // For 2^e <= v < 2^(e+1) the sub-bucket is the top four bits of the
+    // exact fraction (v - 2^e) / 2^e, i.e. of the mantissa.  Bits 63..48
+    // of the double hold (biased exponent << 4) | those bits, so
+    // subtracting the bias leaves e * 16 + sub.  Reading the bits also
+    // avoids log2(), whose correctly rounded log2(2^k - ulp) can round up
+    // to k and put the value a whole band too high.  From 2^63 up (and
+    // inf) the value clamps into the last sub-bucket of the 2^62 band.
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return std::min(63 * kSubBuckets - 1,
+                    static_cast<int>((bits >> 48) - (1023U << 4)));
+  }
+  /// Observations in `bucket` (tests compare whole distributions).
+  [[nodiscard]] std::uint64_t bucket_count(int bucket) const {
+    return buckets_[static_cast<std::size_t>(bucket)];
+  }
   /// Representative (midpoint) value of `bucket`.
   [[nodiscard]] static double bucket_value(int bucket);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.h"
 
@@ -19,9 +18,7 @@ double zipf_weight(std::uint64_t k, double exponent) {
 }  // namespace
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double exponent)
-    : exponent_(exponent) {
-  LUNULE_CHECK(n > 0);
-  LUNULE_CHECK(n <= std::numeric_limits<std::uint32_t>::max());
+    : exponent_(exponent), scatter_(n) {
   LUNULE_CHECK(exponent >= 0.0);
   cdf_.resize(n);
   double acc = 0.0;
@@ -39,20 +36,6 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double exponent)
     while (cdf_[k] < bound) ++k;  // stops at the last rank: cdf_ ends at 1
     guide_[j] = k;
   }
-}
-
-std::uint64_t ZipfSampler::rank_of(double u) const {
-  LUNULE_CHECK(u >= 0.0 && u <= 1.0);  // the walk below relies on it; no NaN
-  const std::uint64_t n = cdf_.size();
-  // u * n can round up to the next slot (or to n itself), so the start may
-  // overshoot by a rank: step back while the previous rank already covers
-  // u, then forward while this one does not.  Whatever the start, this
-  // ends at the first k with cdf_[k] >= u.
-  std::uint64_t k = guide_[std::min(
-      static_cast<std::uint64_t>(u * static_cast<double>(n)), n - 1)];
-  while (k > 0 && cdf_[k - 1] >= u) --k;
-  while (cdf_[k] < u) ++k;
-  return k;
 }
 
 double ZipfSampler::pmf(std::uint64_t rank) const {

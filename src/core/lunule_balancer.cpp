@@ -205,24 +205,24 @@ void LunuleBalancer::select_hottest_shards(
   balancer::collect_candidates_into(cands_, cluster.tree(), exporter,
                                     cluster.window_live_dirs(),
                                     cluster.shard_pool());
-  std::sort(cands_.begin(), cands_.end(),
-            balancer::last_epoch_visits_order);
   // The cutting windows span kCuttingWindows epochs.
   const double epoch_seconds = params_.selector.window_seconds /
                                static_cast<double>(fs::kCuttingWindows);
-  for (const balancer::Candidate& shard : cands_) {
+  const auto take = [&](const balancer::Candidate& shard) {
     const double rate =
         static_cast<double>(shard.visits_last_epoch) / epoch_seconds;
-    if (rate <= 0.0) break;  // the rest of the list is idle
-    if (rate > params_.selector.hot_skip_iops) continue;  // freeze would abort
-    if (shard.inodes > inode_budget) continue;
+    if (rate <= 0.0) return false;  // the rest of the list is idle
+    if (rate > params_.selector.hot_skip_iops) return true;  // a freeze aborts
+    if (shard.inodes > inode_budget) return true;
     MigrationAssignment* target = largest_demand(assignments);
-    if (target == nullptr) break;
+    if (target == nullptr) return false;
     if (cluster.migration().submit(shard.ref, target->importer)) {
       target->amount -= rate;
       inode_budget -= shard.inodes;
     }
-  }
+    return true;
+  };
+  balancer::walk_in_order(cands_, balancer::last_epoch_visits_order, take);
 }
 
 }  // namespace lunule::core

@@ -6,22 +6,6 @@
 
 namespace lunule::fs {
 
-namespace {
-
-/// Packs a resolved authority with the cache generation into one word.
-/// auth + 1 keeps the value field non-zero for rank 0 so an all-zero
-/// (freshly grown) entry can never decode as valid.
-std::uint64_t pack_auth(std::uint64_t gen, MdsId auth) {
-  return (gen << 16) |
-         static_cast<std::uint16_t>(static_cast<std::uint32_t>(auth) + 1);
-}
-
-MdsId unpack_auth(std::uint64_t packed) {
-  return static_cast<MdsId>(static_cast<std::uint16_t>(packed)) - 1;
-}
-
-}  // namespace
-
 NamespaceTree::NamespaceTree() {
   dirs_.emplace_back("/");
   parent_.push_back(kNoDir);
@@ -74,14 +58,6 @@ void NamespaceTree::add_files(DirId d, std::uint32_t count) {
   for (std::uint32_t i = old_size; i < old_size + count; ++i) {
     ++fr[i & mask].file_count;
   }
-}
-
-FileIndex NamespaceTree::create_file(DirId d) {
-  Directory& dir = dirs_[d];
-  const auto idx = static_cast<FileIndex>(dir.files_.size());
-  dir.files_.emplace_back();
-  ++frag(d, frag_of(d, idx)).file_count;
-  return idx;
 }
 
 void NamespaceTree::fragment_dir(DirId d, std::uint8_t bits) {
@@ -199,10 +175,8 @@ MdsId NamespaceTree::resolve_auth_uncached(DirId d) const {
   return explicit_auth_[d];
 }
 
-MdsId NamespaceTree::auth_of(DirId d) const {
+MdsId NamespaceTree::resolve_and_fill(DirId d) const {
   const std::uint64_t gen = dir_auth_gen_;
-  std::uint64_t packed = auth_cache_.load(d);
-  if ((packed >> 16) == gen) return unpack_auth(packed);
   // Walk up collecting stale directories until a pin or a warm cache entry
   // resolves the chain, then fill the whole walk downward — amortised O(1)
   // per lookup, and iterative so pathologically deep chains cannot
@@ -214,7 +188,7 @@ MdsId NamespaceTree::auth_of(DirId d) const {
   DirId cur = d;
   MdsId a = kNoMds;
   while (true) {
-    packed = auth_cache_.load(cur);
+    const std::uint64_t packed = auth_cache_.load(cur);
     if ((packed >> 16) == gen) {
       a = unpack_auth(packed);
       break;
@@ -231,11 +205,6 @@ MdsId NamespaceTree::auth_of(DirId d) const {
   auth_cache_.store(cur, fill);
   for (const DirId w : walk) auth_cache_.store(w, fill);
   return a;
-}
-
-MdsId NamespaceTree::auth_of_file(DirId d, FileIndex i) const {
-  const MdsId pin = frag(d, frag_of(d, i)).auth_pin;
-  return pin != kNoMds ? pin : auth_of(d);
 }
 
 MdsId NamespaceTree::auth_of_subtree(const SubtreeRef& ref) const {

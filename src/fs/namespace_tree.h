@@ -76,7 +76,13 @@ class NamespaceTree {
   /// Creates one file at runtime (MDtest-create path); returns its index.
   /// Touches only `d` and the fragment the file lands in, so a rank stream
   /// of the sharded engine may create in a directory its rank serves.
-  FileIndex create_file(DirId d);
+  FileIndex create_file(DirId d) {
+    Directory& dir = dirs_[d];
+    const auto idx = static_cast<FileIndex>(dir.files_.size());
+    dir.files_.emplace_back();
+    ++frag(d, frag_of(d, idx)).file_count;
+    return idx;
+  }
   /// Makes room in every per-directory array for `more` further add_dir
   /// calls (bulk builders); changes no value.  The fragment arena keeps
   /// room for one more block of 2^kMaxFragBits fragments on top, so the
@@ -107,9 +113,16 @@ class NamespaceTree {
 
   /// Resolved authority of directory `d` (cached).  Safe to call
   /// concurrently during the sharded tick phase (no pin may change then).
-  [[nodiscard]] MdsId auth_of(DirId d) const;
+  [[nodiscard]] MdsId auth_of(DirId d) const {
+    const std::uint64_t packed = auth_cache_.load(d);
+    if ((packed >> 16) == dir_auth_gen_) return unpack_auth(packed);
+    return resolve_and_fill(d);
+  }
   /// Resolved authority of file `i` within `d` (respects frag pins).
-  [[nodiscard]] MdsId auth_of_file(DirId d, FileIndex i) const;
+  [[nodiscard]] MdsId auth_of_file(DirId d, FileIndex i) const {
+    const MdsId pin = frag(d, frag_of(d, i)).auth_pin;
+    return pin != kNoMds ? pin : auth_of(d);
+  }
   /// Resolved authority of a migratable unit.
   [[nodiscard]] MdsId auth_of_subtree(const SubtreeRef& ref) const;
   /// Cache-free resolution by walking the pin chain (the invariant
@@ -217,6 +230,18 @@ class NamespaceTree {
   }
 
  private:
+  /// Packs a resolved authority with the cache generation into one word.
+  /// auth + 1 keeps the value field non-zero for rank 0 so an all-zero
+  /// (freshly grown) entry can never decode as valid.
+  static std::uint64_t pack_auth(std::uint64_t gen, MdsId auth) {
+    return (gen << 16) |
+           static_cast<std::uint16_t>(static_cast<std::uint32_t>(auth) + 1);
+  }
+  static MdsId unpack_auth(std::uint64_t packed) {
+    return static_cast<MdsId>(static_cast<std::uint16_t>(packed)) - 1;
+  }
+  /// auth_of's miss path: walks the pin chain and fills the cache.
+  [[nodiscard]] MdsId resolve_and_fill(DirId d) const;
   /// Directory-level pins changed: the flat resolution cache is stale.
   void invalidate_auth_cache() { ++dir_auth_gen_; }
   /// Adds `d` to the pin index or drops it, after its pins changed.

@@ -46,25 +46,6 @@ MdsJournal::MdsJournal(MdsId rank, JournalParams params)
   LUNULE_CHECK(params_.async_high_water_entries >= 1);
 }
 
-std::uint64_t MdsJournal::append(JournalEntry e) {
-  LUNULE_CHECK(e.type != EntryType::kSubtreeMap);
-  e.seq = ++seq_;
-  // Dependency stamping: a dir-scoped entry depends on the newest earlier
-  // entry touching the same directory (create-before-child-create, export-
-  // commit-before-dependent-update); a directory's first entry reads the
-  // probe's fresh 0.  Stamped in every mode so sync and async journals
-  // carry identical entries — only the cost routing differs.
-  if (e.dir != kNoDir) {
-    if (e.dir >= last_dir_seq_.size()) last_dir_seq_.resize(e.dir + 1, 0);
-    std::uint64_t& last = last_dir_seq_[e.dir];
-    e.dep_seq = last;
-    last = e.seq;
-  }
-  bytes_ += entry_bytes(e.type);
-  push(e);
-  return seq_;
-}
-
 std::uint64_t MdsJournal::append_checkpoint(Tick tick, EpochId epoch,
                                             SubtreeSnapshot snapshot) {
   // A checkpoint depends on the whole prefix before it.
@@ -83,16 +64,9 @@ std::uint64_t MdsJournal::append_checkpoint(Tick tick, EpochId epoch,
   return seq;
 }
 
-void MdsJournal::push(const JournalEntry& e) {
-  if (params_.async_mode) ++async_acked_;
-  if (segments_.empty() ||
-      segments_.back().entries.size() >= params_.segment_entries) {
-    segments_.emplace_back();
-    segments_.back().entries.reserve(params_.segment_entries);
-  }
-  segments_.back().entries.push_back(e);
-  ++retained_;
-  ++appends_;
+void MdsJournal::open_segment() {
+  segments_.emplace_back();
+  segments_.back().entries.reserve(params_.segment_entries);
 }
 
 const Checkpoint* MdsJournal::checkpoint(std::uint64_t seq) const {

@@ -33,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
 #include "journal/journal_entry.h"
 
@@ -102,7 +103,24 @@ class MdsJournal {
   /// Stamps `e` (an EUpdate, EExportCommit or EImportStart) with the next
   /// sequence number and appends it, opening a new segment when the tail
   /// segment is full.  Returns the assigned seq.
-  std::uint64_t append(JournalEntry e);
+  std::uint64_t append(JournalEntry e) {
+    LUNULE_CHECK(e.type != EntryType::kSubtreeMap);
+    e.seq = ++seq_;
+    // Dependency stamping: a dir-scoped entry depends on the newest earlier
+    // entry touching the same directory (create-before-child-create,
+    // export-commit-before-dependent-update); a directory's first entry
+    // reads the probe's fresh 0.  Stamped in every mode so sync and async
+    // journals carry identical entries — only the cost routing differs.
+    if (e.dir != kNoDir) {
+      if (e.dir >= last_dir_seq_.size()) last_dir_seq_.resize(e.dir + 1, 0);
+      std::uint64_t& last = last_dir_seq_[e.dir];
+      e.dep_seq = last;
+      last = e.seq;
+    }
+    bytes_ += entry_bytes(e.type);
+    push(e);
+    return seq_;
+  }
 
   /// Appends an ESubtreeMap entry stamped (`tick`, `epoch`) and keeps its
   /// payload beside the segments until trim() or reset() drops the entry.
@@ -204,7 +222,18 @@ class MdsJournal {
 
  private:
   /// Opens a new segment when needed, then stores `e`.
-  void push(const JournalEntry& e);
+  void push(const JournalEntry& e) {
+    if (params_.async_mode) ++async_acked_;
+    if (segments_.empty() ||
+        segments_.back().entries.size() >= params_.segment_entries) {
+      open_segment();
+    }
+    segments_.back().entries.push_back(e);
+    ++retained_;
+    ++appends_;
+  }
+  /// Appends an empty segment with room for `segment_entries` entries.
+  void open_segment();
 
   MdsId rank_;
   JournalParams params_;

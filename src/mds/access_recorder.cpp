@@ -44,52 +44,6 @@ AccessRecorder::AccessRecorder(fs::NamespaceTree& tree, RecorderParams params,
   tree_.set_heat_decay(params_.heat_decay);
 }
 
-AccessOutcome AccessRecorder::record(DirId d, FileIndex i, EpochId epoch,
-                                     RecorderLane* lane) {
-  fs::FileState& file = tree_.dir(d).file(i);
-
-  AccessOutcome out;
-  // Only the first op on a file per epoch is a logical visit; the rest of
-  // the lookup/getattr/open chain lands in the same epoch and carries no
-  // locality information.
-  const bool logical_visit =
-      file.last_access_epoch != static_cast<std::uint32_t>(epoch);
-  out.first_visit = !file.visited();
-  out.recurrent =
-      !out.first_visit && file.recurrent_at(epoch, fs::kCuttingWindows);
-  file.last_access_epoch = static_cast<std::uint32_t>(epoch);
-
-  fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
-  tree_.advance_frag_stats(frag);
-  ++frag.open.visits;
-  frag.heat += 1.0;
-  if (logical_visit) ++frag.open.file_visits;
-  if (out.first_visit) {
-    ++frag.open.first_visits;
-    ++frag.visited_files;
-    credit_sibling(d, i, lane);
-  }
-  if (logical_visit && out.recurrent) ++frag.open.recurrent;
-  mark_touched(d, lane);
-  return out;
-}
-
-void AccessRecorder::record_create(DirId d, FileIndex i, EpochId epoch,
-                                   RecorderLane* lane) {
-  fs::FileState& file = tree_.dir(d).file(i);
-  file.last_access_epoch = static_cast<std::uint32_t>(epoch);
-
-  fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
-  tree_.advance_frag_stats(frag);
-  ++frag.open.visits;
-  ++frag.open.file_visits;
-  frag.heat += 1.0;
-  ++frag.open.first_visits;
-  ++frag.open.creates;
-  ++frag.visited_files;
-  mark_touched(d, lane);
-}
-
 void AccessRecorder::credit_sibling(DirId d, FileIndex i,
                                     RecorderLane* lane) {
   if (params_.sibling_credit_prob <= 0.0) return;
@@ -131,31 +85,22 @@ void AccessRecorder::credit_sibling(DirId d, FileIndex i,
   fs::FragStats& frag = tree_.frag(sibling, frag_pick);
   tree_.advance_frag_stats(frag);
   frag.sibling_credit_epoch += 1.0;
-  mark_touched(sibling, nullptr);
+  mark_touched(sibling);
 }
 
 void AccessRecorder::merge_lane(RecorderLane& lane) {
-  for (const DirId d : lane.touched) mark_touched(d, nullptr);
+  for (const DirId d : lane.touched) mark_touched(d);
   for (const RecorderLane::Credit& c : lane.credits) {
     fs::FragStats& frag = tree_.frag(c.sibling, c.frag);
     tree_.advance_frag_stats(frag);
     frag.sibling_credit_epoch += 1.0;
-    mark_touched(c.sibling, nullptr);
+    mark_touched(c.sibling);
   }
   lane.touched.clear();
   lane.credits.clear();
 }
 
-void AccessRecorder::mark_touched(DirId d, RecorderLane* lane) {
-  if (lane != nullptr) {
-    // Dup-tolerant escrow: consecutive marks for the same directory (the
-    // common case — a client hammering one dir) are elided, the rest are
-    // deduplicated by the serial path at merge.
-    if (lane->touched.empty() || lane->touched.back() != d) {
-      lane->touched.push_back(d);
-    }
-    return;
-  }
+void AccessRecorder::mark_touched(DirId d) {
   if (d >= touched_epoch_.size()) {
     const std::size_t n = tree_.dir_count();
     touched_epoch_.resize(n, -1);

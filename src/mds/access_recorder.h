@@ -101,11 +101,50 @@ class AccessRecorder {
   /// Records a read/lookup access to file `i` of directory `d`.  With a
   /// lane, shared-state effects are escrowed instead of applied.
   AccessOutcome record(DirId d, FileIndex i, EpochId epoch,
-                       RecorderLane* lane = nullptr);
+                       RecorderLane* lane = nullptr) {
+    fs::FileState& file = tree_.dir(d).file(i);
+
+    AccessOutcome out;
+    // Only the first op on a file per epoch is a logical visit; the rest of
+    // the lookup/getattr/open chain lands in the same epoch and carries no
+    // locality information.
+    const bool logical_visit =
+        file.last_access_epoch != static_cast<std::uint32_t>(epoch);
+    out.first_visit = !file.visited();
+    out.recurrent =
+        !out.first_visit && file.recurrent_at(epoch, fs::kCuttingWindows);
+    file.last_access_epoch = static_cast<std::uint32_t>(epoch);
+
+    fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
+    tree_.advance_frag_stats(frag);
+    ++frag.open.visits;
+    frag.heat += 1.0;
+    if (logical_visit) ++frag.open.file_visits;
+    if (out.first_visit) {
+      ++frag.open.first_visits;
+      ++frag.visited_files;
+      credit_sibling(d, i, lane);
+    }
+    if (logical_visit && out.recurrent) ++frag.open.recurrent;
+    mark_touched(d, lane);
+    return out;
+  }
 
   /// Records a create of file `i` (always a first visit).
   void record_create(DirId d, FileIndex i, EpochId epoch,
-                     RecorderLane* lane = nullptr);
+                     RecorderLane* lane = nullptr) {
+    tree_.dir(d).file(i).last_access_epoch = static_cast<std::uint32_t>(epoch);
+
+    fs::FragStats& frag = tree_.frag(d, tree_.frag_of(d, i));
+    tree_.advance_frag_stats(frag);
+    ++frag.open.visits;
+    ++frag.open.file_visits;
+    frag.heat += 1.0;
+    ++frag.open.first_visits;
+    ++frag.open.creates;
+    ++frag.visited_files;
+    mark_touched(d, lane);
+  }
 
   /// Applies one rank's escrowed effects; call once per lane, in ascending
   /// rank order, from the serial merge.
@@ -114,7 +153,7 @@ class AccessRecorder {
   /// Marks `d` touched in the open epoch without recording an access, for
   /// callers that write its FragStats directly: the next close folds it
   /// and it joins the active set (appended; sorted at the next close).
-  void touch(DirId d) { mark_touched(d, nullptr); }
+  void touch(DirId d) { mark_touched(d); }
 
   /// Folds open-epoch accumulators into the windows, decays heat, ticks
   /// the tree's statistics clock, expires drained directories and rebuilds
@@ -183,7 +222,23 @@ class AccessRecorder {
   [[nodiscard]] const RecorderParams& params() const { return params_; }
 
  private:
-  void mark_touched(DirId d, RecorderLane* lane);
+  /// Marks `d` touched in the open epoch: escrowed in the lane during a
+  /// shard phase, applied at once otherwise.
+  void mark_touched(DirId d, RecorderLane* lane) {
+    if (lane == nullptr) {
+      mark_touched(d);
+      return;
+    }
+    // Dup-tolerant escrow: consecutive marks for the same directory (the
+    // common case — a client hammering one dir) are elided, the rest are
+    // deduplicated by the serial path at merge.
+    if (lane->touched.empty() || lane->touched.back() != d) {
+      lane->touched.push_back(d);
+    }
+  }
+  /// The serial mark: stamps `d`, queues it for the close and joins it to
+  /// the active and window-live sets.
+  void mark_touched(DirId d);
   void credit_sibling(DirId d, FileIndex i, RecorderLane* lane);
   /// Folds dirty_[lo, hi) for the closing epoch, prefetching ahead.
   void fold_range(std::size_t lo, std::size_t hi, EpochId closing);

@@ -63,14 +63,6 @@ void MdsServer::restore_history(std::span<const double> replayed) {
   history_.insert(history_.begin(), lead.rbegin(), lead.rend());
 }
 
-bool MdsServer::try_serve(double cost) {
-  if (budget_ < cost) return false;
-  budget_ -= cost;
-  ++served_epoch_;
-  ++total_served_;
-  return true;
-}
-
 void MdsServer::charge_forward(double cost) {
   budget_ -= cost;  // may go (slightly) negative: redirects are not shed
   if (budget_ < 0.0) budget_ = 0.0;

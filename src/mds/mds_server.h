@@ -66,7 +66,13 @@ class MdsServer {
 
   /// Attempts to consume `cost` service units this tick.  Returns false if
   /// the server is saturated.
-  bool try_serve(double cost = 1.0);
+  bool try_serve(double cost = 1.0) {
+    if (budget_ < cost) return false;
+    budget_ -= cost;
+    ++served_epoch_;
+    ++total_served_;
+    return true;
+  }
 
   /// Consumes capacity for a request forward (redirect) without counting it
   /// as a served metadata operation.  Never blocks: if the budget is

@@ -237,7 +237,7 @@ void MigrationEngine::refresh_frozen() {
   }
 }
 
-bool MigrationEngine::is_frozen(DirId d, FileIndex i) const {
+bool MigrationEngine::frozen_covers(DirId d, FileIndex i) const {
   for (const fs::SubtreeRef& ref : frozen_) {
     if (ref.is_frag()) {
       if (ref.dir == d && tree_.frag_of(d, i) == ref.frag) return true;

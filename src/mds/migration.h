@@ -94,7 +94,9 @@ class MigrationEngine {
   /// True when serving (d, i) must stall because a covering subtree is in
   /// its frozen commit window.  Reads only the frozen set, which the
   /// serial mutators re-derive (safe to call from concurrent rank streams).
-  [[nodiscard]] bool is_frozen(DirId d, FileIndex i) const;
+  [[nodiscard]] bool is_frozen(DirId d, FileIndex i) const {
+    return !frozen_.empty() && frozen_covers(d, i);
+  }
 
   /// True when `m` is exporter or importer of any active transfer.
   [[nodiscard]] bool involved(MdsId m) const;
@@ -207,6 +209,8 @@ class MigrationEngine {
   /// other mutators drop queued tasks, which are never frozen), so each of
   /// those calls this before returning.
   void refresh_frozen();
+  /// is_frozen's walk over a non-empty frozen set.
+  [[nodiscard]] bool frozen_covers(DirId d, FileIndex i) const;
 
   fs::NamespaceTree& tree_;
   MigrationParams params_;

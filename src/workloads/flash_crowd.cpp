@@ -9,7 +9,6 @@ FlashCrowdProgram::FlashCrowdProgram(
     std::uint32_t home_files, std::uint64_t requests, double hot_fraction,
     std::shared_ptr<const ZipfSampler> sampler, Rng rng, double meta_ratio)
     : hot_dir_(hot_dir),
-      hot_files_(hot_files),
       home_dir_(home_dir),
       home_files_(home_files),
       remaining_files_(requests),
@@ -18,7 +17,7 @@ FlashCrowdProgram::FlashCrowdProgram(
       rng_(rng),
       pacer_(meta_ops_for_ratio(meta_ratio), /*with_data=*/true) {
   LUNULE_CHECK(sampler_ != nullptr);
-  LUNULE_CHECK(sampler_->universe() == hot_files_);
+  LUNULE_CHECK(sampler_->universe() == hot_files);
   LUNULE_CHECK(home_files_ > 0);
   LUNULE_CHECK(hot_fraction_ >= 0.0 && hot_fraction_ <= 1.0);
 }
@@ -36,9 +35,9 @@ bool FlashCrowdProgram::next(Op& out) {
       // Celebrity touch: high-skew Zipf over the shared directory, ranks
       // scattered across indices so the hot set is not a contiguous
       // prefix (same convention as ZipfReadProgram).
-      const std::uint64_t rank = sampler_->sample(rng_);
       current_dir_ = hot_dir_;
-      current_file_ = static_cast<FileIndex>(mix64(rank) % hot_files_);
+      current_file_ =
+          static_cast<FileIndex>(sampler_->sample_scattered(rng_));
     } else {
       current_dir_ = home_dir_;
       current_file_ =

@@ -36,7 +36,6 @@ class FlashCrowdProgram final : public WorkloadProgram {
 
  private:
   DirId hot_dir_;
-  std::uint32_t hot_files_;
   DirId home_dir_;
   std::uint32_t home_files_;
   std::uint64_t remaining_files_;

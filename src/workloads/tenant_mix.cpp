@@ -34,10 +34,7 @@ bool TenantMixProgram::next(Op& out) {
     --remaining_files_;
     // Tenant popularity is Zipf over the tenant universe, scattered so the
     // popular tenants are not a contiguous id prefix.
-    const std::uint64_t rank = sampler_->sample(rng_);
-    const auto pick = static_cast<std::size_t>(
-        mix64(rank) % tenant_dirs_->size());
-    current_.dir = (*tenant_dirs_)[pick];
+    current_.dir = (*tenant_dirs_)[sampler_->sample_scattered(rng_)];
     if (rng_.next_bool(create_fraction_)) {
       current_.kind = OpKind::kCreate;
       current_.file = 0;  // the MDS assigns the slot

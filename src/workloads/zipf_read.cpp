@@ -9,13 +9,12 @@ ZipfReadProgram::ZipfReadProgram(DirId dir, std::uint32_t files,
                                  std::shared_ptr<const ZipfSampler> sampler,
                                  Rng rng, double meta_ratio)
     : dir_(dir),
-      files_(files),
       remaining_files_(requests),
       sampler_(std::move(sampler)),
       rng_(rng),
       pacer_(meta_ops_for_ratio(meta_ratio), /*with_data=*/true) {
   LUNULE_CHECK(sampler_ != nullptr);
-  LUNULE_CHECK(sampler_->universe() == files_);
+  LUNULE_CHECK(sampler_->universe() == files);
 }
 
 std::uint64_t ZipfReadProgram::planned_meta_ops() const {
@@ -29,8 +28,7 @@ bool ZipfReadProgram::next(Op& out) {
     --remaining_files_;
     // Scatter Zipf ranks across file indices so the hot set is not a
     // contiguous prefix (matches Filebench's random file assignment).
-    const std::uint64_t rank = sampler_->sample(rng_);
-    current_file_ = static_cast<FileIndex>(mix64(rank) % files_);
+    current_file_ = static_cast<FileIndex>(sampler_->sample_scattered(rng_));
     meta_left_ = pacer_.begin_file();
   }
   out.dir = dir_;

@@ -27,7 +27,6 @@ class ZipfReadProgram final : public WorkloadProgram {
 
  private:
   DirId dir_;
-  std::uint32_t files_;
   std::uint64_t remaining_files_;
   std::shared_ptr<const ZipfSampler> sampler_;
   Rng rng_;

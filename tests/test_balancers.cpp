@@ -2,6 +2,10 @@
 // and the shared candidate scanner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "balancer/candidates.h"
 #include "balancer/dir_hash.h"
 #include "balancer/mantle.h"
@@ -208,6 +212,40 @@ TEST_F(BalancerTest, DirHashIsDeterministic) {
   h1.setup(c1);
   h2.setup(c2);
   EXPECT_EQ(tree.inodes_per_mds(5), t2.inodes_per_mds(5));
+}
+
+// walk_in_order must visit exactly the std::sort order of its strict total
+// order and stop where the visitor stops: within the heap pops, at the
+// switch to sorting the rest, past it, at the last unit or not at all.
+// Heats repeat, so most places are decided by the hashed tie rank.
+TEST(WalkInOrder, VisitsInSortOrderAndStopsWhereTold) {
+  Rng rng(17);
+  std::vector<Candidate> cands(1000);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    cands[i].ref = {.dir = static_cast<DirId>(3 * i + 1),
+                    .frag = static_cast<FragId>(rng.next_below(3)) - 1};
+    cands[i].heat = static_cast<double>(rng.next_below(8));
+    cands[i].visits_last_epoch = rng.next_below(5);
+  }
+  const auto check = [&](auto before) {
+    std::vector<Candidate> sorted = cands;
+    std::sort(sorted.begin(), sorted.end(), before);
+    for (const std::size_t stop : {1, 2, 16, 256, 257, 999, 1000, 1001}) {
+      SCOPED_TRACE("stop = " + std::to_string(stop));
+      std::vector<Candidate> walked = cands;
+      std::vector<fs::SubtreeRef> seen;
+      walk_in_order(walked, before, [&](const Candidate& c) {
+        seen.push_back(c.ref);
+        return seen.size() < stop;
+      });
+      ASSERT_EQ(seen.size(), std::min(stop, cands.size()));
+      for (std::size_t k = 0; k < seen.size(); ++k) {
+        ASSERT_EQ(seen[k], sorted[k].ref) << "visit " << k;
+      }
+    }
+  };
+  check(heat_order);
+  check(last_epoch_visits_order);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -167,6 +170,39 @@ TEST(Histogram, PercentileZeroReturnsSmallestObserved) {
   EXPECT_GT(h.percentile(0), 400.0);
   // p=100 still reports the exact maximum.
   EXPECT_DOUBLE_EQ(h.percentile(100), 900.0);
+}
+
+// Client::run_tick adds the ops served in their first-attempt tick as one
+// add(1.0, k); that must leave the histogram exactly as k single adds,
+// also when other whole-tick latencies are interleaved.
+TEST(Histogram, BatchedAddMatchesRepeatedAdds) {
+  for (const double v : {1.0, 2.0, 37.0}) {
+    for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{3},
+                                  std::uint64_t{1000},
+                                  std::uint64_t{1000000}}) {
+      SCOPED_TRACE("v = " + std::to_string(v) + ", k = " + std::to_string(k));
+      Histogram batched;
+      Histogram single;
+      batched.add(5.0);
+      single.add(5.0);
+      batched.add(v, k);
+      for (std::uint64_t i = 0; i < k; ++i) single.add(v);
+      batched.add(3.0);
+      single.add(3.0);
+      for (int b = 0; b < Histogram::kBuckets; ++b) {
+        ASSERT_EQ(batched.bucket_count(b), single.bucket_count(b)) << b;
+      }
+      EXPECT_EQ(batched.total_count(), single.total_count());
+      EXPECT_EQ(batched.max_value(), single.max_value());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.mean()),
+                std::bit_cast<std::uint64_t>(single.mean()));
+      for (const double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.percentile(p)),
+                  std::bit_cast<std::uint64_t>(single.percentile(p)))
+            << "p = " << p;
+      }
+    }
+  }
 }
 
 TEST(Histogram, MonotonePercentiles) {

@@ -272,5 +272,35 @@ TEST(TraceDeterminism, HandBuiltExpansionMatchesPinnedDigest) {
   EXPECT_EQ(fnv1a64(to_json(r)), 0x9e09cf7fab532cacull);
 }
 
+// Pinned digests for the flash-crowd shape behind a proxy tier (3 MDSs,
+// 8 clients, a Lunule balancer, the tier promoting at 10% of one rank's
+// capacity): the celebrity directory's files are Zipf ranks scattered
+// across file indices, and the tier absorbs part of the crowd.  The
+// constants are this run's trace and result digests from the build in
+// which the scatter was `mix64(rank) % hot_files`.  The celebrity
+// directory stays one unsplit fragment, so these digests do not show
+// which of its files a draw picks;
+// `Zipf.ScatteredProgramsMatchTheModuloFormula` pins that, op by op.
+TEST(TraceDeterminism, FlashCrowdProxyTraceMatchesPinnedDigest) {
+  ScenarioConfig cfg;
+  cfg.workload = WorkloadKind::kFlashCrowd;
+  cfg.balancer = BalancerKind::kLunule;
+  cfg.n_mds = 3;
+  cfg.n_clients = 8;
+  cfg.scale = 0.02;
+  cfg.max_ticks = 400;
+  cfg.seed = 99;
+  cfg.proxy.enabled = true;
+  cfg.proxy.lease_ticks = 20;
+  cfg.proxy.promote_threshold_iops = cfg.mds_capacity_iops * 0.1;
+  cfg.proxy.max_promoted = 4;
+  cfg.capture_trace = true;
+  const ScenarioResult r = run_scenario(cfg);
+  ASSERT_FALSE(r.trace_json.empty());
+  EXPECT_GT(r.proxy.reads_absorbed, 0u);
+  EXPECT_EQ(fnv1a64(r.trace_json), 0x22ffe5f4642934a8ull);
+  EXPECT_EQ(fnv1a64(to_json(r)), 0x5a87400ab0185c41ull);
+}
+
 }  // namespace
 }  // namespace lunule::sim

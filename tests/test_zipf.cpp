@@ -6,8 +6,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "workloads/flash_crowd.h"
+#include "workloads/tenant_mix.h"
+#include "workloads/zipf_read.h"
 
 namespace lunule {
 namespace {
@@ -129,6 +136,128 @@ TEST(Zipf, RankOfRefusesUniformsOutsideUnitInterval) {
   EXPECT_DEATH((void)z.rank_of(std::nextafter(1.0, 2.0)), "LUNULE_CHECK");
   EXPECT_DEATH((void)z.rank_of(-0x1p-1074), "LUNULE_CHECK");
   EXPECT_DEATH((void)z.rank_of(std::nan("")), "LUNULE_CHECK");
+}
+
+// The divide-free reduction must equal the `%` it replaced: at the edges of
+// the 64-bit range, around the divisor, and on random words, for divisors
+// from 1 to the largest the sampler accepts.
+TEST(Zipf, ScatteredDrawMatchesMix64Modulo) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{7}, std::uint64_t{10000}, std::uint64_t{100000},
+        std::uint64_t{std::numeric_limits<std::uint32_t>::max()}}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const BarrettMod mod(n);
+    for (const std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1}, n - 1,
+                                  n, kMax - n + 1, kMax}) {
+      ASSERT_EQ(mod(x), x % n) << "x = " << x;
+    }
+    Rng rng(0xba77 + n);
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t x = rng.next_u64();
+      ASSERT_EQ(mod(x), x % n) << "x = " << x;
+    }
+  }
+  EXPECT_DEATH(BarrettMod(0), "LUNULE_CHECK");
+  EXPECT_DEATH(BarrettMod(std::uint64_t{1} << 32), "LUNULE_CHECK");
+}
+
+// Runs `program` to completion and checks each op against
+// `expect`, which draws one file touch from a twin Rng the way the program
+// did before the scattered draw existed (`mix64(rank) % n`).  A touch spans
+// ops up to the one carrying its data phase.
+void expect_same_stream(workloads::WorkloadProgram& program,
+                        const std::function<workloads::Op()>& expect,
+                        std::size_t want_touches) {
+  workloads::Op op;
+  workloads::Op want;
+  bool in_touch = false;
+  std::size_t touches = 0;
+  while (program.next(op)) {
+    if (!in_touch) {
+      want = expect();
+      in_touch = true;
+      ++touches;
+    }
+    ASSERT_EQ(op.dir, want.dir) << "touch " << touches;
+    ASSERT_EQ(op.kind, want.kind) << "touch " << touches;
+    if (op.kind == workloads::OpKind::kLookup) {
+      ASSERT_EQ(op.file, want.file) << "touch " << touches;
+    }
+    if (op.has_data) in_touch = false;
+  }
+  EXPECT_FALSE(in_touch);
+  EXPECT_EQ(touches, want_touches);
+}
+
+TEST(Zipf, ScatteredProgramsMatchTheModuloFormula) {
+  constexpr std::uint64_t kTouches = 20000;
+  {
+    SCOPED_TRACE("ZipfReadProgram");
+    constexpr std::uint32_t kFiles = 10000;
+    const auto sampler = std::make_shared<ZipfSampler>(
+        kFiles, zipf_exponent_for(0.2, 0.8, kFiles));
+    workloads::ZipfReadProgram program(7, kFiles, kTouches, sampler,
+                                       Rng(31));
+    Rng twin(31);
+    expect_same_stream(
+        program,
+        [&] {
+          const std::uint64_t rank = sampler->sample(twin);
+          return workloads::Op{.dir = 7,
+                               .file = static_cast<FileIndex>(
+                                   mix64(rank) % kFiles)};
+        },
+        kTouches);
+  }
+  {
+    SCOPED_TRACE("TenantMixProgram");
+    constexpr std::uint32_t kPerTenant = 8;
+    auto dirs = std::make_shared<std::vector<DirId>>();
+    for (DirId d = 0; d < 1003; ++d) dirs->push_back(5000 + 3 * d);
+    const auto sampler = std::make_shared<ZipfSampler>(dirs->size(), 0.9);
+    workloads::TenantMixProgram program(dirs, kPerTenant, kTouches, 0.05,
+                                        sampler, Rng(32));
+    Rng twin(32);
+    expect_same_stream(
+        program,
+        [&] {
+          const std::uint64_t rank = sampler->sample(twin);
+          workloads::Op op;
+          op.dir = (*dirs)[mix64(rank) % dirs->size()];
+          if (twin.next_bool(0.05)) {
+            op.kind = workloads::OpKind::kCreate;
+          } else {
+            op.file = static_cast<FileIndex>(twin.next_below(kPerTenant));
+          }
+          return op;
+        },
+        kTouches);
+  }
+  {
+    SCOPED_TRACE("FlashCrowdProgram");
+    constexpr std::uint32_t kHotFiles = 997;
+    constexpr std::uint32_t kHomeFiles = 64;
+    const auto sampler = std::make_shared<ZipfSampler>(kHotFiles, 1.2);
+    workloads::FlashCrowdProgram program(3, kHotFiles, 9, kHomeFiles,
+                                         kTouches, 0.7, sampler, Rng(33));
+    Rng twin(33);
+    expect_same_stream(
+        program,
+        [&] {
+          if (twin.next_bool(0.7)) {
+            const std::uint64_t rank = sampler->sample(twin);
+            return workloads::Op{.dir = 3,
+                                 .file = static_cast<FileIndex>(
+                                     mix64(rank) % kHotFiles)};
+          }
+          return workloads::Op{.dir = 9,
+                               .file = static_cast<FileIndex>(
+                                   twin.next_below(kHomeFiles))};
+        },
+        kTouches);
+  }
 }
 
 // Pearson chi-squared goodness-of-fit of the sampler's empirical histogram
