@@ -1,19 +1,14 @@
 // Hot-path microbenchmark: authority resolution, epoch close, and
 // candidate collection, each against its naive counterpart, at
-// 10k / 100k / 500k / 2M directories with a 1% hot set, plus the
-// worker-pool scaling of the epoch-close fold at 1 / 2 / 4 shards
-// (shards = 1 + pool workers, mirroring the sharded tick engine's
-// sharded_ticks knob).  The naive counterparts: the cached auth_of vs
-// the pin-chain walk (resolve_auth_uncached), and candidate collection
-// over the recorder's live set vs the whole-namespace scan (the scan
-// Dir-Hash placement uses), both after the same dirty-set epoch close.
+// 10k / 100k / 500k / 2M directories with a 1% hot set.  The naive
+// counterparts: the cached auth_of vs the pin-chain walk
+// (resolve_auth_uncached), and candidate collection over the recorder's
+// live set vs the whole-namespace scan (the scan Dir-Hash placement
+// uses), both after the same dirty-set epoch close.
 //
 // Hand-rolled chrono timing (not google-benchmark): each phase is a paired
 // A/B measurement of the same work both ways, and the [SHAPE-CHECK] gates
-// are ratios, so the bench passes in Debug and Release alike.  The shard
-// scaling gate additionally requires >= 4 hardware threads — on smaller
-// hosts the rows are still measured and reported, but time-sliced threads
-// cannot show wall-clock speedup, so the gate is skipped.  Emits
+// are ratios, so the bench passes in Debug and Release alike.  Emits
 // machine-readable results as JSON (--json=PATH, default
 // BENCH_hotpath.json in the working directory); scripts/bench_trajectory.sh
 // runs it from a Release build and stores the JSON at the repo root.
@@ -29,7 +24,6 @@
 #include "bench_common.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/worker_pool.h"
 #include "fs/namespace_tree.h"
 #include "mds/access_recorder.h"
 
@@ -70,13 +64,6 @@ std::vector<DirId> build_fanout(fs::NamespaceTree& tree, std::size_t n_dirs) {
   return leaves;
 }
 
-/// Epoch-close cost at one shard count (1 shard = serial fold).
-struct ShardRow {
-  int shards = 1;
-  double epoch_close_us = 0.0;
-  double speedup_vs_1 = 1.0;
-};
-
 struct SizeResult {
   std::size_t dirs = 0;
   std::size_t hot_dirs = 0;
@@ -88,7 +75,6 @@ struct SizeResult {
   double epoch_close_speedup = 0.0;
   std::size_t live_candidates = 0;
   int timed_epochs = 0;
-  std::vector<ShardRow> shard_rows;
 };
 
 /// Random authority lookups over the fan-out: the flat cache (auth_of) vs
@@ -162,62 +148,12 @@ void bench_epoch_close(SizeResult& r, std::size_t n_dirs, int timed_epochs) {
   r.epoch_close_speedup = r.epoch_close_off_us / r.epoch_close_on_us;
 }
 
-/// Epoch close + candidate collection on the worker pool at 1 / 2 / 4
-/// shards (the same per-chunk fold the sharded tick engine drives through
-/// MdsCluster::close_epoch).  One tree serves all shard counts: every
-/// epoch records and folds the same hot set, so after the warm-up the
-/// per-epoch work is identical regardless of which pool executes it.
-void bench_shard_scaling(SizeResult& r, std::size_t n_dirs,
-                         int timed_epochs) {
-  constexpr int kWarmEpochs = 6;
-  const std::size_t stride = n_dirs / r.hot_dirs;
-  fs::NamespaceTree tree;
-  const std::vector<DirId> leaves = build_fanout(tree, n_dirs);
-  mds::RecorderParams params;
-  params.sibling_credit_prob = 0.0;
-  mds::AccessRecorder recorder(tree, params, Rng(23));
-  const std::vector<DirId>& live = recorder.active_dirs();
-  std::vector<balancer::Candidate> cands;
-  EpochId epoch = 0;
-  const auto run_epochs = [&](int n, WorkerPool* pool) {
-    double elapsed = 0.0;
-    for (int e = 0; e < n; ++e, ++epoch) {
-      for (std::size_t h = 0; h < r.hot_dirs; ++h) {
-        const DirId d = leaves[h * stride];
-        recorder.record(d, static_cast<FileIndex>(e % kFilesPerDir), epoch);
-        recorder.record(d, static_cast<FileIndex>((e + 1) % kFilesPerDir),
-                        epoch);
-      }
-      const auto t0 = Clock::now();
-      recorder.close_epoch(pool);
-      balancer::collect_candidates_into(cands, tree, /*owner=*/0, &live,
-                                        pool);
-      elapsed += seconds_since(t0);
-    }
-    return elapsed;
-  };
-  run_epochs(kWarmEpochs, nullptr);
-  for (const int shards : {1, 2, 4}) {
-    WorkerPool pool(static_cast<std::size_t>(shards - 1));
-    ShardRow row;
-    row.shards = shards;
-    row.epoch_close_us =
-        run_epochs(timed_epochs, &pool) * 1e6 / timed_epochs;
-    row.speedup_vs_1 = r.shard_rows.empty()
-                           ? 1.0
-                           : r.shard_rows.front().epoch_close_us /
-                                 row.epoch_close_us;
-    r.shard_rows.push_back(row);
-  }
-}
-
 SizeResult run_size(std::size_t n_dirs, int timed_epochs) {
   SizeResult r;
   r.dirs = n_dirs;
   r.hot_dirs = n_dirs / 100;
   bench_auth_lookup(r, n_dirs);
   bench_epoch_close(r, n_dirs, timed_epochs);
-  bench_shard_scaling(r, n_dirs, timed_epochs);
   return r;
 }
 
@@ -227,19 +163,10 @@ void write_json(const std::string& path, const std::vector<SizeResult>& rs) {
     std::cerr << "cannot write " << path << "\n";
     return;
   }
-  // The shard_scaling rows only mean anything on a host with real cores:
-  // on a 1-thread machine the pool's workers time-slice one CPU and
-  // speedup_vs_1 hovers around 1.0 (or below — context-switch overhead).
-  // Stamp the host's thread count and whether the [SHAPE-CHECK] gate was
-  // armed, and tag each row produced with the gate down as unarmed, so a
-  // committed JSON can't be misread as a scaling regression and downstream
-  // consumers (perf-smoke trend tooling) can drop those rows per-row
-  // without consulting the top-level flag.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool armed = hw >= 4;
-  out << "{\n  \"bench\": \"micro_hotpath\",\n  \"hw_threads\": " << hw
-      << ",\n  \"shard_gate_armed\": " << (armed ? "true" : "false")
-      << ",\n  \"sizes\": [\n";
+  // The host's thread count is provenance: rows are compared only between
+  // runs on one host.
+  out << "{\n  \"bench\": \"micro_hotpath\",\n  \"hw_threads\": "
+      << std::thread::hardware_concurrency() << ",\n  \"sizes\": [\n";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const SizeResult& r = rs[i];
     out << "    {\"dirs\": " << r.dirs << ", \"hot_dirs\": " << r.hot_dirs
@@ -250,16 +177,8 @@ void write_json(const std::string& path, const std::vector<SizeResult>& rs) {
         << ", \"epoch_close_off_us\": " << r.epoch_close_off_us
         << ", \"epoch_close_speedup\": " << r.epoch_close_speedup
         << ", \"live_candidates\": " << r.live_candidates
-        << ", \"timed_epochs\": " << r.timed_epochs
-        << ", \"shard_scaling\": [";
-    for (std::size_t s = 0; s < r.shard_rows.size(); ++s) {
-      const ShardRow& row = r.shard_rows[s];
-      out << (s > 0 ? ", " : "") << "{\"shards\": " << row.shards
-          << ", \"epoch_close_us\": " << row.epoch_close_us
-          << ", \"speedup_vs_1\": " << row.speedup_vs_1
-          << (armed ? "" : ", \"unarmed\": true") << "}";
-    }
-    out << "]}" << (i + 1 < rs.size() ? "," : "") << "\n";
+        << ", \"timed_epochs\": " << r.timed_epochs << "}"
+        << (i + 1 < rs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "results written to " << path << "\n";
@@ -286,12 +205,7 @@ int main(int argc, char** argv) {
     std::cout << r.dirs << "  " << r.auth_cached_ns << " / "
               << r.auth_uncached_ns << "  " << r.epoch_close_on_us << " / "
               << r.epoch_close_off_us << "  x" << r.epoch_close_speedup
-              << "\n    shards:";
-    for (const ShardRow& row : r.shard_rows) {
-      std::cout << "  S=" << row.shards << " " << row.epoch_close_us
-                << "us (x" << row.speedup_vs_1 << ")";
-    }
-    std::cout << "\n";
+              << "\n";
   }
   write_json(json_path, results);
 
@@ -309,16 +223,5 @@ int main(int argc, char** argv) {
                 "pin-chain walk");
   checks.expect(results[1].live_candidates <= 2 * results[1].hot_dirs,
                 "live-set filter keeps the candidate set near the hot set");
-  // Wall-clock parallel speedup needs real cores; time-sliced threads on
-  // small hosts make the ratio noise, so the gate only arms at >= 4.
-  if (std::thread::hardware_concurrency() >= 4) {
-    checks.expect(results[3].shard_rows.back().speedup_vs_1 >= 2.0,
-                  "2M dirs: epoch close scales at least 2x from 1 to 4 "
-                  "shards");
-  } else {
-    std::cout << "[SHAPE-CHECK] shard-scaling gate skipped: "
-              << std::thread::hardware_concurrency()
-              << " hardware threads (< 4)\n";
-  }
   return bench::finish(checks);
 }

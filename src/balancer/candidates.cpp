@@ -64,10 +64,6 @@ void collect_dir(std::vector<Candidate>& out, fs::NamespaceTree& tree,
   }
 }
 
-/// Directories per parallel collection chunk; chunk outputs concatenate in
-/// chunk order, so the result equals the serial ascending scan.
-constexpr std::size_t kCollectChunk = 512;
-
 }  // namespace
 
 bool is_leaf_unit(const fs::Directory& dir) {
@@ -76,50 +72,25 @@ bool is_leaf_unit(const fs::Directory& dir) {
 
 std::vector<Candidate> collect_candidates(fs::NamespaceTree& tree,
                                           MdsId owner,
-                                          const std::vector<DirId>* live_dirs,
-                                          WorkerPool* pool) {
+                                          const std::vector<DirId>* live_dirs) {
   std::vector<Candidate> out;
-  collect_candidates_into(out, tree, owner, live_dirs, pool);
+  collect_candidates_into(out, tree, owner, live_dirs);
   return out;
 }
 
 void collect_candidates_into(std::vector<Candidate>& out,
                              fs::NamespaceTree& tree, MdsId owner,
-                             const std::vector<DirId>* live_dirs,
-                             WorkerPool* pool) {
+                             const std::vector<DirId>* live_dirs) {
   out.clear();
-  const std::size_t n =
-      live_dirs != nullptr ? live_dirs->size() : tree.dir_count();
-  auto dir_at = [&](std::size_t k) {
-    return live_dirs != nullptr ? (*live_dirs)[k] : static_cast<DirId>(k);
-  };
-  if (pool == nullptr || pool->workers() == 0 || n < 2 * kCollectChunk) {
-    // `live_dirs` is sorted ascending, so enumeration order matches the
-    // whole-namespace scan restricted to the live set.
-    for (std::size_t k = 0; k < n; ++k) {
-      collect_dir(out, tree, dir_at(k), owner);
+  if (live_dirs == nullptr) {
+    for (DirId d = 0; d < tree.dir_count(); ++d) {
+      collect_dir(out, tree, d, owner);
     }
     return;
   }
-  // Parallel path: chunks of distinct directories touch disjoint fragment
-  // state (lazy advancement is per-dir) and auth_of is concurrency-safe;
-  // concatenating the per-chunk vectors in chunk order reproduces the
-  // serial enumeration byte for byte.
-  const std::size_t chunks = (n + kCollectChunk - 1) / kCollectChunk;
-  std::vector<std::vector<Candidate>> per_chunk(chunks);
-  pool->run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kCollectChunk;
-    const std::size_t hi = std::min(n, lo + kCollectChunk);
-    for (std::size_t k = lo; k < hi; ++k) {
-      collect_dir(per_chunk[c], tree, dir_at(k), owner);
-    }
-  });
-  std::size_t total = 0;
-  for (const auto& chunk : per_chunk) total += chunk.size();
-  out.reserve(total);
-  for (auto& chunk : per_chunk) {
-    for (Candidate& c : chunk) out.push_back(std::move(c));
-  }
+  // `live_dirs` is sorted ascending, so enumeration order matches the
+  // whole-namespace scan restricted to the live set.
+  for (const DirId d : *live_dirs) collect_dir(out, tree, d, owner);
 }
 
 void walk_heat_share(
@@ -127,7 +98,7 @@ void walk_heat_share(
     double owner_load,
     const std::function<bool(const Candidate& unit, double est_load)>& visit) {
   collect_candidates_into(cands, cluster.tree(), owner,
-                          cluster.candidate_dirs(), cluster.shard_pool());
+                          cluster.candidate_dirs());
   // Summed before the walk reorders the list: a different summation order
   // could move the total's last bit, and with it every estimate.
   double total_heat = 0.0;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "common/worker_pool.h"
 #include "fs/namespace_tree.h"
 
 namespace lunule::mds {
@@ -149,20 +148,16 @@ void walk_in_order(std::vector<Candidate>& cands, Before before,
 /// other ranks are never rolled forward or summed.
 /// When `live_dirs` is non-null, only those directories are considered,
 /// in list order (the recorder's sets are sorted ascending after every
-/// close).  When `pool` is non-null the scan is chunked across its workers;
-/// per-chunk outputs concatenate in chunk order, so the candidate list is
-/// identical to the serial scan.
+/// close).
 [[nodiscard]] std::vector<Candidate> collect_candidates(
     fs::NamespaceTree& tree, MdsId owner,
-    const std::vector<DirId>* live_dirs = nullptr,
-    WorkerPool* pool = nullptr);
+    const std::vector<DirId>* live_dirs = nullptr);
 
 /// As collect_candidates, but reuses `out` (cleared first) so per-epoch
 /// callers avoid reallocating the candidate vector.
 void collect_candidates_into(std::vector<Candidate>& out,
                              fs::NamespaceTree& tree, MdsId owner,
-                             const std::vector<DirId>* live_dirs = nullptr,
-                             WorkerPool* pool = nullptr);
+                             const std::vector<DirId>* live_dirs = nullptr);
 
 /// CephFS's heat-share selection walk (Vanilla, Mantle's GreedySpill and
 /// Lunule-Light): collects `owner`'s units into `cands`, sums their heat in

@@ -1,7 +1,7 @@
 // A small persistent worker pool for deterministic fork-join phases.
 //
-// The sharded tick engine and the parallel epoch-close fold run thousands
-// of short fork-join rounds per simulation; spawning threads per round
+// The sharded tick engine runs its rank streams as one short fork-join
+// round per tick, thousands per simulation; spawning threads per round
 // would dominate.  WorkerPool keeps its threads parked on a condition
 // variable between rounds.  run_indexed(n, fn) executes fn(0..n-1) across
 // the workers plus the calling thread and returns when all are done.

@@ -142,7 +142,7 @@ void LunuleBalancer::select_mindex(
       [](double acc, const MigrationAssignment& a) { return acc + a.amount; });
   std::vector<Selection> picks = selector_.select(
       cluster.tree(), exporter, total, inode_budget,
-      cluster.window_live_dirs(), cluster.shard_pool());
+      cluster.window_live_dirs());
   // Hand each selected subtree to the importer with the largest remaining
   // demand, decrementing by the subtree's predicted contribution.
   for (const Selection& pick : picks) {
@@ -203,8 +203,7 @@ void LunuleBalancer::select_hottest_shards(
   // A shard outside the window-live set has zero last-epoch visits, where
   // the walk below stops anyway.
   balancer::collect_candidates_into(cands_, cluster.tree(), exporter,
-                                    cluster.window_live_dirs(),
-                                    cluster.shard_pool());
+                                    cluster.window_live_dirs());
   // The cutting windows span kCuttingWindows epochs.
   const double epoch_seconds = params_.selector.window_seconds /
                                static_cast<double>(fs::kCuttingWindows);

@@ -36,7 +36,7 @@ SubtreeSelector::SubtreeSelector(SelectorParams params) : params_(params) {
 std::vector<Selection> SubtreeSelector::select(
     fs::NamespaceTree& tree, MdsId exporter, double amount_iops,
     std::uint64_t inode_budget_override,
-    const std::vector<DirId>* live_dirs, WorkerPool* pool) const {
+    const std::vector<DirId>* live_dirs) const {
   const std::uint64_t inode_cap = inode_budget_override > 0
                                       ? inode_budget_override
                                       : params_.inode_cap;
@@ -57,8 +57,7 @@ std::vector<Selection> SubtreeSelector::select(
   // (alpha 0, l_t 0, l_s = min(0, unvisited) = 0) and is filtered here
   // either way, so restricting the enumeration to `live_dirs` yields the
   // exact same scored set as a full scan.
-  balancer::collect_candidates_into(cand_scratch_, tree, exporter, live_dirs,
-                                    pool);
+  balancer::collect_candidates_into(cand_scratch_, tree, exporter, live_dirs);
   std::vector<ScoredKey>& keys = key_scratch_;
   keys.clear();
   for (std::size_t i = 0; i < cand_scratch_.size(); ++i) {

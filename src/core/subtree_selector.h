@@ -83,13 +83,10 @@ class SubtreeSelector {
   /// window sums has a zero migration index and can never be selected, and
   /// the selection order is total, so the restriction (and the list's
   /// order) does not change decisions.
-  /// `pool` (optional) parallelises candidate enumeration; the scored set
-  /// and hence the selection are identical to the serial scan.
   [[nodiscard]] std::vector<Selection> select(
       fs::NamespaceTree& tree, MdsId exporter, double amount_iops,
       std::uint64_t inode_budget_override = 0,
-      const std::vector<DirId>* live_dirs = nullptr,
-      WorkerPool* pool = nullptr) const;
+      const std::vector<DirId>* live_dirs = nullptr) const;
 
   [[nodiscard]] const SelectorParams& params() const { return params_; }
 

@@ -287,7 +287,7 @@ std::uint64_t NamespaceTree::exclusive_inodes(const SubtreeRef& ref) const {
   // directory is counted before anything is pushed, so a leaf (every
   // collected unit but the rare directory holding both files and
   // subdirectories) only finds the stack empty.  thread_local scratch:
-  // parallel candidate collection sizes whole-dir units concurrently.
+  // run_scenarios runs several simulations at once in one process.
   static thread_local std::vector<DirId> stack;  // empty between calls
   std::uint64_t count = 0;
   for (DirId cur = ref.dir;;) {

@@ -8,31 +8,6 @@
 
 namespace lunule::mds {
 
-namespace {
-
-/// Directories folded per parallel work unit; coarse enough to amortise
-/// the claim lock, fine enough to balance skewed fold costs.
-constexpr std::size_t kFoldChunk = 256;
-
-/// Runs range(lo, hi) over [0, n), chunked across the pool when it pays;
-/// the per-item work must be index-disjoint so any worker count (including
-/// none) produces identical state.
-void parallel_chunks(
-    WorkerPool* pool, std::size_t n,
-    const std::function<void(std::size_t lo, std::size_t hi)>& range) {
-  if (pool == nullptr || pool->workers() == 0 || n < 2 * kFoldChunk) {
-    range(0, n);
-    return;
-  }
-  const std::size_t chunks = (n + kFoldChunk - 1) / kFoldChunk;
-  pool->run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kFoldChunk;
-    range(lo, std::min(n, lo + kFoldChunk));
-  });
-}
-
-}  // namespace
-
 AccessRecorder::AccessRecorder(fs::NamespaceTree& tree, RecorderParams params,
                                Rng rng)
     : tree_(tree), params_(params), credit_seed_(rng.next_u64()) {
@@ -164,19 +139,20 @@ std::vector<HotDir> AccessRecorder::top_hot_dirs(std::size_t k,
   return hot;
 }
 
-void AccessRecorder::fold_range(std::size_t lo, std::size_t hi,
-                                EpochId closing) {
+void AccessRecorder::fold_dirty(EpochId closing) {
   // dirty_ is in touch order, so every fold is a random access the
   // hardware prefetchers cannot predict; issue each directory's fragment
   // block and bounds entry kPrefetchDistance folds ahead.
-  for (std::size_t k = lo; k < hi; ++k) {
-    if (k + kPrefetchDistance < hi) {
+  const std::size_t n = dirty_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k + kPrefetchDistance < n) {
       const DirId next = dirty_[k + kPrefetchDistance];
       tree_.prefetch_frags(next);
       prefetch_lines(&bounds_[next]);
     }
     fold_dir(dirty_[k], closing);
   }
+  dirty_.clear();
 }
 
 void AccessRecorder::fold_dir(DirId d, EpochId closing) {
@@ -202,20 +178,15 @@ void AccessRecorder::fold_dir(DirId d, EpochId closing) {
   bounds.window_dead = window_dead;
 }
 
-void AccessRecorder::close_epoch(WorkerPool* pool) {
-  const EpochId closing = tree_.stats_clock();
+void AccessRecorder::close_epoch() {
   keep_scratch_.clear();
   keep_scratch_.reserve(active_.size());
 
   // Fold only the directories touched this epoch.  Any fragment at the
   // clock carries this epoch's accumulators (writers always advance before
   // accumulating); lagging fragments stay lagging and catch up by delta on
-  // first read.  dirty_ entries are unique (touched-epoch stamp), so the
-  // parallel folds touch disjoint state.
-  parallel_chunks(pool, dirty_.size(), [&](std::size_t lo, std::size_t hi) {
-    fold_range(lo, hi, closing);
-  });
-  dirty_.clear();
+  // first read.
+  fold_dirty(tree_.stats_clock());
   tree_.tick_stats_clock();
   const EpochId clock = tree_.stats_clock();
   // Expiry keeps relative order, so the survivors of the prefix sorted at

@@ -40,9 +40,6 @@
 // set at every epoch under LUNULE_VALIDATE.  The per-directory bookkeeping
 // (touched stamp, both predictions, the active flag) lives in flat arrays
 // indexed by DirId, so the fold and both filters never load a Directory.
-// The fold can run on a WorkerPool: directories are chunked and folded in
-// parallel (per-directory state is disjoint), so the result is identical
-// for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +47,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/worker_pool.h"
 #include "fs/namespace_tree.h"
 
 namespace lunule::mds {
@@ -157,9 +153,8 @@ class AccessRecorder {
 
   /// Folds open-epoch accumulators into the windows, decays heat, ticks
   /// the tree's statistics clock, expires drained directories and rebuilds
-  /// the window-live set.  With a pool, the per-directory folds run chunked
-  /// across its workers (result identical for any worker count).
-  void close_epoch(WorkerPool* pool = nullptr);
+  /// the window-live set.
+  void close_epoch();
 
   /// Directories with any live statistics (heat or a liveness window;
   /// shrinks as stats age): a prefix sorted ascending at every close, then
@@ -240,8 +235,9 @@ class AccessRecorder {
   /// the active and window-live sets.
   void mark_touched(DirId d);
   void credit_sibling(DirId d, FileIndex i, RecorderLane* lane);
-  /// Folds dirty_[lo, hi) for the closing epoch, prefetching ahead.
-  void fold_range(std::size_t lo, std::size_t hi, EpochId closing);
+  /// Folds every directory in dirty_ for the closing epoch, prefetching
+  /// ahead, and empties it.
+  void fold_dirty(EpochId closing);
   /// Folds one directory's fragments for the closing epoch.
   void fold_dir(DirId d, EpochId closing);
 

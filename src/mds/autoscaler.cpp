@@ -117,7 +117,7 @@ void Autoscaler::on_epoch(MdsCluster& cluster, std::span<const Load> loads) {
 
 void Autoscaler::pump_drain(MdsCluster& cluster, std::span<const Load> loads) {
   const MdsId victim = draining_;
-  const std::vector<fs::SubtreeRef> owned = cluster.owned_subtrees(victim);
+  const std::vector<fs::SubtreeRef> owned = cluster.owned_units(victim);
   if (owned.empty() && !cluster.migration().touches(victim)) {
     if (cluster.alive_count() < 2 || !cluster.retire(victim)) {
       cluster.cancel_drain(victim);

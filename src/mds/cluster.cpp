@@ -150,7 +150,7 @@ std::vector<Load> MdsCluster::close_epoch() {
                                                   last_epoch_served_),
                   .v0 = aggregate});
   last_epoch_served_ = served_total;
-  recorder_->close_epoch(shard_pool_);
+  recorder_->close_epoch();
   audit_.on_epoch_close(tree_, epoch_);
   if (params_.replicate_threshold_iops > 0.0) update_replicas();
   // Tier policy runs after replica management so promotion decisions see

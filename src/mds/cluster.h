@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "common/worker_pool.h"
 #include "fs/namespace_tree.h"
 #include "journal/journal.h"
 #include "journal/replay.h"
@@ -24,6 +23,10 @@
 #include "mds/migration_audit.h"
 #include "mds/mds_server.h"
 #include "obs/trace_recorder.h"
+
+namespace lunule {
+class WorkerPool;
+}  // namespace lunule
 
 namespace lunule::mds {
 
@@ -115,10 +118,10 @@ class MdsCluster {
   /// sharded engine): forwards and recorder effects, one lane at a time.
   void merge_lanes(std::span<TickLane> lanes);
 
-  /// Worker pool for intra-tick parallel phases (epoch-close fold,
-  /// candidate collection); null means run serially.
-  void set_shard_pool(WorkerPool* pool) { shard_pool_ = pool; }
-  [[nodiscard]] WorkerPool* shard_pool() const { return shard_pool_; }
+  /// A no-op: the epoch close and candidate collection run serially, so
+  /// the cluster keeps no pool.  Its only caller is
+  /// perfbench/e2e_bench.cpp:377,447; delete it together with those calls.
+  void set_shard_pool(WorkerPool* /*pool*/) {}
 
   // -- Topology -------------------------------------------------------------
   /// Adds one MDS at runtime (cluster-expansion experiments, Fig. 12a).
@@ -152,11 +155,10 @@ class MdsCluster {
   [[nodiscard]] bool is_importable(MdsId m) const {
     return is_up(m) && !is_draining(m);
   }
-  /// Everything rank `m` is currently authoritative for (public view of the
-  /// ESubtreeMap payload; the autoscaler drains exactly this set).
-  [[nodiscard]] std::vector<fs::SubtreeRef> owned_subtrees(MdsId m) const {
-    return owned_units(m);
-  }
+  /// Everything rank `m` is authoritative for (explicit dir pins + dirfrag
+  /// pins), in deterministic namespace order: the ESubtreeMap payload, and
+  /// the set the autoscaler drains.
+  [[nodiscard]] std::vector<fs::SubtreeRef> owned_units(MdsId m) const;
 
   /// Lifetime totals of planned membership changes (the autoscaler.*
   /// counters read these).
@@ -344,9 +346,6 @@ class MdsCluster {
  private:
   /// Replica management at epoch close (replicate hot frags, drop cold).
   void update_replicas();
-  /// Everything rank `m` is authoritative for (explicit dir pins + dirfrag
-  /// pins), in deterministic namespace order — the ESubtreeMap payload.
-  [[nodiscard]] std::vector<fs::SubtreeRef> owned_units(MdsId m) const;
   /// Journals a committed migration on both endpoints.
   void journal_commit(const fs::SubtreeRef& ref, MdsId from, MdsId to);
   /// Epoch-close checkpoint: ESubtreeMap per alive rank + flush + trim.
@@ -382,7 +381,6 @@ class MdsCluster {
   CacheTier* cache_tier_ = nullptr;
   EpochId epoch_ = 0;
   Tick now_ = 0;  // last tick opened by begin_tick
-  WorkerPool* shard_pool_ = nullptr;
 };
 
 }  // namespace lunule::mds

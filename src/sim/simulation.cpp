@@ -129,14 +129,13 @@ void Simulation::run() {
 
   // Sharded engine: one persistent pool for the whole run, sized by the
   // process-wide budget (a starved grant degrades to inline execution with
-  // identical results).  The cluster shares the pool for its own parallel
-  // phases (epoch-close fold, candidate collection).
+  // identical results).  Only the rank streams run on it; the epoch close
+  // and the balancer stay serial.
   std::optional<ConcurrencyGrant> grant;
   std::unique_ptr<WorkerPool> pool;
   if (cfg_.sharded_ticks >= 1) {
     grant.emplace(static_cast<std::size_t>(cfg_.sharded_ticks) - 1);
     pool = std::make_unique<WorkerPool>(grant->granted());
-    cluster_->set_shard_pool(pool.get());
   }
 
   for (now_ = 0; now_ < cfg_.max_ticks; ++now_) {
@@ -203,8 +202,6 @@ void Simulation::run() {
     }
   }
   end_tick_ = now_;
-  // The pool dies with this frame; the cluster must not keep the pointer.
-  if (pool != nullptr) cluster_->set_shard_pool(nullptr);
   // A run that gets here survived every epoch audit; say so when auditing
   // was requested, so "validation on and silent" is distinguishable from
   // "validation never ran".

@@ -22,6 +22,7 @@
 
 #include "balancer/balancer.h"
 #include "common/types.h"
+#include "common/worker_pool.h"
 #include "faults/fault_injector.h"
 #include "fs/namespace_tree.h"
 #include "mds/autoscaler.h"

@@ -54,7 +54,7 @@ TEST_F(ElasticClusterTest, StandbysStartDownAndOwnNothing) {
   EXPECT_TRUE(cluster.is_up(1));
   EXPECT_FALSE(cluster.is_up(2));
   EXPECT_FALSE(cluster.is_up(3));
-  EXPECT_TRUE(cluster.owned_subtrees(2).empty());
+  EXPECT_TRUE(cluster.owned_units(2).empty());
   EXPECT_EQ(cluster.elasticity().activations, 0u);
   // Cold standbys are a config choice, not an event: nothing is traced.
   EXPECT_EQ(cluster.trace().counters().value("autoscaler.scale_ups"), 0u);
